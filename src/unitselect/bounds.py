@@ -27,6 +27,7 @@ __all__ = [
     "w_term",
     "pns_bounds",
     "benefit_bounds",
+    "benefit_bounds_array",
     "exact_benefit",
     "value_range",
     "experimental_from_profile",
@@ -211,6 +212,50 @@ def benefit_bounds(
         upper=upper,
         consistent=l <= u + CONSISTENCY_TOL,
     )
+
+
+def benefit_bounds_array(
+    v: BenefitVector, exp: np.ndarray, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``benefit_bounds`` for k cells at once: (lower, upper, consistent).
+
+    ``exp`` is (k, 2) in ``ExperimentalDistribution`` field order and ``obs``
+    is (k, 4) in ``ObservationalJoint`` order.  Inputs are validated as those
+    classes validate them, and every result is bit-identical to the scalar
+    function's: the same float operations run in the same order.
+    """
+    exp = np.asarray(exp, dtype=np.float64)
+    obs = np.asarray(obs, dtype=np.float64)
+    if exp.shape != (len(exp), 2) or obs.shape != (len(exp), 4):
+        raise ValueError("exp must be (k, 2) and obs (k, 4)")
+    for arr in (exp, obs):
+        if not ((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL)).all():
+            raise ValueError("probabilities must lie in [0, 1]")
+    total = obs[:, 0] + obs[:, 1] + obs[:, 2] + obs[:, 3]
+    if (np.abs(total - 1.0) > PROB_TOL).any():
+        raise ValueError("observational joint does not sum to 1")
+
+    p_do_x, p_do_xp = exp.T
+    p_xy, p_xyp, p_xpy, p_xpyp = obs.T
+    s = sigma(v)
+    w = (v.gamma - v.delta) * p_do_x + v.delta * p_do_xp + v.theta * (1.0 - p_do_xp)
+    p_y = p_xy + p_xpy
+    # Python's max() and min() keep the running value unless a term is
+    # strictly beyond it (so a tied zero keeps its sign); np.maximum and
+    # np.minimum do not promise which tied operand they return.
+    l = np.zeros(len(exp))
+    for term in (p_do_x - p_do_xp, p_y - p_do_xp, p_do_x - p_y):
+        l = np.where(term > l, term, l)
+    u = p_do_x
+    for term in (1.0 - p_do_xp, p_xy + p_xpyp, p_do_x - p_do_xp + p_xpy + p_xyp):
+        u = np.where(term < u, term, u)
+    if s > 0:
+        lower, upper = w + s * l, w + s * u
+    elif s < 0:
+        lower, upper = w + s * u, w + s * l
+    else:
+        lower = upper = w
+    return lower, upper, l <= u + CONSISTENCY_TOL
 
 
 def exact_benefit(v: BenefitVector, r: ResponseProfile) -> float:

@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,11 +21,11 @@ from .bounds import (
     BenefitVector,
     ExperimentalDistribution,
     ObservationalJoint,
-    benefit_bounds,
+    benefit_bounds_array,
     value_range,
 )
-from .datagen import REGIMES, Sample
-from .model import CellKey
+from .datagen import REGIMES
+from .model import CellKey, cell_bits, cell_ids
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -53,9 +53,8 @@ BELOW_THRESHOLD = "BELOW_THRESHOLD"
 ZERO_ARM = "ZERO_ARM"
 INCONSISTENT = "INCONSISTENT"
 
-# Vectorized counting allocates 4 * 2**n_observed slots; beyond this width we
-# fall back to row-at-a-time counting.
-_MAX_BINCOUNT_OBSERVED = 20
+# aggregate packs each row as id * 4 + x * 2 + y, which must fit in an int64.
+_MAX_OBSERVED = 61
 
 
 class IneligibleCellError(ValueError):
@@ -114,42 +113,37 @@ class SplitSpec:
             raise ValueError("test_fraction must lie in (0, 1)")
 
 
-def _add_row(counts: CellCounts, regime: str, x: int, y: int) -> None:
-    if regime == "experimental":
-        if x:
-            counts.exp_treated += 1
-            counts.exp_treated_y1 += y
-        else:
-            counts.exp_control += 1
-            counts.exp_control_y1 += y
-    else:
-        if x and y:
-            counts.obs_xy += 1
-        elif x:
-            counts.obs_xyp += 1
-        elif y:
-            counts.obs_xpy += 1
-        else:
-            counts.obs_xpyp += 1
-
-
-def _aggregate_array(
-    data: np.ndarray, regime: str, into: dict[CellKey, CellCounts]
+def aggregate(
+    samples: np.ndarray,
+    regime: str,
+    into: dict[CellKey, CellCounts] | None = None,
 ) -> dict[CellKey, CellCounts]:
-    n_observed = data.shape[1] - 2
-    if n_observed > _MAX_BINCOUNT_OBSERVED:
-        for row in data:
-            key = CellKey(tuple(int(b) for b in row[:n_observed]))
-            _add_row(into.setdefault(key, CellCounts()), regime, int(row[-2]), int(row[-1]))
-        return into
+    """Tally samples into per-cell counts for one regime.
 
-    ids = data[:, :n_observed].astype(np.int64) @ (1 << np.arange(n_observed, dtype=np.int64))
-    combo = ids * 4 + data[:, -2].astype(np.int64) * 2 + data[:, -1].astype(np.int64)
-    tallies = np.bincount(combo, minlength=4 << n_observed).reshape(-1, 4)
-    for cid in np.nonzero(tallies.sum(axis=1))[0]:
-        key = CellKey.from_id(int(cid), n_observed)
-        counts = into.setdefault(key, CellCounts())
-        c00, c01, c10, c11 = (int(v) for v in tallies[cid])
+    ``samples`` is a (n, n_observed+2) array of 0/1 values as produced by
+    datagen; any other value raises ValueError.  Pass ``into`` to merge
+    across shards; the merge is plain addition, so shard order never
+    matters.
+    """
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
+    if not isinstance(samples, np.ndarray) or samples.ndim != 2 or samples.shape[1] < 3:
+        raise ValueError("samples must be a (n, n_observed+2) array")
+    n_observed = samples.shape[1] - 2
+    if n_observed > _MAX_OBSERVED:
+        raise ValueError(f"at most {_MAX_OBSERVED} observed bits can be counted")
+    if not ((samples == 0) | (samples == 1)).all():
+        raise ValueError("samples must hold only 0/1 values")
+    out = {} if into is None else into
+
+    xy = samples[:, -2].astype(np.int64) * 2 + samples[:, -1].astype(np.int64)
+    codes, hits = np.unique(cell_ids(samples[:, :n_observed]) * 4 + xy, return_counts=True)
+    ids, cell_of_code = np.unique(codes >> 2, return_inverse=True)
+    tallies = np.zeros((len(ids), 4), dtype=np.int64)
+    tallies[cell_of_code, codes & 3] = hits
+    keys = cell_bits(ids, n_observed).tolist()
+    for bits, (c00, c01, c10, c11) in zip(keys, tallies.tolist()):
+        counts = out.setdefault(CellKey(tuple(bits)), CellCounts())
         if regime == "experimental":
             counts.exp_treated += c10 + c11
             counts.exp_treated_y1 += c11
@@ -160,34 +154,6 @@ def _aggregate_array(
             counts.obs_xyp += c10
             counts.obs_xpy += c01
             counts.obs_xpyp += c00
-    return into
-
-
-def aggregate(
-    samples: Iterable[Sample] | np.ndarray,
-    regime: str,
-    into: dict[CellKey, CellCounts] | None = None,
-) -> dict[CellKey, CellCounts]:
-    """Tally samples into per-cell counts for one regime.
-
-    Accepts either a stream of Sample records or a (n, n_observed+2) 0/1
-    array as produced by datagen.  Pass ``into`` to merge across shards; the
-    merge is plain addition, so shard order never matters.
-    """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    out = {} if into is None else into
-    if isinstance(samples, np.ndarray):
-        if samples.ndim != 2 or samples.shape[1] < 3:
-            raise ValueError("sample array must be (n, n_observed+2)")
-        return _aggregate_array(samples, regime, out)
-    width: int | None = None
-    for s in samples:
-        if width is None:
-            width = len(s.z_obs)
-        elif len(s.z_obs) != width:
-            raise ValueError("samples have mixed observed widths")
-        _add_row(out.setdefault(CellKey(s.z_obs), CellCounts()), regime, s.x, s.y)
     return out
 
 
@@ -211,6 +177,13 @@ def estimate(counts: CellCounts) -> tuple[ExperimentalDistribution, Observationa
     return exp, obs
 
 
+def _clamp(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """min(max(a, lo), hi) elementwise, with Python's tie rule: an endpoint
+    replaces a only when strictly beyond it, so a zero keeps its sign."""
+    a = np.where(lo > a, lo, a)
+    return np.where(hi < a, hi, a)
+
+
 def build_labels(
     exp_map: Mapping[CellKey, CellCounts],
     obs_map: Mapping[CellKey, CellCounts],
@@ -221,48 +194,47 @@ def build_labels(
 
     A cell is eligible when it was seen at least ``threshold`` times in each
     regime.  Cells seen in neither map do not appear in either output.
-    Results are sorted by cell id.
+    Results are sorted by cell id.  The estimates and bounds are those of
+    ``estimate`` and ``benefit_bounds``, computed for all cells at once.
     """
-    labels: list[LabeledCell] = []
-    drops: list[DroppedCell] = []
     keys = sorted(set(exp_map) | set(obs_map), key=lambda c: c.id)
+    empty = CellCounts()
+    counts = np.array(
+        [
+            (e.exp_treated, e.exp_treated_y1, e.exp_control, e.exp_control_y1)
+            + (o.obs_xy, o.obs_xyp, o.obs_xpy, o.obs_xpyp)
+            for e, o in ((exp_map.get(k, empty), obs_map.get(k, empty)) for k in keys)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 8)
+    treated, treated_y1, control, control_y1 = counts[:, :4].T
+    n_exp = treated + control
+    n_obs = counts[:, 4:].sum(axis=1)
+
+    reason = np.full(len(keys), "", dtype=object)
+    below = (n_exp < threshold) | (n_obs < threshold)
+    reason[below] = BELOW_THRESHOLD
+    reason[~below & ((treated == 0) | (control == 0) | (n_obs == 0))] = ZERO_ARM
+    est = np.flatnonzero(reason == "")
+    exp = np.stack([treated_y1[est] / treated[est], control_y1[est] / control[est]], axis=1)
+    obs = counts[est, 4:] / n_obs[est, None]
+    lower, upper, consistent = benefit_bounds_array(v, exp, obs)
+    reason[est[~consistent]] = INCONSISTENT
+
     lo, hi = value_range(v)
-    for key in keys:
-        exp_counts = exp_map.get(key, CellCounts())
-        obs_counts = obs_map.get(key, CellCounts())
-        n_exp = exp_counts.n_exp
-        n_obs = obs_counts.n_obs
-        if n_exp < threshold or n_obs < threshold:
-            drops.append(DroppedCell(key, BELOW_THRESHOLD, n_exp, n_obs))
-            continue
-        merged = CellCounts(
-            exp_treated=exp_counts.exp_treated,
-            exp_treated_y1=exp_counts.exp_treated_y1,
-            exp_control=exp_counts.exp_control,
-            exp_control_y1=exp_counts.exp_control_y1,
-            obs_xy=obs_counts.obs_xy,
-            obs_xyp=obs_counts.obs_xyp,
-            obs_xpy=obs_counts.obs_xpy,
-            obs_xpyp=obs_counts.obs_xpyp,
+    n_exp, n_obs = n_exp.tolist(), n_obs.tolist()
+    labels = [
+        LabeledCell(keys[i], low, up, n_exp[i], n_obs[i])
+        for i, low, up in zip(
+            est[consistent].tolist(),
+            _clamp(lower[consistent], lo, hi).tolist(),
+            _clamp(upper[consistent], lo, hi).tolist(),
         )
-        try:
-            e, o = estimate(merged)
-        except IneligibleCellError:
-            drops.append(DroppedCell(key, ZERO_ARM, n_exp, n_obs))
-            continue
-        b = benefit_bounds(v, e, o)
-        if not b.consistent:
-            drops.append(DroppedCell(key, INCONSISTENT, n_exp, n_obs))
-            continue
-        labels.append(
-            LabeledCell(
-                cell=key,
-                lower_label=min(max(b.lower, lo), hi),
-                upper_label=min(max(b.upper, lo), hi),
-                n_exp=n_exp,
-                n_obs=n_obs,
-            )
-        )
+    ]
+    drops = [
+        DroppedCell(keys[i], reason[i], n_exp[i], n_obs[i])
+        for i in np.flatnonzero(reason != "").tolist()
+    ]
     return labels, drops
 
 

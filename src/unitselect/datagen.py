@@ -14,7 +14,9 @@ below the corresponding probability.
 
 Rows expose only what a study would record: the observed characteristics,
 treatment and outcome.  Latent characteristics and noise are drawn but never
-written.
+written.  A dataset is a (n, n_observed+2) uint8 array of 0/1 columns
+``z1..zn, x, y``, produced whole (``generate_array``) or shard by shard
+(``iter_blocks``), and stored as CSV or as packed uint32 words.
 """
 
 from __future__ import annotations
@@ -27,17 +29,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import ExogenousAssignment, ScmConfig
+from .model import ExogenousAssignment, ScmConfig, cell_bits, cell_ids
 
 __all__ = [
     "SHARD_SIZE",
     "REGIMES",
-    "Sample",
     "DatasetMeta",
     "DatasetFormatError",
     "draw_exogenous",
-    "gen_experimental",
-    "gen_observational",
     "iter_blocks",
     "generate_array",
     "write_dataset",
@@ -58,15 +57,6 @@ _MAX_PACKED_OBSERVED = 30
 
 class DatasetFormatError(ValueError):
     """A dataset file or its sidecar does not have the expected shape."""
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One recorded unit: observed characteristics, treatment, outcome."""
-
-    z_obs: tuple[int, ...]
-    x: int
-    y: int
 
 
 @dataclass(frozen=True)
@@ -169,29 +159,6 @@ def generate_array(
     return np.concatenate(blocks, axis=0)
 
 
-def _iter_samples(
-    config: ScmConfig, regime: str, n_samples: int, seed: int
-) -> Iterator[Sample]:
-    n_obs = config.n_observed
-    for block in iter_blocks(config, regime, n_samples, seed):
-        for row in block:
-            yield Sample(
-                z_obs=tuple(int(b) for b in row[:n_obs]),
-                x=int(row[n_obs]),
-                y=int(row[n_obs + 1]),
-            )
-
-
-def gen_experimental(config: ScmConfig, n_samples: int, seed: int) -> Iterator[Sample]:
-    """Randomized-treatment samples."""
-    return _iter_samples(config, "experimental", n_samples, seed)
-
-
-def gen_observational(config: ScmConfig, n_samples: int, seed: int) -> Iterator[Sample]:
-    """Samples whose treatment follows the model's own treatment mechanism."""
-    return _iter_samples(config, "observational", n_samples, seed)
-
-
 def meta_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
@@ -216,8 +183,7 @@ def _block_to_packed(block: np.ndarray, n_observed: int) -> np.ndarray:
         raise DatasetFormatError(
             f"packed format holds at most {_MAX_PACKED_OBSERVED} observed bits"
         )
-    bits = block[:, :n_observed].astype(np.uint32)
-    words = bits @ (np.uint32(1) << np.arange(n_observed, dtype=np.uint32))
+    words = cell_ids(block[:, :n_observed]).astype(np.uint32)
     words |= block[:, n_observed].astype(np.uint32) << _PACKED_X_BIT
     words |= block[:, n_observed + 1].astype(np.uint32) << _PACKED_Y_BIT
     return words.astype("<u4")
@@ -305,8 +271,7 @@ def _read_packed(path: Path, n_observed: int) -> np.ndarray:
         )
     words = np.fromfile(path, dtype="<u4")
     out = np.empty((len(words), n_observed + 2), dtype=np.uint8)
-    for i in range(n_observed):
-        out[:, i] = (words >> np.uint32(i)) & 1
+    out[:, :n_observed] = cell_bits(words, n_observed)
     out[:, n_observed] = (words >> np.uint32(_PACKED_X_BIT)) & 1
     out[:, n_observed + 1] = (words >> np.uint32(_PACKED_Y_BIT)) & 1
     stray = words & ~(

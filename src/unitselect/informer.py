@@ -24,11 +24,10 @@ import numpy as np
 
 from .bounds import (
     BenefitVector,
-    BoundsBreakdown,
     ExperimentalDistribution,
     ObservationalJoint,
     ResponseProfile,
-    benefit_bounds,
+    benefit_bounds_array,
     exact_benefit,
 )
 from .model import (
@@ -36,6 +35,7 @@ from .model import (
     ConfigError,
     FullProfile,
     ScmConfig,
+    cell_bits,
     counterfactual_pair,
     eval_x,
     eval_y,
@@ -161,7 +161,7 @@ def _completion_weights(config: ScmConfig) -> np.ndarray:
     characteristic as the least-significant bit.
     """
     n_u = config.n_unobserved
-    bits = (np.arange(1 << n_u)[:, None] >> np.arange(n_u)[None, :]) & 1
+    bits = cell_bits(np.arange(1 << n_u), n_u)
     p = np.asarray(config.bern_z[config.n_observed :])
     return np.prod(np.where(bits == 1, p, 1.0 - p), axis=1)
 
@@ -254,14 +254,10 @@ def _cell_block(
     n_comp = 1 << n_u
     k = len(ids)
 
-    obs_bits = ((ids[:, None] >> np.arange(n_obs)[None, :]) & 1).astype(np.float64)
-    comp_bits = ((np.arange(n_comp)[:, None] >> np.arange(n_u)[None, :]) & 1).astype(
-        np.float64
-    )
     full = np.empty((k * n_comp, config.n_total))
-    full[:, :n_obs] = np.repeat(obs_bits, n_comp, axis=0)
+    full[:, :n_obs] = np.repeat(cell_bits(ids, n_obs), n_comp, axis=0)
     if n_u:
-        full[:, n_obs:] = np.tile(comp_bits, (k, 1))
+        full[:, n_obs:] = np.tile(cell_bits(np.arange(n_comp), n_u), (k, 1))
     grid = _profile_grid(full, config)
 
     weights = _completion_weights(config)
@@ -278,7 +274,32 @@ def _cell_block(
 
     out = {name: mix(arr) for name, arr in grid.items()}
     out["true_f"] = mix(f_profiles)
+    exp = np.stack([out["p_do_x"], out["p_do_xp"]], axis=1)
+    obs = np.stack([out[name] for name in ("p_xy", "p_xyp", "p_xpy", "p_xpyp")], axis=1)
+    out["true_lower"], out["true_upper"], _ = benefit_bounds_array(v, exp, obs)
     return out
+
+
+def _records(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> list[InformerRecord]:
+    """Exact records for a batch of cell ids, built from ``_cell_block``."""
+    block = _cell_block(ids, config, v)
+    columns = (
+        "p_do_x", "p_do_xp", "p_xy", "p_xyp", "p_xpy", "p_xpyp",
+        "true_f", "true_lower", "true_upper",
+    )
+    rows = zip(
+        cell_bits(ids, config.n_observed).tolist(),
+        *(block[name].tolist() for name in columns),
+    )
+    return [
+        InformerRecord(
+            CellKey(tuple(bits)),
+            ExperimentalDistribution(*vals[:2]),
+            ObservationalJoint(*vals[2:6]),
+            *vals[6:],
+        )
+        for bits, *vals in rows
+    ]
 
 
 def cell_truth(cell: CellKey, config: ScmConfig, v: BenefitVector) -> InformerRecord:
@@ -287,31 +308,7 @@ def cell_truth(cell: CellKey, config: ScmConfig, v: BenefitVector) -> InformerRe
         raise ConfigError(
             f"cell has {len(cell.bits)} bits, config expects {config.n_observed}"
         )
-    block = _cell_block(np.array([cell.id]), config, v)
-    return _record_from_block(cell, block, 0, v)
-
-
-def _record_from_block(
-    cell: CellKey, block: dict[str, np.ndarray], i: int, v: BenefitVector
-) -> InformerRecord:
-    exp = ExperimentalDistribution(
-        p_y_do_x=float(block["p_do_x"][i]), p_y_do_xp=float(block["p_do_xp"][i])
-    )
-    obs = ObservationalJoint(
-        p_xy=float(block["p_xy"][i]),
-        p_xyp=float(block["p_xyp"][i]),
-        p_xpy=float(block["p_xpy"][i]),
-        p_xpyp=float(block["p_xpyp"][i]),
-    )
-    b: BoundsBreakdown = benefit_bounds(v, exp, obs)
-    return InformerRecord(
-        cell=cell,
-        exp=exp,
-        obs=obs,
-        true_f=float(block["true_f"][i]),
-        true_lower=b.lower,
-        true_upper=b.upper,
-    )
+    return _records(np.array([cell.id]), config, v)[0]
 
 
 def informer_table(config: ScmConfig, v: BenefitVector) -> list[InformerRecord]:
@@ -324,10 +321,7 @@ def informer_table(config: ScmConfig, v: BenefitVector) -> list[InformerRecord]:
     records: list[InformerRecord] = []
     for start in range(0, n_cells, _CHUNK_CELLS):
         ids = np.arange(start, min(start + _CHUNK_CELLS, n_cells))
-        block = _cell_block(ids, config, v)
-        for i, cid in enumerate(ids):
-            cell = CellKey.from_id(int(cid), config.n_observed)
-            records.append(_record_from_block(cell, block, i, v))
+        records += _records(ids, config, v)
     return records
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import BenefitVector, value_range
 from .informer import InformerRecord
-from .model import CellKey
+from .model import CellKey, cell_bits
 
 __all__ = [
     "Hyperparams",
@@ -234,21 +234,18 @@ def predict_all(
     if model_lower.n_inputs != n_observed or model_upper.n_inputs != n_observed:
         raise ValueError("model input width does not match n_observed")
     n_cells = 1 << n_observed
-    bits = ((np.arange(n_cells)[:, None] >> np.arange(n_observed)[None, :]) & 1).astype(
-        np.float64
-    )
+    bits = cell_bits(np.arange(n_cells), n_observed).astype(np.float64)
     lo, hi = value_range(v)
     lower = np.clip(_raw_outputs(model_lower, bits), lo, hi)
     upper = np.clip(_raw_outputs(model_upper, bits), lo, hi)
     crossed = lower > upper
     mid = 0.5 * (lower + upper)
-    rows = []
-    for cid in range(n_cells):
-        if crossed[cid]:
-            rows.append(PredictionRow(cid, float(mid[cid]), float(mid[cid]), True))
-        else:
-            rows.append(PredictionRow(cid, float(lower[cid]), float(upper[cid]), False))
-    return rows
+    lower = np.where(crossed, mid, lower)
+    upper = np.where(crossed, mid, upper)
+    return [
+        PredictionRow(*row)
+        for row in zip(range(n_cells), lower.tolist(), upper.tolist(), crossed.tolist())
+    ]
 
 
 def sample_cell_ids(n_cells: int, sample_n: int, seed: int) -> np.ndarray:

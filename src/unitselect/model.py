@@ -27,6 +27,8 @@ __all__ = [
     "ScmConfig",
     "FullProfile",
     "CellKey",
+    "cell_ids",
+    "cell_bits",
     "ExogenousAssignment",
     "ResponseType",
     "default_config",
@@ -214,6 +216,24 @@ class CellKey:
     def complete(self, latent_bits: Sequence[int]) -> FullProfile:
         """Append latent characteristic bits to form a full profile."""
         return FullProfile(self.bits + tuple(latent_bits))
+
+
+def cell_ids(bits: np.ndarray) -> np.ndarray:
+    """Int64 ids of the rows of a (k, n) 0/1 array, encoded as ``CellKey.id``:
+    column 0 is the least-significant bit.  Bits are not checked."""
+    ids = np.zeros(len(bits), dtype=np.int64)
+    for i in range(bits.shape[1]):
+        ids |= bits[:, i].astype(np.int64) << i
+    return ids
+
+
+def cell_bits(ids: np.ndarray, n_bits: int) -> np.ndarray:
+    """(k, n_bits) uint8 bits of an integer id array; the inverse of
+    ``cell_ids`` and the array form of ``CellKey.from_id``."""
+    out = np.empty((len(ids), n_bits), dtype=np.uint8)
+    for i in range(n_bits):
+        out[:, i] = (ids >> i) & 1
+    return out
 
 
 @dataclass(frozen=True)

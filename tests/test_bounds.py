@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import random_latent_joint
@@ -11,6 +13,7 @@ from unitselect.bounds import (
     ObservationalJoint,
     ResponseProfile,
     benefit_bounds,
+    benefit_bounds_array,
     exact_benefit,
     experimental_from_profile,
     pns_bounds,
@@ -192,3 +195,76 @@ def test_pns_bounds_within_unit_interval_on_consistent_data(seed):
     )
     assert 0.0 <= l <= u + 1e-12
     assert u <= 1.0
+
+
+def _f64(x) -> bytes:
+    """A float's bit pattern, so -0.0 and 0.0 compare unequal."""
+    return struct.pack("<d", x)
+
+
+# Dyadic payoffs, signed zeros included: sums of them are exact, so sigma can
+# be exactly 0 and ties and signed zeros occur inside the interval.
+_exact_payoffs = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -2.0])
+
+
+@st.composite
+def _kernel_vectors(draw, sign):
+    if sign == 0:
+        beta, gamma, theta = (draw(_exact_payoffs) for _ in range(3))
+        return BenefitVector(beta, gamma, theta, gamma + theta - beta)
+    payoffs = st.one_of(_exact_payoffs, _payoffs)
+    v = BenefitVector(*(draw(payoffs) for _ in range(4)))
+    assume(np.sign(sigma(v)) == sign)
+    return v
+
+
+def _kernel_inputs(rng, k):
+    """Probabilities on a coarse grid (ties, zeros of both signs, ones) mixed
+    with continuous ones; exp and obs are independent, so many cells are
+    inconsistent."""
+    exp = np.where(rng.random((k, 2)) < 0.5, rng.integers(0, 9, (k, 2)) / 8, rng.random((k, 2)))
+    counts = rng.integers(0, 5, (k, 4)) * (rng.random((k, 4)) < 0.8)
+    counts[counts.sum(axis=1) == 0, 0] = 1
+    obs = counts / counts.sum(axis=1, keepdims=True)
+    for arr in (exp, obs):
+        arr[(arr == 0) & (rng.random(arr.shape) < 0.5)] = -0.0
+    return exp, obs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    sign=st.sampled_from([1, -1, 0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_benefit_bounds_array_matches_scalar(data, sign, seed):
+    v = data.draw(_kernel_vectors(sign))
+    assert np.sign(sigma(v)) == sign
+    exp, obs = _kernel_inputs(np.random.Generator(np.random.Philox(key=seed)), 64)
+    lower, upper, consistent = benefit_bounds_array(v, exp, obs)
+    seen_inconsistent = False
+    for i in range(len(exp)):
+        b = benefit_bounds(v, ExperimentalDistribution(*exp[i]), ObservationalJoint(*obs[i]))
+        assert _f64(lower[i]) == _f64(b.lower)
+        assert _f64(upper[i]) == _f64(b.upper)
+        assert bool(consistent[i]) == b.consistent
+        seen_inconsistent |= not b.consistent
+    assert seen_inconsistent
+
+
+def test_benefit_bounds_array_validates_like_the_scalar_inputs():
+    ok_exp, ok_obs = [[0.5, 0.5]], [[0.25, 0.25, 0.25, 0.25]]
+    lower, upper, consistent = benefit_bounds_array(V, ok_exp, ok_obs)
+    assert lower.shape == upper.shape == consistent.shape == (1,)
+    with pytest.raises(ValueError):
+        benefit_bounds_array(V, [[1.1, 0.5]], ok_obs)
+    with pytest.raises(ValueError):
+        benefit_bounds_array(V, [[np.nan, 0.5]], ok_obs)
+    with pytest.raises(ValueError):
+        benefit_bounds_array(V, ok_exp, [[0.5, 0.5, 0.5, 0.0]])  # sums to 1.5
+    with pytest.raises(ValueError):
+        benefit_bounds_array(V, ok_exp * 2, ok_obs)  # mismatched lengths
+    with pytest.raises(ValueError):
+        benefit_bounds_array(V, [[0.5, 0.5, 0.5]] * 2, [[0.25] * 4] * 3)  # (2, 3) exp
+    empty = benefit_bounds_array(V, np.empty((0, 2)), np.empty((0, 4)))
+    assert all(len(a) == 0 for a in empty)

@@ -1,7 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 
-from unitselect.bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector, value_range
+from unitselect.bounds import (
+    DEFAULT_BENEFIT_VECTOR,
+    BenefitVector,
+    benefit_bounds,
+    value_range,
+)
 from unitselect.cells import (
     BELOW_THRESHOLD,
     INCONSISTENT,
@@ -19,7 +26,7 @@ from unitselect.cells import (
     write_drops_csv,
     write_labels_csv,
 )
-from unitselect.datagen import Sample, generate_array
+from unitselect.datagen import generate_array
 from unitselect.informer import informer_table
 from unitselect.model import CellKey
 
@@ -28,14 +35,42 @@ def _cell(bits):
     return CellKey(tuple(bits))
 
 
+def _rows(*rows):
+    return np.array(rows, dtype=np.uint8)
+
+
+def _tally_rows(arr, regime):
+    """Row-at-a-time reference count of a sample array."""
+    n_obs = arr.shape[1] - 2
+    out = {}
+    for row in arr.tolist():
+        counts = out.setdefault(_cell(row[:n_obs]), CellCounts())
+        x, y = row[n_obs], row[n_obs + 1]
+        if regime == "experimental":
+            if x:
+                counts.exp_treated += 1
+                counts.exp_treated_y1 += y
+            else:
+                counts.exp_control += 1
+                counts.exp_control_y1 += y
+        elif x and y:
+            counts.obs_xy += 1
+        elif x:
+            counts.obs_xyp += 1
+        elif y:
+            counts.obs_xpy += 1
+        else:
+            counts.obs_xpyp += 1
+    return out
+
+
 def test_aggregate_empty():
-    assert aggregate([], "experimental") == {}
+    assert aggregate(np.empty((0, 5), dtype=np.uint8), "experimental") == {}
     assert aggregate(np.empty((0, 6), dtype=np.uint8), "observational") == {}
 
 
 def test_aggregate_three_identical_treated():
-    s = Sample(z_obs=(1, 0, 1), x=1, y=1)
-    counts = aggregate([s, s, s], "experimental")
+    counts = aggregate(_rows(*[(1, 0, 1, 1, 1)] * 3), "experimental")
     assert set(counts) == {_cell((1, 0, 1))}
     c = counts[_cell((1, 0, 1))]
     assert c.exp_treated == 3
@@ -46,32 +81,29 @@ def test_aggregate_three_identical_treated():
 
 
 def test_aggregate_observational_quadrants():
-    rows = [
-        Sample((0, 0), 1, 1),
-        Sample((0, 0), 1, 0),
-        Sample((0, 0), 0, 1),
-        Sample((0, 0), 0, 0),
-        Sample((0, 0), 0, 0),
-    ]
+    rows = _rows(
+        (0, 0, 1, 1),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+        (0, 0, 0, 0),
+        (0, 0, 0, 0),
+    )
     c = aggregate(rows, "observational")[_cell((0, 0))]
     assert (c.obs_xy, c.obs_xyp, c.obs_xpy, c.obs_xpyp) == (1, 1, 1, 2)
     assert c.n_obs == 5
     assert c.n_exp == 0
 
 
-def test_aggregate_array_matches_stream(desk4):
+def test_aggregate_array_matches_row_tally(desk4):
     arr = generate_array(desk4, "observational", 20_000, seed=31)
     fast = aggregate(arr, "observational")
-    stream = [Sample(tuple(int(b) for b in r[:4]), int(r[4]), int(r[5])) for r in arr]
-    slow = aggregate(stream, "observational")
-    assert fast == slow
+    assert fast == _tally_rows(arr, "observational")
     # conservation: tallies account for every sample
     assert sum(c.n_obs for c in fast.values()) == 20_000
 
     arr = generate_array(desk4, "experimental", 20_000, seed=32)
     fast = aggregate(arr, "experimental")
-    stream = [Sample(tuple(int(b) for b in r[:4]), int(r[4]), int(r[5])) for r in arr]
-    assert fast == aggregate(stream, "experimental")
+    assert fast == _tally_rows(arr, "experimental")
     assert sum(c.n_exp for c in fast.values()) == 20_000
 
 
@@ -83,13 +115,48 @@ def test_aggregate_merges_blocks(desk4):
     assert merged == whole
 
 
+def test_aggregate_wide_rows():
+    # 22 observed bits: 4M cells, wider than any dense per-cell table needs
+    rng = np.random.default_rng(22)
+    arr = (rng.random((3000, 24)) < 0.5).astype(np.uint8)
+    arr[1000:1500] = arr[0]  # one cell seen many times
+    for regime in ("experimental", "observational"):
+        whole = aggregate(arr, regime)
+        assert whole == _tally_rows(arr, regime)
+        merged = aggregate(arr[:1200], regime)
+        assert aggregate(arr[1200:], regime, into=merged) is merged
+        assert merged == whole
+    # the widest countable row: 61 observed bits, the top one set
+    row = np.zeros((1, 63), dtype=np.uint8)
+    row[0, 60] = 1
+    (key,) = aggregate(row, "experimental")
+    assert key.id == 1 << 60
+
+
 def test_aggregate_rejects_bad_input():
     with pytest.raises(ValueError):
         aggregate([], "interventional")
     with pytest.raises(ValueError):
         aggregate(np.zeros((3, 2), dtype=np.uint8), "experimental")
     with pytest.raises(ValueError):
-        aggregate([Sample((0, 0), 1, 1), Sample((0, 0, 0), 1, 1)], "experimental")
+        aggregate([[0, 1, 1]], "experimental")  # not an array
+    with pytest.raises(ValueError):
+        # 62 observed bits: id * 4 + x * 2 + y would overflow an int64
+        aggregate(np.zeros((1, 64), dtype=np.uint8), "experimental")
+
+
+@pytest.mark.parametrize(
+    "rows, regime",
+    [
+        (np.array([[0, 2, 0]], dtype=np.uint8), "experimental"),  # x = 2
+        (np.array([[0, 1, 3]], dtype=np.uint8), "observational"),  # y = 3
+        (np.array([[1.7, 1.0, 0.0]]), "experimental"),  # fractional bit
+        (np.array([[0, -1, 1]], dtype=np.int8), "experimental"),
+    ],
+)
+def test_aggregate_rejects_non_binary(rows, regime):
+    with pytest.raises(ValueError):
+        aggregate(rows, regime)
 
 
 def test_estimate_ratios():
@@ -190,6 +257,80 @@ def test_build_labels_within_value_range():
     labels, _ = build_labels({_cell((0,)): ok}, {_cell((0,)): ok}, v, threshold=10)
     assert len(labels) == 1
     assert lo <= labels[0].lower_label <= labels[0].upper_label <= hi
+
+
+def _f64(x) -> bytes:
+    """A float's bit pattern, so -0.0 and 0.0 compare unequal."""
+    return struct.pack("<d", x)
+
+
+def _scalar_labels(exp_map, obs_map, v, threshold):
+    """The per-cell chain estimate -> benefit_bounds -> clamp, cell by cell."""
+    lo, hi = value_range(v)
+    out = {}
+    for key in set(exp_map) | set(obs_map):
+        e = exp_map.get(key, CellCounts())
+        o = obs_map.get(key, CellCounts())
+        merged = CellCounts(
+            e.exp_treated, e.exp_treated_y1, e.exp_control, e.exp_control_y1,
+            o.obs_xy, o.obs_xyp, o.obs_xpy, o.obs_xpyp,
+        )
+        if merged.n_exp < threshold or merged.n_obs < threshold:
+            out[key] = BELOW_THRESHOLD
+            continue
+        try:
+            b = benefit_bounds(v, *estimate(merged))
+        except IneligibleCellError:
+            out[key] = ZERO_ARM
+            continue
+        if not b.consistent:
+            out[key] = INCONSISTENT
+        else:
+            out[key] = (min(max(b.lower, lo), hi), min(max(b.upper, lo), hi))
+    return out
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        DEFAULT_BENEFIT_VECTOR,  # sigma > 0
+        BenefitVector(-1.0, 1.0, 1.0, 0.0),  # sigma < 0
+        BenefitVector(1.0, 0.0, 0.0, -1.0),  # sigma = 0
+        BenefitVector(-1.0, -1.0, -0.0, -0.0),  # sigma = 0, -0.0 labels
+        BenefitVector(-0.0, -1.0, 0.0, -1.0),  # sigma = 0, +0.0 labels at hi = -0.0
+        BenefitVector(0.5, 0.0, 0.25, 0.0),  # value range [0, 0.5] clamps
+    ],
+)
+def test_build_labels_matches_scalar_chain(v):
+    rng = np.random.default_rng(5)
+    exp_map, obs_map = {}, {}
+    for cid in range(512):
+        key = CellKey.from_id(cid, 9)
+        treated, control = (rng.integers(0, 40, 2) * (rng.random(2) < 0.9)).tolist()
+        if rng.random() < 0.95:
+            y1 = rng.integers(0, [treated + 1, control + 1]).tolist()
+            exp_map[key] = _counts(treated, y1[0], control, y1[1], (0, 0, 0, 0))
+        if rng.random() < 0.95:
+            obs_map[key] = _counts(0, 0, 0, 0, rng.integers(0, 12, 4).tolist())
+    labels, drops = build_labels(exp_map, obs_map, v, threshold=20)
+    expect = _scalar_labels(exp_map, obs_map, v, threshold=20)
+    assert sorted(c.cell.id for c in labels + drops) == sorted(c.id for c in expect)
+    assert {d.reason for d in drops} == {BELOW_THRESHOLD, ZERO_ARM, INCONSISTENT}
+    assert len(labels) > 20
+    for d in drops:
+        assert expect[d.cell] == d.reason
+    for lab in labels:
+        low, up = expect[lab.cell]
+        assert (_f64(lab.lower_label), _f64(lab.upper_label)) == (_f64(low), _f64(up))
+
+
+def test_build_labels_rejects_impossible_counts():
+    v = DEFAULT_BENEFIT_VECTOR
+    bad = _counts(10, 11, 10, 0, (5, 5, 5, 5))  # 11 of 10 treated had y = 1
+    with pytest.raises(ValueError):
+        build_labels({_cell((0,)): bad}, {_cell((0,)): bad}, v, threshold=1)
+    with pytest.raises(ValueError):
+        estimate(bad)
 
 
 def test_labels_match_exact_truth_with_exact_proportions(desk4):

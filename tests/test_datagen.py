@@ -8,10 +8,7 @@ from unitselect.datagen import (
     SHARD_SIZE,
     DatasetFormatError,
     DatasetMeta,
-    Sample,
     draw_exogenous,
-    gen_experimental,
-    gen_observational,
     generate_array,
     iter_blocks,
     meta_path,
@@ -62,20 +59,6 @@ def test_scalar_stream_matches_vectorized_rows(desk4):
         x = eval_x(m_value(profile, desk4.weights_x), ex.u_x)
         y = eval_y(x, m_value(profile, desk4.weights_y), ex.u_y, desk4.constant_c)
         assert tuple(int(b) for b in arr_obs[i]) == ex.z[: desk4.n_observed] + (x, y)
-
-
-def test_generator_streams(desk4):
-    samples = list(gen_experimental(desk4, 10, seed=5))
-    assert len(samples) == 10
-    assert all(isinstance(s, Sample) for s in samples)
-    assert all(len(s.z_obs) == 4 and s.x in (0, 1) and s.y in (0, 1) for s in samples)
-    assert list(gen_experimental(desk4, 0, seed=5)) == []
-    arr = generate_array(desk4, "experimental", 10, seed=5)
-    assert [s.z_obs + (s.x, s.y) for s in samples] == [
-        tuple(int(b) for b in row) for row in arr
-    ]
-    obs = list(gen_observational(desk4, 10, seed=5))
-    assert len(obs) == 10
 
 
 def test_determinism_and_prefix(desk4):

@@ -1,9 +1,15 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
-from unitselect.bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector, exact_benefit
+from unitselect.bounds import (
+    DEFAULT_BENEFIT_VECTOR,
+    BenefitVector,
+    benefit_bounds,
+    exact_benefit,
+)
 from unitselect.informer import (
     CellSpaceTooLarge,
     cell_truth,
@@ -186,6 +192,22 @@ def test_cell_truth_mixes_distributions_not_bounds(desk4):
         # containment holds regardless
         assert rec.true_lower - 1e-9 <= rec.true_f <= rec.true_upper + 1e-9
     assert max(diffs) > 1e-6
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        V,  # sigma > 0
+        BenefitVector(-1.0, 1.0, 1.0, 0.0),  # sigma < 0
+        BenefitVector(1.0, 0.0, 0.0, -1.0),  # sigma = 0
+    ],
+)
+def test_informer_bounds_match_scalar_bounds(desk8, v):
+    for rec in informer_table(desk8, v):
+        b = benefit_bounds(v, rec.exp, rec.obs)
+        assert struct.pack("<2d", rec.true_lower, rec.true_upper) == struct.pack(
+            "<2d", b.lower, b.upper
+        )
 
 
 def test_informer_table_shape_and_order(desk8):

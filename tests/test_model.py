@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from unitselect.model import (
     FullProfile,
     ResponseType,
     ScmConfig,
+    cell_bits,
+    cell_ids,
     counterfactual_pair,
     default_config,
     eval_x,
@@ -93,6 +96,13 @@ def test_cell_key_encoding():
         key = CellKey.from_id(cid, 8)
         assert key.id == cid
         assert len(key.bits) == 8
+    # the array helpers use the same encoding
+    ids = np.arange(256)
+    bits = cell_bits(ids, 8)
+    assert bits.dtype == np.uint8
+    assert [tuple(row) for row in bits.tolist()] == [CellKey.from_id(c, 8).bits for c in range(256)]
+    assert np.array_equal(cell_ids(bits), ids)
+    assert cell_ids(cell_bits(np.array([1 << 60]), 61)).tolist() == [1 << 60]
 
 
 def test_cell_key_rejects_bad_input():
