@@ -123,7 +123,8 @@ def aggregate(
     ``samples`` is a (n, n_observed+2) array of 0/1 values as produced by
     datagen; any other value raises ValueError.  Pass ``into`` to merge
     across shards; the merge is plain addition, so shard order never
-    matters.
+    matters.  A cell already in ``into`` keeps its key object; a key is built
+    only for a cell seen for the first time.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
@@ -141,9 +142,12 @@ def aggregate(
     ids, cell_of_code = np.unique(codes >> 2, return_inverse=True)
     tallies = np.zeros((len(ids), 4), dtype=np.int64)
     tallies[cell_of_code, codes & 3] = hits
-    keys = cell_bits(ids, n_observed).tolist()
+    counts_by_bits = {key.bits: counts for key, counts in out.items()}
+    keys = map(tuple, cell_bits(ids, n_observed).tolist())
     for bits, (c00, c01, c10, c11) in zip(keys, tallies.tolist()):
-        counts = out.setdefault(CellKey(tuple(bits)), CellCounts())
+        counts = counts_by_bits.get(bits)
+        if counts is None:
+            counts = out[CellKey(bits)] = CellCounts()
         if regime == "experimental":
             counts.exp_treated += c10 + c11
             counts.exp_treated_y1 += c11

@@ -258,10 +258,11 @@ def _read_csv(path: Path, n_observed: int) -> np.ndarray:
         seps = rows[:, 1::2]
         if not ((seps[:, :-1] == ord(",")).all() and (seps[:, -1] == ord("\n")).all()):
             raise DatasetFormatError(f"malformed CSV rows in {path}")
-    vals = rows[:, 0::2] - ord("0")
-    if vals.size and not np.isin(vals, (0, 1)).all():
+    # uint8 arithmetic: a byte below "0" wraps past 1, so <= 1 means 0 or 1.
+    vals = rows[:, 0::2] - np.uint8(ord("0"))
+    if not (vals <= 1).all():
         raise DatasetFormatError(f"non-binary values in {path}")
-    return vals.astype(np.uint8)
+    return vals
 
 
 def _read_packed(path: Path, n_observed: int) -> np.ndarray:

@@ -151,7 +151,8 @@ def train(
     targets: Sequence[float] | np.ndarray,
     hp: Hyperparams,
 ) -> Model:
-    """Fit the network to (features, targets) by seeded gradient descent."""
+    """Fit the network to (features, targets) by seeded gradient descent.
+    The model's loss_history has epochs + 1 entries, as ``Model`` says."""
     x = _as_features(features)
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
     if len(x) == 0:
@@ -167,11 +168,13 @@ def train(
         np.random.Philox(key=(hp.seed ^ _SHUFFLE_SALT) & (1 << 64) - 1)
     )
 
-    history = [_loss_and_grads(params, x, t)[0]]
+    # One full pass per epoch: its loss is the history entry after that
+    # epoch, and its gradients are the next full-batch step.
+    loss, grads = _loss_and_grads(params, x, t)
+    history = [loss]
     batch = hp.batch_size if hp.batch_size is not None else len(x)
     for _ in range(hp.epochs):
         if batch >= len(x):
-            _, grads = _loss_and_grads(params, x, t)
             for p, g in zip(params, grads):
                 p -= hp.learning_rate * g
         else:
@@ -181,7 +184,8 @@ def train(
                 _, grads = _loss_and_grads(params, x[idx], t[idx])
                 for p, g in zip(params, grads):
                     p -= hp.learning_rate * g
-        history.append(_loss_and_grads(params, x, t)[0])
+        loss, grads = _loss_and_grads(params, x, t)
+        history.append(loss)
 
     w1, b1, w2, b2, w3, b3 = params
     return Model(w1, b1, w2, b2, w3, b3, hp, tuple(history))

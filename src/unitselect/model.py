@@ -165,9 +165,12 @@ class ScmConfig:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
 
 
+_BINARY = frozenset((0, 1))
+
+
 def _check_bits(bits: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
+    out = tuple(map(int, bits))
+    if not _BINARY.issuperset(out):
         raise ConfigError(f"bit vector must contain only 0/1, got {out}")
     return out
 

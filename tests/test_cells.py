@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from unitselect import cells
 from unitselect.bounds import (
     DEFAULT_BENEFIT_VECTOR,
     BenefitVector,
@@ -113,6 +114,52 @@ def test_aggregate_merges_blocks(desk4):
     merged = aggregate(arr[:2000], "experimental")
     merged = aggregate(arr[2000:], "experimental", into=merged)
     assert merged == whole
+
+
+def test_aggregate_shards_into_one_map(desk4, monkeypatch):
+    built = []
+
+    def counting_key(bits):
+        built.append(bits)
+        return CellKey(bits)
+
+    monkeypatch.setattr(cells, "CellKey", counting_key)
+    exp = generate_array(desk4, "experimental", 12_000, seed=34)
+    obs = generate_array(desk4, "observational", 12_000, seed=35)
+    whole_exp = aggregate(exp, "experimental")
+    whole_obs = aggregate(obs, "observational")
+    shards = (0, 1500, 1501, 5000, 9000, 12_000)
+    exp_map, obs_map, first_keys = {}, {}, None
+    for lo, hi in zip(shards, shards[1:]):
+        assert aggregate(exp[lo:hi], "experimental", into=exp_map) is exp_map
+        assert aggregate(obs[lo:hi], "observational", into=obs_map) is obs_map
+        if first_keys is None:
+            first_keys = {key.bits: key for key in exp_map}
+    assert exp_map == whole_exp and obs_map == whole_obs
+    # one key built per cell and map, not one per cell and shard
+    assert len(built) == 2 * len(whole_exp) + 2 * len(whole_obs)
+    # later shards count into the key objects already in the map
+    assert first_keys
+    for key in exp_map:
+        if key.bits in first_keys:
+            assert key is first_keys[key.bits]
+    labels = build_labels(exp_map, obs_map, DEFAULT_BENEFIT_VECTOR, threshold=200)
+    assert labels[0]
+    assert labels == build_labels(whole_exp, whole_obs, DEFAULT_BENEFIT_VECTOR, threshold=200)
+
+
+def test_aggregate_into_map_of_another_width(desk4):
+    # 3- and 4-bit keys share ids (4-bit cell 5 and 3-bit cell 5) but are
+    # different cells; neither width's counts leak into the other's.
+    narrow = (np.random.default_rng(3).random((400, 5)) < 0.5).astype(np.uint8)
+    wide = generate_array(desk4, "experimental", 3000, seed=36)
+    narrow_only = aggregate(narrow, "experimental")
+    wide_only = aggregate(wide, "experimental")
+    merged = aggregate(wide, "experimental", into=aggregate(narrow, "experimental"))
+    assert len(merged) == len(narrow_only) + len(wide_only)
+    assert {k: c for k, c in merged.items() if len(k.bits) == 3} == narrow_only
+    assert {k: c for k, c in merged.items() if len(k.bits) == 4} == wide_only
+    assert {k.id for k in narrow_only} & {k.id for k in wide_only}
 
 
 def test_aggregate_wide_rows():

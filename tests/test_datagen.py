@@ -188,6 +188,18 @@ def test_read_errors(tmp_path, desk4):
         read_dataset(bad)
 
 
+@pytest.mark.parametrize("digit", [b"2", b"/"])
+def test_csv_rejects_non_binary_digits(tmp_path, desk4, digit):
+    path = tmp_path / "exp.csv"
+    write_dataset(path, desk4, "experimental", 10, seed=1)
+    raw = bytearray(path.read_bytes())
+    last_row = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+    raw[last_row + 2] = digit[0]  # z2 of the last row
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DatasetFormatError, match="non-binary"):
+        read_dataset(path)
+
+
 def test_meta_validation():
     with pytest.raises(DatasetFormatError):
         DatasetMeta(kind="bogus", n=1, seed=0, n_observed=4, config_fingerprint="x")

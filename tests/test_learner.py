@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from unitselect import learner
 from unitselect.bounds import DEFAULT_BENEFIT_VECTOR, value_range
 from unitselect.informer import informer_table
 from unitselect.learner import (
@@ -165,6 +166,70 @@ def test_minibatch_paths():
     big = train(feats, targets, Hyperparams(hidden_width=8, epochs=25, seed=5, batch_size=64))
     assert np.array_equal(full.w1, big.w1)
     assert full.loss_history == big.loss_history
+
+
+def _two_pass_train(features, targets, hp):
+    # Reference trainer: each epoch steps, then makes a separate full pass
+    # only to log the loss.  train must match it bit for bit.
+    x = np.asarray(features, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+    params = learner._init_params(x.shape[1], hp)
+    shuffle_rng = np.random.Generator(
+        np.random.Philox(key=(hp.seed ^ learner._SHUFFLE_SALT) & (1 << 64) - 1)
+    )
+    history = [learner._loss_and_grads(params, x, t)[0]]
+    batch = hp.batch_size if hp.batch_size is not None else len(x)
+    for _ in range(hp.epochs):
+        if batch >= len(x):
+            _, grads = learner._loss_and_grads(params, x, t)
+            for p, g in zip(params, grads):
+                p -= hp.learning_rate * g
+        else:
+            order = shuffle_rng.permutation(len(x))
+            for start in range(0, len(x), batch):
+                idx = order[start : start + batch]
+                _, grads = learner._loss_and_grads(params, x[idx], t[idx])
+                for p, g in zip(params, grads):
+                    p -= hp.learning_rate * g
+        history.append(learner._loss_and_grads(params, x, t)[0])
+    return params, tuple(history)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("batch_size", [None, 7, 32, 100])
+def test_train_matches_two_pass_reference(seed, batch_size):
+    feats = _all_bits(5)
+    targets = np.random.default_rng(seed).uniform(-0.5, 0.5, size=32)
+    hp = Hyperparams(hidden_width=16, epochs=30, seed=seed, batch_size=batch_size)
+    model = train(feats, targets, hp)
+    params, history = _two_pass_train(feats, targets, hp)
+    for name, ref in zip(("w1", "b1", "w2", "b2", "w3", "b3"), params):
+        assert getattr(model, name).tobytes() == ref.tobytes(), name
+    assert model.loss_history == history
+    assert len(history) == hp.epochs + 1
+
+
+def test_full_batch_train_makes_one_pass_per_epoch(monkeypatch):
+    calls = []
+    real = learner._loss_and_grads
+
+    def counting(params, x, t):
+        calls.append(len(x))
+        return real(params, x, t)
+
+    monkeypatch.setattr(learner, "_loss_and_grads", counting)
+    feats = _all_bits(4)
+    targets = [0.1 * sum(f) for f in feats]
+    for batch_size in (None, 16, 64):
+        calls.clear()
+        train(feats, targets, Hyperparams(hidden_width=8, epochs=12, batch_size=batch_size))
+        assert calls == [16] * 13
+    # minibatch: the per-batch passes, plus one full pass per epoch and one
+    # before the first
+    calls.clear()
+    train(feats, targets, Hyperparams(hidden_width=8, epochs=12, batch_size=5))
+    assert len(calls) == 13 + 12 * 4
+    assert calls.count(16) == 13
 
 
 def test_train_input_validation():

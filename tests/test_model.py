@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,20 @@ def test_cell_key_rejects_bad_input():
         CellKey.from_id(256, 8)
     with pytest.raises(ConfigError):
         CellKey.from_id(-1, 8)
+
+
+@pytest.mark.parametrize("bits", [(0, 2), (1, -1), (3,)])
+def test_check_bits_rejects_non_binary(bits):
+    with pytest.raises(ConfigError, match=rf"only 0/1, got {re.escape(str(bits))}$"):
+        CellKey(bits)
+
+
+def test_check_bits_accepts_bool_and_numpy_ints():
+    key = CellKey((True, np.uint8(1), np.int64(0), False))
+    assert key.bits == (1, 1, 0, 0)
+    assert all(type(b) is int for b in key.bits)
+    assert key == CellKey((1, 1, 0, 0))
+    assert FullProfile((np.uint8(1), True)).bits == (1, 1)
 
 
 def test_cell_complete():
