@@ -28,6 +28,7 @@ __all__ = [
     "pns_bounds",
     "benefit_bounds",
     "benefit_bounds_array",
+    "check_distributions",
     "exact_benefit",
     "value_range",
     "experimental_from_profile",
@@ -214,16 +215,10 @@ def benefit_bounds(
     )
 
 
-def benefit_bounds_array(
-    v: BenefitVector, exp: np.ndarray, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``benefit_bounds`` for k cells at once: (lower, upper, consistent).
-
-    ``exp`` is (k, 2) in ``ExperimentalDistribution`` field order and ``obs``
-    is (k, 4) in ``ObservationalJoint`` order.  Inputs are validated as those
-    classes validate them, and every result is bit-identical to the scalar
-    function's: the same float operations run in the same order.
-    """
+def check_distributions(exp: np.ndarray, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k cells' (k, 2) experimental and (k, 4) observational rows as float64
+    arrays, validated as ``ExperimentalDistribution`` and
+    ``ObservationalJoint`` validate one cell."""
     exp = np.asarray(exp, dtype=np.float64)
     obs = np.asarray(obs, dtype=np.float64)
     if exp.shape != (len(exp), 2) or obs.shape != (len(exp), 4):
@@ -234,7 +229,20 @@ def benefit_bounds_array(
     total = obs[:, 0] + obs[:, 1] + obs[:, 2] + obs[:, 3]
     if (np.abs(total - 1.0) > PROB_TOL).any():
         raise ValueError("observational joint does not sum to 1")
+    return exp, obs
 
+
+def benefit_bounds_array(
+    v: BenefitVector, exp: np.ndarray, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``benefit_bounds`` for k cells at once: (lower, upper, consistent).
+
+    ``exp`` is (k, 2) in ``ExperimentalDistribution`` field order and ``obs``
+    is (k, 4) in ``ObservationalJoint`` order.  Inputs are validated by
+    ``check_distributions``, and every result is bit-identical to the scalar
+    function's: the same float operations run in the same order.
+    """
+    exp, obs = check_distributions(exp, obs)
     p_do_x, p_do_xp = exp.T
     p_xy, p_xyp, p_xpy, p_xpyp = obs.T
     s = sigma(v)

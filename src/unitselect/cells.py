@@ -295,6 +295,8 @@ def read_labels_csv(path: str | Path) -> list[LabeledCell]:
             raise ValueError(f"unexpected labels header in {path}")
         n_observed = len(header) - 5
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: a row has {len(row)} fields, expected {len(header)}")
             bits = tuple(int(b) for b in row[1 : 1 + n_observed])
             cell = CellKey(bits)
             if cell.id != int(row[0]):

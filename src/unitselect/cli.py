@@ -9,15 +9,17 @@ re-running an invocation reproduces its outputs byte for byte.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import cells, datagen, informer, learner
 from .bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector
 from .model import ScmConfig
+from .tables import write_cell_csv
 
 __all__ = ["SelectionPolicy", "main"]
 
@@ -47,10 +49,6 @@ def _parse_vector(text: str) -> BenefitVector:
     return BenefitVector(*(float(p) for p in parts))
 
 
-def _load_config(path: str) -> ScmConfig:
-    return ScmConfig.load(path)
-
-
 def _check_dataset(path: str, config: ScmConfig, regime: str) -> None:
     meta = datagen.read_meta(path)
     if meta.config_fingerprint != config.fingerprint:
@@ -64,7 +62,7 @@ def _check_dataset(path: str, config: ScmConfig, regime: str) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = ScmConfig.load(args.config)
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
     datagen.write_dataset(args.out, config, args.kind, args.n, args.seed, fmt=args.fmt)
@@ -73,15 +71,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_informer(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    records = informer.informer_table(config, args.vector)
-    informer.write_informer_csv(records, args.out)
-    print(f"wrote {len(records)} cell records to {args.out}")
+    config = ScmConfig.load(args.config)
+    table = informer.informer_table(config, args.vector)
+    informer.write_informer_csv(table, args.out)
+    print(f"wrote {len(table)} cell records to {args.out}")
     return 0
 
 
 def _cmd_label(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = ScmConfig.load(args.config)
     _check_dataset(args.exp, config, "experimental")
     _check_dataset(args.obs, config, "observational")
     exp_data, _ = datagen.read_dataset(args.exp)
@@ -143,56 +141,43 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     model_upper = learner.load_model(args.model_upper)
     if model_lower.n_inputs != model_upper.n_inputs:
         raise ValueError("lower and upper models disagree on input width")
-    rows = learner.predict_all(
+    table = learner.predict_all(
         model_lower, model_upper, model_lower.n_inputs, args.vector
     )
-    learner.write_predictions_csv(rows, args.out)
-    repaired = sum(r.repaired for r in rows)
-    print(f"wrote {len(rows)} predictions to {args.out} ({repaired} repaired)")
+    learner.write_predictions_csv(table, args.out)
+    repaired = int(table.repaired.sum())
+    print(f"wrote {len(table)} predictions to {args.out} ({repaired} repaired)")
     return 0
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
     policy = SelectionPolicy(mode=args.mode, k=args.k)
-    rows = learner.read_predictions_csv(args.predictions)
+    table = learner.read_predictions_csv(args.predictions)
+    ids, lower, upper = table.cell_id, table.pred_lower, table.pred_upper
     if policy.mode == "lower_positive":
-        chosen = [r for r in rows if r.pred_lower > 0.0]
-    elif policy.mode == "top_k_lower":
-        ranked = sorted(rows, key=lambda r: (-r.pred_lower, r.cell_id))
-        chosen = ranked[: policy.k]
+        chosen = np.flatnonzero(lower > 0.0)
     else:
-        ranked = sorted(
-            rows, key=lambda r: (-(r.pred_lower + r.pred_upper) / 2.0, r.cell_id)
-        )
-        chosen = ranked[: policy.k]
-    chosen.sort(key=lambda r: (-r.pred_lower, r.cell_id))
-    with open(args.out, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "pred_lower", "pred_upper"])
-        for r in chosen:
-            writer.writerow(
-                [r.cell_id, format(r.pred_lower, ".12g"), format(r.pred_upper, ".12g")]
-            )
+        key = lower if policy.mode == "top_k_lower" else (lower + upper) / 2.0
+        chosen = np.lexsort((ids, -key))[: policy.k]
+    # Ranked by predicted lower bound, ties by ascending cell id.
+    chosen = chosen[np.lexsort((ids[chosen], -lower[chosen]))]
+    write_cell_csv(
+        args.out, ["cell_id", "pred_lower", "pred_upper"],
+        [ids[chosen], lower[chosen], upper[chosen]],
+    )
     print(f"selected {len(chosen)} cells to {args.out}")
     return 0
 
 
 def _load_pred_truth(
     args: argparse.Namespace,
-) -> tuple[list[learner.PredictionRow], list[informer.InformerRecord]]:
+) -> tuple[learner.PredictionTable, informer.InformerTable]:
     preds = learner.read_predictions_csv(args.predictions)
-    truth = informer.read_informer_csv(args.informer)
-    if len(preds) != len(truth):
-        raise ValueError(
-            f"{args.predictions} has {len(preds)} rows but {args.informer} has "
-            f"{len(truth)}; they must cover the same cell space"
-        )
-    return preds, truth
+    return preds, informer.read_informer_csv(args.informer)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    preds, truth = _load_pred_truth(args)
-    metrics = learner.evaluate(preds, truth, sample_n=args.sample_n, seed=args.seed)
+    metrics = learner.evaluate(*_load_pred_truth(args), sample_n=args.sample_n, seed=args.seed)
     metrics["reference_mae_lower"] = REFERENCE_MAE_LOWER
     metrics["reference_mae_upper"] = REFERENCE_MAE_UPPER
     text = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
@@ -203,26 +188,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    preds, truth = _load_pred_truth(args)
-    ids = learner.sample_cell_ids(len(preds), args.sample_n, args.seed)
-    pred_by_id = {r.cell_id: r for r in preds}
-    truth_by_id = {r.cell.id: r for r in truth}
-    with open(args.out, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "true_lower", "pred_lower", "true_upper", "pred_upper"])
-        for cid in ids:
-            p = pred_by_id[int(cid)]
-            t = truth_by_id[int(cid)]
-            writer.writerow(
-                [
-                    int(cid),
-                    format(t.true_lower, ".12g"),
-                    format(p.pred_lower, ".12g"),
-                    format(t.true_upper, ".12g"),
-                    format(p.pred_upper, ".12g"),
-                ]
-            )
-    print(f"wrote {len(ids)} sampled cells to {args.out}")
+    sample = learner.evaluation_sample(*_load_pred_truth(args), args.sample_n, args.seed)
+    write_cell_csv(args.out, learner.REPORT_HEADER, sample)
+    print(f"wrote {len(sample[0])} sampled cells to {args.out}")
     return 0
 
 

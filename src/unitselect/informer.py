@@ -15,10 +15,10 @@ the estimable distributions imply).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
+from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .bounds import (
     ObservationalJoint,
     ResponseProfile,
     benefit_bounds_array,
+    check_distributions,
     exact_benefit,
 )
 from .model import (
@@ -41,10 +42,12 @@ from .model import (
     eval_y,
 )
 from .model import m_value as _m_value
+from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
     "CellSpaceTooLarge",
     "InformerRecord",
+    "InformerTable",
     "exact_experimental",
     "exact_observational",
     "response_profile",
@@ -59,18 +62,12 @@ __all__ = [
 # informer_table refuses cell spaces larger than this.
 MAX_CELLS = 1 << 24
 
-INFORMER_HEADER = [
-    "cell_id",
-    "p_y_do_x",
-    "p_y_do_xp",
-    "p_xy",
-    "p_xyp",
-    "p_xpy",
-    "p_xpyp",
-    "true_f",
-    "true_lower",
-    "true_upper",
-]
+# The exp and obs columns are in the field order of their classes.
+INFORMER_HEADER = (
+    ["cell_id"]
+    + [f.name for cls in (ExperimentalDistribution, ObservationalJoint) for f in fields(cls)]
+    + ["true_f", "true_lower", "true_upper"]
+)
 
 _CHUNK_CELLS = 2048
 
@@ -89,6 +86,44 @@ class InformerRecord:
     true_f: float
     true_lower: float
     true_upper: float
+
+
+@dataclass(frozen=True, eq=False)
+class InformerTable(CellTable):
+    """Exact truth for a run of cells, as columns.
+
+    ``exp`` is (k, 2) in ``ExperimentalDistribution`` field order and ``obs``
+    is (k, 4) in ``ObservationalJoint`` order; ids lie in the cell space of
+    ``n_observed`` bits.  Its rows are ``InformerRecord``s.
+    """
+
+    cell_id: np.ndarray
+    n_observed: int
+    exp: np.ndarray
+    obs: np.ndarray
+    true_f: np.ndarray
+    true_lower: np.ndarray
+    true_upper: np.ndarray
+
+    _columns = dict(
+        cell_id="i8", exp="(2,)f8", obs="(4,)f8", true_f="f8", true_lower="f8", true_upper="f8"
+    )
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.n_observed < 1 or (self.cell_id >> self.n_observed).any():
+            raise ConfigError(f"cell ids out of range for {self.n_observed} observed bits")
+
+    def __iter__(self) -> Iterator[InformerRecord]:
+        return map(
+            InformerRecord,
+            map(CellKey, map(tuple, cell_bits(self.cell_id, self.n_observed).tolist())),
+            starmap(ExperimentalDistribution, self.exp.tolist()),
+            starmap(ObservationalJoint, self.obs.tolist()),
+            self.true_f.tolist(),
+            self.true_lower.tolist(),
+            self.true_upper.tolist(),
+        )
 
 
 def _check_profile(profile: FullProfile, config: ScmConfig) -> None:
@@ -245,10 +280,8 @@ def _profile_grid(bits: np.ndarray, config: ScmConfig) -> dict[str, np.ndarray]:
     }
 
 
-def _cell_block(
-    ids: np.ndarray, config: ScmConfig, v: BenefitVector
-) -> dict[str, np.ndarray]:
-    """Mixed exact quantities for a batch of cell ids."""
+def _cell_block(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> InformerTable:
+    """Exact truth for a batch of cell ids."""
     n_obs = config.n_observed
     n_u = config.n_unobserved
     n_comp = 1 << n_u
@@ -261,125 +294,78 @@ def _cell_block(
     grid = _profile_grid(full, config)
 
     weights = _completion_weights(config)
-    payoffs = np.array([v.beta, v.gamma, v.theta, v.delta])
     f_profiles = (
-        payoffs[0] * grid["p_complier"]
-        + payoffs[1] * grid["p_always"]
-        + payoffs[2] * grid["p_never"]
-        + payoffs[3] * grid["p_defier"]
+        v.beta * grid["p_complier"]
+        + v.gamma * grid["p_always"]
+        + v.theta * grid["p_never"]
+        + v.delta * grid["p_defier"]
     )
 
-    def mix(a: np.ndarray) -> np.ndarray:
-        return a.reshape(k, n_comp) @ weights
+    def mix(*names: str) -> np.ndarray:
+        return np.stack([grid[name].reshape(k, n_comp) @ weights for name in names], axis=1)
 
-    out = {name: mix(arr) for name, arr in grid.items()}
-    out["true_f"] = mix(f_profiles)
-    exp = np.stack([out["p_do_x"], out["p_do_xp"]], axis=1)
-    obs = np.stack([out[name] for name in ("p_xy", "p_xyp", "p_xpy", "p_xpyp")], axis=1)
-    out["true_lower"], out["true_upper"], _ = benefit_bounds_array(v, exp, obs)
-    return out
+    exp = mix("p_do_x", "p_do_xp")
+    obs = mix("p_xy", "p_xyp", "p_xpy", "p_xpyp")
+    true_lower, true_upper, _ = benefit_bounds_array(v, exp, obs)
+    true_f = f_profiles.reshape(k, n_comp) @ weights
+    return InformerTable(ids, n_obs, exp, obs, true_f, true_lower, true_upper)
 
 
-def _records(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> list[InformerRecord]:
-    """Exact records for a batch of cell ids, built from ``_cell_block``."""
-    block = _cell_block(ids, config, v)
-    columns = (
-        "p_do_x", "p_do_xp", "p_xy", "p_xyp", "p_xpy", "p_xpyp",
-        "true_f", "true_lower", "true_upper",
-    )
-    rows = zip(
-        cell_bits(ids, config.n_observed).tolist(),
-        *(block[name].tolist() for name in columns),
-    )
-    return [
-        InformerRecord(
-            CellKey(tuple(bits)),
-            ExperimentalDistribution(*vals[:2]),
-            ObservationalJoint(*vals[2:6]),
-            *vals[6:],
-        )
-        for bits, *vals in rows
-    ]
+def _chunk_of(cell_id: int, n_cells: int) -> np.ndarray:
+    """The ids of the ``_CHUNK_CELLS`` block that holds a cell."""
+    start = cell_id - cell_id % _CHUNK_CELLS
+    return np.arange(start, min(start + _CHUNK_CELLS, n_cells))
 
 
 def cell_truth(cell: CellKey, config: ScmConfig, v: BenefitVector) -> InformerRecord:
-    """Exact record for one cell: mixed distributions, true benefit, true bounds."""
+    """The cell's row of ``informer_table``, bit for bit: it is computed in
+    the table's block of cells, as a one-row block would mix in another order.
+
+    So one call costs the work of up to ``_CHUNK_CELLS`` cells.  For many
+    cells, index ``informer_table(config, v)`` or read its columns."""
     if len(cell.bits) != config.n_observed:
         raise ConfigError(
             f"cell has {len(cell.bits)} bits, config expects {config.n_observed}"
         )
-    return _records(np.array([cell.id]), config, v)[0]
+    ids = _chunk_of(cell.id, 1 << config.n_observed)
+    return _cell_block(ids, config, v)[cell.id - int(ids[0])]
 
 
-def informer_table(config: ScmConfig, v: BenefitVector) -> list[InformerRecord]:
-    """One exact record per cell, in ascending cell-id order."""
+def informer_table(config: ScmConfig, v: BenefitVector) -> InformerTable:
+    """Exact truth for every cell, in ascending cell-id order."""
     n_cells = 1 << config.n_observed
     if n_cells > MAX_CELLS:
         raise CellSpaceTooLarge(
             f"2**{config.n_observed} cells exceeds the guard of {MAX_CELLS}"
         )
-    records: list[InformerRecord] = []
-    for start in range(0, n_cells, _CHUNK_CELLS):
-        ids = np.arange(start, min(start + _CHUNK_CELLS, n_cells))
-        records += _records(ids, config, v)
-    return records
+    blocks = [
+        _cell_block(_chunk_of(start, n_cells), config, v)
+        for start in range(0, n_cells, _CHUNK_CELLS)
+    ]
+    return InformerTable(
+        n_observed=config.n_observed,
+        **{
+            name: np.concatenate([getattr(b, name) for b in blocks])
+            for name in InformerTable._columns
+        },
+    )
 
 
-def write_informer_csv(records: Iterable[InformerRecord], path: str | Path) -> None:
+def write_informer_csv(table: InformerTable, path: str | Path) -> None:
     """Write the table with probabilities at 12 significant digits."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INFORMER_HEADER)
-        for rec in records:
-            writer.writerow(
-                [rec.cell.id]
-                + [
-                    format(val, ".12g")
-                    for val in (
-                        rec.exp.p_y_do_x,
-                        rec.exp.p_y_do_xp,
-                        rec.obs.p_xy,
-                        rec.obs.p_xyp,
-                        rec.obs.p_xpy,
-                        rec.obs.p_xpyp,
-                        rec.true_f,
-                        rec.true_lower,
-                        rec.true_upper,
-                    )
-                ]
-            )
+    write_cell_csv(path, INFORMER_HEADER, [getattr(table, n) for n in table._columns])
 
 
-def read_informer_csv(
-    path: str | Path, n_observed: int | None = None
-) -> list[InformerRecord]:
+def read_informer_csv(path: str | Path, n_observed: int | None = None) -> InformerTable:
     """Load a written table.  When ``n_observed`` is omitted it is inferred
-    from the row count, which must then be a power of two (a full table)."""
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != INFORMER_HEADER:
-            raise ValueError(f"unexpected informer header in {path}: {header}")
-        rows = list(reader)
+    from the row count, which must then be a power of two (a full table).
+    Besides ``read_cell_csv``'s checks, ids must lie in the cell space and
+    the distributions pass ``check_distributions``."""
+    ids, vals = read_cell_csv(path, INFORMER_HEADER)
     if n_observed is None:
-        n = len(rows)
+        n = len(ids)
         n_observed = max(n - 1, 0).bit_length()
         if n != 1 << n_observed:
-            raise ValueError(
-                f"{path} has {n} rows, not a full power-of-two cell table"
-            )
-    records: list[InformerRecord] = []
-    for row in rows:
-        cell = CellKey.from_id(int(row[0]), n_observed)
-        vals = [float(x) for x in row[1:]]
-        records.append(
-            InformerRecord(
-                cell=cell,
-                exp=ExperimentalDistribution(vals[0], vals[1]),
-                obs=ObservationalJoint(vals[2], vals[3], vals[4], vals[5]),
-                true_f=vals[6],
-                true_lower=vals[7],
-                true_upper=vals[8],
-            )
-        )
-    return records
+            raise ValueError(f"{path} has {n} rows, not a full power-of-two cell table")
+    exp, obs = check_distributions(vals[:, :2], vals[:, 2:6])
+    return InformerTable(ids, n_observed, exp, obs, *vals[:, 6:].T)

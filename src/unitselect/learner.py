@@ -9,27 +9,30 @@ weights, predictions and files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import BenefitVector, value_range
-from .informer import InformerRecord
+from .informer import InformerTable
 from .model import CellKey, cell_bits
+from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
     "Hyperparams",
     "Model",
     "PredictionRow",
+    "PredictionTable",
     "train",
     "predict",
     "predict_all",
     "evaluate",
+    "evaluation_sample",
     "loss_and_gradients",
     "save_model",
     "load_model",
@@ -230,9 +233,25 @@ class PredictionRow:
     repaired: bool
 
 
+@dataclass(frozen=True, eq=False)
+class PredictionTable(CellTable):
+    """Predicted bounds for a run of cells, as columns.  Its rows are
+    ``PredictionRow``s."""
+
+    cell_id: np.ndarray
+    pred_lower: np.ndarray
+    pred_upper: np.ndarray
+    repaired: np.ndarray
+
+    _columns = dict(cell_id="i8", pred_lower="f8", pred_upper="f8", repaired="?")
+
+    def __iter__(self) -> Iterator[PredictionRow]:
+        return map(PredictionRow, *(getattr(self, name).tolist() for name in self._columns))
+
+
 def predict_all(
     model_lower: Model, model_upper: Model, n_observed: int, v: BenefitVector
-) -> list[PredictionRow]:
+) -> PredictionTable:
     """Clamped predictions for every cell id, in order; crossed pairs are
     repaired to their midpoint."""
     if model_lower.n_inputs != n_observed or model_upper.n_inputs != n_observed:
@@ -244,12 +263,9 @@ def predict_all(
     upper = np.clip(_raw_outputs(model_upper, bits), lo, hi)
     crossed = lower > upper
     mid = 0.5 * (lower + upper)
-    lower = np.where(crossed, mid, lower)
-    upper = np.where(crossed, mid, upper)
-    return [
-        PredictionRow(*row)
-        for row in zip(range(n_cells), lower.tolist(), upper.tolist(), crossed.tolist())
-    ]
+    return PredictionTable(
+        np.arange(n_cells), np.where(crossed, mid, lower), np.where(crossed, mid, upper), crossed
+    )
 
 
 def sample_cell_ids(n_cells: int, sample_n: int, seed: int) -> np.ndarray:
@@ -260,25 +276,36 @@ def sample_cell_ids(n_cells: int, sample_n: int, seed: int) -> np.ndarray:
     return np.sort(rng.choice(n_cells, size=sample_n, replace=False))
 
 
+REPORT_HEADER = ["cell_id", "true_lower", "pred_lower", "true_upper", "pred_upper"]
+
+
+def evaluation_sample(
+    preds: PredictionTable, truth: InformerTable, sample_n: int, seed: int
+) -> tuple[np.ndarray, ...]:
+    """The ``REPORT_HEADER`` columns of a seeded sample of rows, which are the
+    cell ids of a full table.  Both tables must hold the same cell ids."""
+    if not np.array_equal(preds.cell_id, truth.cell_id):
+        raise ValueError("prediction and truth tables cover different cell spaces")
+    rows = sample_cell_ids(len(preds), sample_n, seed)
+    return (
+        preds.cell_id[rows],
+        truth.true_lower[rows],
+        preds.pred_lower[rows],
+        truth.true_upper[rows],
+        preds.pred_upper[rows],
+    )
+
+
 def evaluate(
-    preds: Sequence[PredictionRow],
-    truth: Sequence[InformerRecord],
-    sample_n: int = 200,
-    seed: int = 0,
+    preds: PredictionTable, truth: InformerTable, sample_n: int = 200, seed: int = 0
 ) -> dict[str, float | int]:
-    """Mean absolute error of each bound over a seeded sample of cells."""
-    if len(preds) != len(truth):
-        raise ValueError("prediction and truth tables cover different cell spaces")
-    by_id: Mapping[int, InformerRecord] = {rec.cell.id: rec for rec in truth}
-    pred_by_id = {row.cell_id: row for row in preds}
-    if set(by_id) != set(pred_by_id):
-        raise ValueError("prediction and truth tables cover different cell spaces")
-    ids = sample_cell_ids(len(preds), sample_n, seed)
-    err_lower = [abs(pred_by_id[i].pred_lower - by_id[i].true_lower) for i in ids]
-    err_upper = [abs(pred_by_id[i].pred_upper - by_id[i].true_upper) for i in ids]
+    """Mean absolute error of each bound over ``evaluation_sample``."""
+    _, true_lower, pred_lower, true_upper, pred_upper = evaluation_sample(
+        preds, truth, sample_n, seed
+    )
     return {
-        "mae_lower": float(np.mean(err_lower)),
-        "mae_upper": float(np.mean(err_upper)),
+        "mae_lower": float(np.mean(np.abs(pred_lower - true_lower))),
+        "mae_upper": float(np.mean(np.abs(pred_upper - true_upper))),
         "n": int(sample_n),
         "seed": int(seed),
     }
@@ -331,35 +358,15 @@ def load_model(path: str | Path) -> Model:
         raise ValueError(f"malformed model file {path}: {exc}") from None
 
 
-def write_predictions_csv(rows: Sequence[PredictionRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTIONS_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.cell_id,
-                    format(row.pred_lower, ".12g"),
-                    format(row.pred_upper, ".12g"),
-                    int(row.repaired),
-                ]
-            )
+def write_predictions_csv(table: PredictionTable, path: str | Path) -> None:
+    write_cell_csv(path, PREDICTIONS_HEADER, [getattr(table, n) for n in table._columns])
 
 
-def read_predictions_csv(path: str | Path) -> list[PredictionRow]:
-    rows: list[PredictionRow] = []
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != PREDICTIONS_HEADER:
-            raise ValueError(f"unexpected predictions header in {path}")
-        for row in reader:
-            rows.append(
-                PredictionRow(
-                    cell_id=int(row[0]),
-                    pred_lower=float(row[1]),
-                    pred_upper=float(row[2]),
-                    repaired=bool(int(row[3])),
-                )
-            )
-    return rows
+def read_predictions_csv(path: str | Path) -> PredictionTable:
+    """Load written predictions, with ``read_cell_csv``'s checks; the
+    repaired flag must be 0 or 1."""
+    ids, vals = read_cell_csv(path, PREDICTIONS_HEADER)
+    lower, upper, repaired = vals.T
+    if not ((repaired == 0) | (repaired == 1)).all():
+        raise ValueError(f"{path}: repaired must be 0 or 1")
+    return PredictionTable(ids, lower, upper, repaired == 1)

@@ -463,6 +463,18 @@ def test_labels_csv_roundtrip(tmp_path):
     assert read_labels_csv(path) == labels
 
 
+def test_labels_csv_roundtrip_keeps_wide_cell_ids(tmp_path):
+    # ids at and above 2**53 do not survive a trip through float64
+    bits = [(1,) * 60, (0,) * 6 + (1,) * 54, (1,) + (0,) * 52 + (1,) * 7]
+    labels = [LabeledCell(_cell(b), -0.5, 0.25, 1300, 1400) for b in bits]
+    assert all(lab.cell.id >= 2**53 for lab in labels)
+    path = tmp_path / "labels.csv"
+    write_labels_csv(labels, path, n_observed=60)
+    rows = path.read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == [lab.cell.id for lab in labels]
+    assert read_labels_csv(path) == labels
+
+
 def test_labels_csv_rejects_corruption(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels_csv([LabeledCell(_cell((1, 0)), 0.0, 0.5, 10, 10)], path, n_observed=2)

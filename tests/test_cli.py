@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import unitselect
@@ -14,7 +15,7 @@ from unitselect.cli import SelectionPolicy, main
 from unitselect.informer import read_informer_csv
 from unitselect.learner import (
     Hyperparams,
-    PredictionRow,
+    PredictionTable,
     save_model,
     train,
     write_predictions_csv,
@@ -23,6 +24,13 @@ from unitselect.learner import (
 
 def run(*args):
     return main([str(a) for a in args])
+
+
+def _perfect(truth):
+    """Predictions equal to the true bounds of every cell."""
+    return PredictionTable(
+        truth.cell_id, truth.true_lower, truth.true_upper, np.zeros(len(truth), bool)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +216,12 @@ def test_select_lower_positive(ws, tmp_path):
 def test_select_top_k(tmp_path):
     preds = tmp_path / "p.csv"
     write_predictions_csv(
-        [
-            PredictionRow(0, 0.5, 0.6, False),
-            PredictionRow(1, 0.5, 0.9, False),
-            PredictionRow(2, -0.1, 0.9, False),
-            PredictionRow(3, 0.7, 0.8, False),
-        ],
+        PredictionTable(
+            cell_id=[0, 1, 2, 3],
+            pred_lower=[0.5, 0.5, -0.1, 0.7],
+            pred_upper=[0.6, 0.9, 0.9, 0.8],
+            repaired=[False] * 4,
+        ),
         preds,
     )
     out = tmp_path / "sel.csv"
@@ -260,11 +268,8 @@ def test_evaluate_metrics(ws, tmp_path, capsys):
 
 
 def test_evaluate_perfect_predictions(ws, tmp_path, capsys):
-    truth = read_informer_csv(ws["truth"])
-    rows = [PredictionRow(rec.cell.id, rec.true_lower, rec.true_upper, False)
-            for rec in truth]
     preds = tmp_path / "perfect.csv"
-    write_predictions_csv(rows, preds)
+    write_predictions_csv(_perfect(read_informer_csv(ws["truth"])), preds)
     assert run("evaluate", "--predictions", preds, "--informer", ws["truth"],
                "--sample-n", 16, "--seed", 0) == 0
     metrics = json.loads(capsys.readouterr().out)
@@ -292,19 +297,80 @@ def test_report_output(ws, tmp_path):
 
 
 def test_report_perfect_predictions_pair_up(ws, tmp_path):
-    truth = read_informer_csv(ws["truth"])
     preds = tmp_path / "perfect.csv"
-    write_predictions_csv(
-        [PredictionRow(rec.cell.id, rec.true_lower, rec.true_upper, False)
-         for rec in truth],
-        preds,
-    )
+    write_predictions_csv(_perfect(read_informer_csv(ws["truth"])), preds)
     out = tmp_path / "report.csv"
     assert run("report", "--predictions", preds, "--informer", ws["truth"],
                "--sample-n", 16, "--seed", 0, "--out", out) == 0
     for row in _read_csv(out)[1:]:
         assert row[1] == row[2]
         assert row[3] == row[4]
+
+
+def _with_row(path, out, index, row):
+    """Copy a CSV, replacing data row ``index`` (0-based, after the header)."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    lines[1 + index] = row
+    Path(out).write_text("\r\n".join(lines) + "\r\n", encoding="ascii")
+    return out
+
+
+def test_short_predictions_row_exits_2(ws, tmp_path, capsys):
+    bad = _with_row(ws["preds"], tmp_path / "short.csv", 3, "3,0.25")
+    assert run("select", "--predictions", bad, "--mode", "lower_positive",
+               "--out", tmp_path / "sel.csv") == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_short_informer_row_exits_2(ws, tmp_path):
+    bad = _with_row(ws["truth"], tmp_path / "short.csv", 5, "5,0.5,0.5")
+    assert run("evaluate", "--predictions", ws["preds"], "--informer", bad,
+               "--sample-n", 16, "--seed", 0) == 2
+    assert run("report", "--predictions", ws["preds"], "--informer", bad,
+               "--sample-n", 16, "--seed", 0, "--out", tmp_path / "r.csv") == 2
+
+
+def test_short_labels_row_exits_2(ws, tmp_path):
+    labels = ws["labels"] / "train_labels.csv"
+    first = _read_csv(labels)[1]
+    bad = _with_row(labels, tmp_path / "short.csv", 0, ",".join(first[:-2]))
+    assert run("train", "--labels", bad, "--hidden-width", 4, "--epochs", 2,
+               "--seed", 0, "--out-dir", tmp_path / "models") == 2
+
+
+def test_report_checks_the_cell_space_like_evaluate(ws, tmp_path):
+    # id 6 twice and id 7 missing; then a table one cell short of the space
+    row6 = ",".join(_read_csv(ws["preds"])[7])
+    duplicated = _with_row(ws["preds"], tmp_path / "dup.csv", 7, row6)
+    lines = ws["preds"].read_text(encoding="ascii").splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\r\n".join(lines[:-1]) + "\r\n", encoding="ascii")
+    for preds in (duplicated, short):
+        assert run("evaluate", "--predictions", preds, "--informer", ws["truth"],
+                   "--sample-n", 8, "--seed", 0) == 2
+        assert run("report", "--predictions", preds, "--informer", ws["truth"],
+                   "--sample-n", 8, "--seed", 0, "--out", tmp_path / "r.csv") == 2
+
+
+@pytest.mark.parametrize("field, value", [(1, "nan"), (2, "inf"), (0, "9")])
+def test_non_finite_or_unordered_predictions_exit_2(ws, tmp_path, capsys, field, value):
+    row = _read_csv(ws["preds"])[5]
+    row[field] = value
+    bad = _with_row(ws["preds"], tmp_path / "bad.csv", 4, ",".join(row))
+    out = tmp_path / "metrics.json"
+    assert run("evaluate", "--predictions", bad, "--informer", ws["truth"],
+               "--sample-n", 16, "--seed", 0, "--out", out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("field, value", [(7, "nan"), (9, "-inf"), (0, "4")])
+def test_non_finite_or_unordered_informer_exits_2(ws, tmp_path, field, value):
+    row = _read_csv(ws["truth"])[6]
+    row[field] = value
+    bad = _with_row(ws["truth"], tmp_path / "bad.csv", 5, ",".join(row))
+    assert run("evaluate", "--predictions", ws["preds"], "--informer", bad,
+               "--sample-n", 16, "--seed", 0) == 2
 
 
 def test_bad_vector_rejected(ws, tmp_path):
@@ -367,3 +433,44 @@ def test_console_script_on_path(ws, tmp_path):
     )
     assert proc.returncode == 0
     assert "wrote 100 experimental samples" in proc.stdout
+
+
+def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
+    """Table building, CSV I/O, evaluation and the select/evaluate/report
+    commands work on columns: they construct no row or key object."""
+    from unitselect import informer, learner
+    from unitselect.model import CellKey
+
+    built = {}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapped(self, *args, **kwargs):
+            built[cls.__name__] = built.get(cls.__name__, 0) + 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", wrapped)
+
+    for cls in (informer.InformerRecord, learner.PredictionRow, CellKey):
+        counting(cls)
+
+    v = unitselect.DEFAULT_BENEFIT_VECTOR
+    model = train(np.eye(8), np.linspace(-1.0, 0.5, 8), Hyperparams(hidden_width=4, epochs=3))
+    truth = informer.informer_table(desk8, v)
+    informer.write_informer_csv(truth, tmp_path / "truth.csv")
+    truth = informer.read_informer_csv(tmp_path / "truth.csv")
+    preds = learner.predict_all(model, model, 8, v)
+    learner.write_predictions_csv(preds, tmp_path / "preds.csv")
+    preds = learner.read_predictions_csv(tmp_path / "preds.csv")
+    learner.evaluate(preds, truth, sample_n=200, seed=0)
+    files = ["--predictions", tmp_path / "preds.csv"]
+    for mode in ("lower_positive", "top_k_lower", "top_k_midpoint"):
+        assert run("select", *files, "--mode", mode, "--k", 9, "--out", tmp_path / "s.csv") == 0
+    files += ["--informer", tmp_path / "truth.csv", "--sample-n", 50, "--seed", 1]
+    assert run("evaluate", *files) == 0
+    assert run("report", *files, "--out", tmp_path / "r.csv") == 0
+    assert built == {}
+    # the counters do count: one row asked for builds one row and one key
+    truth[3], preds[3]
+    assert built == {"InformerRecord": 1, "PredictionRow": 1, "CellKey": 1}

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from unitselect.bounds import (
     exact_benefit,
 )
 from unitselect.informer import (
+    INFORMER_HEADER,
     CellSpaceTooLarge,
+    InformerRecord,
+    InformerTable,
     cell_truth,
     completion_weights,
     exact_experimental,
@@ -261,3 +265,99 @@ def test_informer_csv_rejects_partial_table_without_width(tmp_path, desk4):
     with pytest.raises(ValueError):
         read_informer_csv(path)
     assert len(read_informer_csv(path, 4)) == 10
+
+
+def _record_bits(rec):
+    return (rec.cell.bits, struct.pack(
+        "<9d", rec.exp.p_y_do_x, rec.exp.p_y_do_xp, rec.obs.p_xy, rec.obs.p_xyp,
+        rec.obs.p_xpy, rec.obs.p_xpyp, rec.true_f, rec.true_lower, rec.true_upper,
+    ))
+
+
+def test_cell_truth_matches_the_table_bit_for_bit(desk8):
+    table = informer_table(desk8, V)
+    for cid in range(256):
+        rec = cell_truth(CellKey.from_id(cid, 8), desk8, V)
+        assert _record_bits(rec) == _record_bits(table[cid])
+    # a cell space of two blocks: cells on both sides of the boundary
+    cfg = random_config(12, 2, seed=3)
+    table = informer_table(cfg, V)
+    for cid in (0, 2047, 2048, 3000, 4095):
+        rec = cell_truth(CellKey.from_id(cid, 12), cfg, V)
+        assert _record_bits(rec) == _record_bits(table[cid])
+
+
+def test_informer_table_is_a_sequence_of_records(desk4):
+    table = informer_table(desk4, V)
+    assert isinstance(table, InformerTable) and isinstance(table, Sequence)
+    rows = list(table)
+    assert len(rows) == len(table) == 16
+    assert all(isinstance(r, InformerRecord) for r in rows)
+    assert [r.cell for r in rows] == [CellKey.from_id(i, 4) for i in range(16)]
+    assert table[3] == rows[3] and table[-1] == rows[15]
+    assert list(table[2:9:3]) == rows[2:9:3]
+    assert isinstance(table[2:5], InformerTable)
+    with pytest.raises(IndexError):
+        table[16]
+    for r in rows:
+        for value in (r.true_f, r.true_lower, r.true_upper, r.exp.p_y_do_x, r.obs.p_xpyp):
+            assert type(value) is float
+        assert all(type(b) is int for b in r.cell.bits)
+        assert struct.pack("<d", r.true_lower) == struct.pack(
+            "<d", table.true_lower[r.cell.id]
+        )
+    assert table.exp.shape == (16, 2) and table.obs.shape == (16, 4)
+    with pytest.raises(ValueError):
+        table.true_f[0] = 1.0
+    assert table == informer_table(desk4, V)
+    assert table != informer_table(desk4, BenefitVector(1.0, 0.0, 0.0, -1.0))
+
+
+def test_informer_table_checks_its_columns(desk4):
+    table = informer_table(desk4, V)
+    with pytest.raises(ValueError):
+        dataclasses.replace(table, exp=table.obs)
+    with pytest.raises(ValueError):
+        dataclasses.replace(table, true_f=table.true_f[:-1])
+    with pytest.raises(ConfigError):
+        dataclasses.replace(table, n_observed=3)
+    with pytest.raises(ConfigError):
+        dataclasses.replace(table, cell_id=table.cell_id - 1)
+
+
+@pytest.mark.parametrize(
+    "row, n_observed",
+    [
+        ("3,0.5,0.5,0.25,0.25,0.25,0.25,0,0,0,0", None),  # an extra field
+        ("3,0.5,0.5,0.25,0.25,0.25", None),  # a short row
+        ("3,0.5,0.5,0.25,0.25,0.25,x,0,0,0", None),  # not a number
+        ("3,1.5,0.5,0.25,0.25,0.25,0.25,0,0,0", None),  # p_y_do_x > 1
+        ("3,0.5,0.5,0.25,0.25,0.25,0.5,0,0,0", None),  # joint sums to 1.25
+        ("3,0.5,0.5,0.25,0.25,0.25,0.25,nan,0,0", None),  # non-finite
+        ("3,0.5,0.5,0.25,0.25,0.25,0.25,0,inf,0", None),
+        ("2,0.5,0.5,0.25,0.25,0.25,0.25,0,0,0", None),  # id 2 twice
+        ("3.5,0.5,0.5,0.25,0.25,0.25,0.25,0,0,0", None),  # not an integer
+        ("-3,0.5,0.5,0.25,0.25,0.25,0.25,0,0,0", 4),  # negative
+        ("16,0.5,0.5,0.25,0.25,0.25,0.25,0,0,0", 4),  # beyond 4 bits
+    ],
+)
+def test_read_informer_csv_refuses_bad_rows(tmp_path, desk4, row, n_observed):
+    path = tmp_path / "truth.csv"
+    write_informer_csv(informer_table(desk4, V), path)
+    lines = path.read_text().splitlines()
+    if row.startswith("16,"):
+        lines[16] = row  # the last row, so ids stay ascending
+    else:
+        lines[4] = row
+    path.write_text("\r\n".join(lines) + "\r\n")
+    with pytest.raises(ValueError):
+        read_informer_csv(path, n_observed)
+
+
+def test_read_informer_csv_header_only(tmp_path, desk4):
+    path = tmp_path / "truth.csv"
+    write_informer_csv(informer_table(desk4, V)[:0], path)
+    assert path.read_bytes() == (",".join(INFORMER_HEADER) + "\r\n").encode()
+    assert len(read_informer_csv(path, 4)) == 0
+    with pytest.raises(ValueError):
+        read_informer_csv(path)

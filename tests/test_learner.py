@@ -12,6 +12,7 @@ from unitselect.learner import (
     Hyperparams,
     Model,
     PredictionRow,
+    PredictionTable,
     evaluate,
     load_model,
     loss_and_gradients,
@@ -285,16 +286,13 @@ def test_sample_cell_ids():
 def test_evaluate_against_truth(desk4):
     v = DEFAULT_BENEFIT_VECTOR
     truth = informer_table(desk4, v)
-    exact = [
-        PredictionRow(rec.cell.id, rec.true_lower, rec.true_upper, False)
-        for rec in truth
-    ]
+    no_repairs = np.zeros(len(truth), bool)
+    exact = PredictionTable(truth.cell_id, truth.true_lower, truth.true_upper, no_repairs)
     metrics = evaluate(exact, truth, sample_n=16, seed=0)
     assert metrics == {"mae_lower": 0.0, "mae_upper": 0.0, "n": 16, "seed": 0}
-    shifted = [
-        PredictionRow(rec.cell.id, rec.true_lower + 0.1, rec.true_upper, False)
-        for rec in truth
-    ]
+    shifted = PredictionTable(
+        truth.cell_id, truth.true_lower + 0.1, truth.true_upper, no_repairs
+    )
     metrics = evaluate(shifted, truth, sample_n=16, seed=0)
     assert abs(metrics["mae_lower"] - 0.1) < 1e-12
     assert metrics["mae_upper"] == 0.0
@@ -332,10 +330,10 @@ def test_load_model_rejects_garbage(tmp_path):
 
 
 def test_predictions_csv_roundtrip(tmp_path):
-    rows = [
-        PredictionRow(0, -0.25, 0.5, False),
-        PredictionRow(1, 0.125, 0.125, True),
-    ]
+    rows = PredictionTable(
+        cell_id=[0, 1], pred_lower=[-0.25, 0.125], pred_upper=[0.5, 0.125],
+        repaired=[False, True],
+    )
     path = tmp_path / "preds.csv"
     write_predictions_csv(rows, path)
     lines = path.read_text().splitlines()
@@ -345,3 +343,66 @@ def test_predictions_csv_roundtrip(tmp_path):
     bad.write_text("cell,low,high\n")
     with pytest.raises(ValueError):
         read_predictions_csv(bad)
+
+
+def test_predictions_csv_keeps_wide_cell_ids(tmp_path):
+    ids = [2**53 - 1, 2**53 + 1, 2**60 + 3]
+    rows = PredictionTable(ids, [0.0] * 3, [0.5] * 3, [False, True, False])
+    path = tmp_path / "preds.csv"
+    write_predictions_csv(rows, path)
+    assert [int(r.split(",")[0]) for r in path.read_text().splitlines()[1:]] == ids
+    assert read_predictions_csv(path) == rows
+
+
+def test_prediction_table_is_a_sequence_of_rows():
+    table = predict_all(_const_model(3, 0.4), _const_model(3, 0.1), 3, DEFAULT_BENEFIT_VECTOR)
+    assert isinstance(table, PredictionTable) and len(table) == 8
+    rows = list(table)
+    assert rows == [PredictionRow(i, 0.25, 0.25, True) for i in range(8)]
+    assert all(
+        (type(r.cell_id), type(r.pred_lower), type(r.pred_upper), type(r.repaired))
+        == (int, float, float, bool)
+        for r in rows
+    )
+    assert table[5] == rows[5] and table[-2] == rows[6]
+    assert list(table[1:7:2]) == rows[1:7:2]
+    assert isinstance(table[:3], PredictionTable)
+    with pytest.raises(IndexError):
+        table[8]
+    with pytest.raises(ValueError):
+        table.pred_lower[0] = 0.0
+    assert table == table[:]
+    assert table != table[:-1]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "1,0.125",  # short
+        "1,0.125,0.125,1,0",  # long
+        "1,nan,0.125,1",
+        "1,0.125,-inf,1",
+        "1,0.125,0.125,2",  # repaired is not a flag
+        "0,0.125,0.125,1",  # id 0 twice
+        "-1,0.125,0.125,1",
+        "1.5,0.125,0.125,1",
+    ],
+)
+def test_read_predictions_csv_refuses_bad_rows(tmp_path, row):
+    path = tmp_path / "preds.csv"
+    path.write_text(f"cell_id,pred_lower,pred_upper,repaired\n0,-0.25,0.5,0\n{row}\n")
+    with pytest.raises(ValueError):
+        read_predictions_csv(path)
+
+
+def test_evaluate_refuses_another_cell_space(desk4):
+    truth = informer_table(desk4, DEFAULT_BENEFIT_VECTOR)
+    preds = predict_all(_const_model(4, 0.0), _const_model(4, 0.0), 4, DEFAULT_BENEFIT_VECTOR)
+    assert evaluate(preds, truth, sample_n=16)["n"] == 16
+    moved = PredictionTable(
+        preds.cell_id + 1, preds.pred_lower, preds.pred_upper, preds.repaired
+    )
+    with pytest.raises(ValueError, match="cover different cell spaces"):
+        evaluate(moved, truth, sample_n=4)
+    with pytest.raises(ValueError, match="cover different cell spaces"):
+        learner.evaluation_sample(preds, truth[:-1], 4, 0)
