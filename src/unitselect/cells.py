@@ -9,11 +9,10 @@ reason code.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .bounds import (
 )
 from .datagen import REGIMES
 from .model import CellKey, cell_bits, cell_ids
+from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -35,6 +35,8 @@ __all__ = [
     "CellCounts",
     "LabeledCell",
     "DroppedCell",
+    "LabelTable",
+    "DropTable",
     "SplitSpec",
     "IneligibleCellError",
     "aggregate",
@@ -92,7 +94,6 @@ class LabeledCell:
     upper_label: float
     n_exp: int
     n_obs: int
-    consistent: bool = True
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,45 @@ class DroppedCell:
     reason: str
     n_exp: int
     n_obs: int
+
+
+@dataclass(frozen=True, eq=False)
+class LabelTable(CellTable):
+    """Bound labels of cells of ``n_observed`` bits, as columns, in ascending
+    id order from ``build_labels`` and shuffled by ``split``.  Its rows are
+    ``LabeledCell``s."""
+
+    cell_id: np.ndarray
+    n_observed: int
+    lower_label: np.ndarray
+    upper_label: np.ndarray
+    n_exp: np.ndarray
+    n_obs: np.ndarray
+
+    _columns = dict(cell_id="i8", lower_label="f8", upper_label="f8", n_exp="i8", n_obs="i8")
+    _ascending = False
+
+    def __iter__(self) -> Iterator[LabeledCell]:
+        cols = (getattr(self, name).tolist() for name in list(self._columns)[1:])
+        return map(LabeledCell, self._keys(), *cols)
+
+
+@dataclass(frozen=True, eq=False)
+class DropTable(CellTable):
+    """The drop log: cells of ``n_observed`` bits with a reason code, as
+    columns.  Its rows are ``DroppedCell``s."""
+
+    cell_id: np.ndarray
+    n_observed: int
+    reason: np.ndarray
+    n_exp: np.ndarray
+    n_obs: np.ndarray
+
+    _columns = dict(cell_id="i8", reason="O", n_exp="i8", n_obs="i8")
+
+    def __iter__(self) -> Iterator[DroppedCell]:
+        cols = (getattr(self, name).tolist() for name in list(self._columns)[1:])
+        return map(DroppedCell, self._keys(), *cols)
 
 
 @dataclass(frozen=True)
@@ -193,15 +233,23 @@ def build_labels(
     obs_map: Mapping[CellKey, CellCounts],
     v: BenefitVector,
     threshold: int = DEFAULT_THRESHOLD,
-) -> tuple[list[LabeledCell], list[DroppedCell]]:
+) -> tuple[LabelTable, DropTable]:
     """Bound labels for every eligible cell, plus the drop log.
 
     A cell is eligible when it was seen at least ``threshold`` times in each
-    regime.  Cells seen in neither map do not appear in either output.
-    Results are sorted by cell id.  The estimates and bounds are those of
-    ``estimate`` and ``benefit_bounds``, computed for all cells at once.
+    regime.  Cells seen in neither map appear in neither table, and every
+    cell must have the same width.  Both tables are in ascending id order.
+    The estimates and bounds are those of ``estimate`` and
+    ``benefit_bounds``, computed for all cells at once.
     """
-    keys = sorted(set(exp_map) | set(obs_map), key=lambda c: c.id)
+    keys = list(set(exp_map) | set(obs_map))
+    n_observed = len(keys[0].bits) if keys else 0
+    if any(len(k.bits) != n_observed for k in keys):
+        raise ValueError("cells of different widths cannot share a label table")
+    bits = np.array([k.bits for k in keys], dtype=np.uint8).reshape(len(keys), n_observed)
+    order = np.argsort(cell_ids(bits))
+    keys = [keys[i] for i in order.tolist()]
+    ids = cell_ids(bits[order])
     empty = CellCounts()
     counts = np.array(
         [
@@ -226,96 +274,52 @@ def build_labels(
     reason[est[~consistent]] = INCONSISTENT
 
     lo, hi = value_range(v)
-    n_exp, n_obs = n_exp.tolist(), n_obs.tolist()
-    labels = [
-        LabeledCell(keys[i], low, up, n_exp[i], n_obs[i])
-        for i, low, up in zip(
-            est[consistent].tolist(),
-            _clamp(lower[consistent], lo, hi).tolist(),
-            _clamp(upper[consistent], lo, hi).tolist(),
-        )
-    ]
-    drops = [
-        DroppedCell(keys[i], reason[i], n_exp[i], n_obs[i])
-        for i in np.flatnonzero(reason != "").tolist()
-    ]
-    return labels, drops
+    ok, out = est[consistent], np.flatnonzero(reason != "")
+    labels = LabelTable(
+        ids[ok], n_observed, _clamp(lower[consistent], lo, hi),
+        _clamp(upper[consistent], lo, hi), n_exp[ok], n_obs[ok],
+    )
+    return labels, DropTable(ids[out], n_observed, reason[out], n_exp[out], n_obs[out])
 
 
-def split(
-    labeled: Sequence[LabeledCell], spec: SplitSpec
-) -> tuple[list[LabeledCell], list[LabeledCell]]:
+def split(labeled: LabelTable, spec: SplitSpec) -> tuple[LabelTable, LabelTable]:
     """Seeded shuffle, then the first ceil(test_fraction * n) cells form the
-    test set.  Returns (train, test)."""
+    test set.  Returns (train, test), each in shuffled order."""
     if not labeled:
-        raise ValueError("cannot split an empty label list")
+        raise ValueError("cannot split an empty label table")
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     order = rng.permutation(len(labeled))
     n_test = math.ceil(spec.test_fraction * len(labeled))
-    test = [labeled[i] for i in order[:n_test]]
-    train = [labeled[i] for i in order[n_test:]]
-    return train, test
+    return labeled[order[n_test:]], labeled[order[:n_test]]
 
 
 def _labels_header(n_observed: int) -> list[str]:
-    return (
-        ["cell_id"]
-        + [f"z{i + 1}" for i in range(n_observed)]
-        + ["lower_label", "upper_label", "n_exp", "n_obs"]
-    )
+    bits = [f"z{i + 1}" for i in range(n_observed)]
+    return ["cell_id", *bits, "lower_label", "upper_label", "n_exp", "n_obs"]
 
 
-def write_labels_csv(labels: Sequence[LabeledCell], path: str | Path, n_observed: int) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_labels_header(n_observed))
-        for lab in labels:
-            writer.writerow(
-                [lab.cell.id]
-                + list(lab.cell.bits)
-                + [
-                    format(lab.lower_label, ".12g"),
-                    format(lab.upper_label, ".12g"),
-                    lab.n_exp,
-                    lab.n_obs,
-                ]
-            )
+def write_labels_csv(labels: LabelTable, path: str | Path) -> None:
+    """Write the labels in table order, the cell bits after each id."""
+    bits = cell_bits(labels.cell_id, labels.n_observed)
+    cols = [getattr(labels, name) for name in labels._columns]
+    write_cell_csv(path, _labels_header(labels.n_observed), [cols[0], bits, *cols[1:]])
 
 
-def read_labels_csv(path: str | Path) -> list[LabeledCell]:
-    labels: list[LabeledCell] = []
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if (
-            len(header) < 6
-            or header[0] != "cell_id"
-            or header[-4:] != ["lower_label", "upper_label", "n_exp", "n_obs"]
-        ):
-            raise ValueError(f"unexpected labels header in {path}")
-        n_observed = len(header) - 5
-        for row in reader:
-            if len(row) != len(header):
-                raise ValueError(f"{path}: a row has {len(row)} fields, expected {len(header)}")
-            bits = tuple(int(b) for b in row[1 : 1 + n_observed])
-            cell = CellKey(bits)
-            if cell.id != int(row[0]):
-                raise ValueError(f"cell_id/bits mismatch in {path}: {row[0]}")
-            labels.append(
-                LabeledCell(
-                    cell=cell,
-                    lower_label=float(row[1 + n_observed]),
-                    upper_label=float(row[2 + n_observed]),
-                    n_exp=int(row[3 + n_observed]),
-                    n_obs=int(row[4 + n_observed]),
-                )
-            )
-    return labels
+def read_labels_csv(path: str | Path) -> LabelTable:
+    """Load written labels in file order, with ``read_cell_csv``'s checks;
+    the bits must be 0/1 and spell each row's id, and counts must be
+    integers."""
+    with open(path, encoding="ascii") as fh:
+        n_observed = len(fh.readline().split(",")) - 5
+    ids, vals = read_cell_csv(path, _labels_header(max(n_observed, 1)))
+    bits, counts = vals[:, :n_observed], vals[:, -2:]
+    if not ((bits == 0) | (bits == 1)).all() or (cell_ids(bits) != ids).any():
+        raise ValueError(f"cell_id/bits mismatch in {path}")
+    if (counts != np.trunc(counts)).any():
+        raise ValueError(f"{path}: n_exp and n_obs must be integers")
+    return LabelTable(ids, n_observed, *vals[:, n_observed:-2].T, *counts.T)
 
 
-def write_drops_csv(drops: Sequence[DroppedCell], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["cell_id", "reason", "n_exp", "n_obs"])
-        for d in drops:
-            writer.writerow([d.cell.id, d.reason, d.n_exp, d.n_obs])
+def write_drops_csv(drops: DropTable, path: str | Path) -> None:
+    header = ["cell_id", "reason", "n_exp", "n_obs"]
+    write_cell_csv(path, header, [getattr(drops, name) for name in drops._columns])

@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import cells, datagen, informer, learner
 from .bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector
-from .model import ScmConfig
+from .model import ScmConfig, cell_bits
 from .tables import write_cell_csv
 
 __all__ = ["SelectionPolicy", "main"]
@@ -80,26 +80,23 @@ def _cmd_informer(args: argparse.Namespace) -> int:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     config = ScmConfig.load(args.config)
+    spec = cells.SplitSpec(test_fraction=args.test_fraction, seed=args.seed)
     _check_dataset(args.exp, config, "experimental")
     _check_dataset(args.obs, config, "observational")
-    exp_data, _ = datagen.read_dataset(args.exp)
-    obs_data, _ = datagen.read_dataset(args.obs)
-    exp_map = cells.aggregate(exp_data, "experimental")
-    obs_map = cells.aggregate(obs_data, "observational")
+    exp_map = cells.aggregate(datagen.read_dataset(args.exp)[0], "experimental")
+    obs_map = cells.aggregate(datagen.read_dataset(args.obs)[0], "observational")
     labels, drops = cells.build_labels(exp_map, obs_map, args.vector, args.threshold)
     if labels:
-        train_set, test_set = cells.split(
-            labels, cells.SplitSpec(test_fraction=args.test_fraction, seed=args.seed)
-        )
+        train_set, test_set = cells.split(labels, spec)
     else:
         print("warning: no eligible cells at this threshold", file=sys.stderr)
-        train_set, test_set = [], []
+        # Empty datasets leave the width to the config.
+        train_set = test_set = replace(labels, n_observed=config.n_observed)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n_obs = config.n_observed
-    cells.write_labels_csv(train_set, out_dir / "train_labels.csv", n_obs)
-    cells.write_labels_csv(test_set, out_dir / "test_labels.csv", n_obs)
+    cells.write_labels_csv(train_set, out_dir / "train_labels.csv")
+    cells.write_labels_csv(test_set, out_dir / "test_labels.csv")
     cells.write_drops_csv(drops, out_dir / "drops.csv")
     print(
         f"eligible {len(labels)} cells ({len(train_set)} train, {len(test_set)} test), "
@@ -119,13 +116,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         seed=args.seed,
         batch_size=args.batch_size,
     )
-    features = [lab.cell.bits for lab in labels]
+    features = cell_bits(labels.cell_id, labels.n_observed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, targets in (
-        ("lower", [lab.lower_label for lab in labels]),
-        ("upper", [lab.upper_label for lab in labels]),
-    ):
+    for name, targets in (("lower", labels.lower_label), ("upper", labels.upper_label)):
         model = learner.train(features, targets, hp)
         path = out_dir / f"model_{name}.json"
         learner.save_model(model, path)
@@ -260,21 +254,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select)
 
-    p = sub.add_parser("evaluate", help="mean absolute errors vs ground truth")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--informer", required=True)
-    p.add_argument("--sample-n", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("report", help="paired true/predicted bounds for plotting")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--informer", required=True)
-    p.add_argument("--sample-n", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_report)
+    for name, func, text in (
+        ("evaluate", _cmd_evaluate, "mean absolute errors vs ground truth"),
+        ("report", _cmd_report, "paired true/predicted bounds for plotting"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--predictions", required=True)
+        p.add_argument("--informer", required=True)
+        p.add_argument("--sample-n", type=int, default=200)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=func is _cmd_report)
+        p.set_defaults(func=func)
 
     return parser
 

@@ -75,13 +75,6 @@ class DatasetMeta:
         if self.n < 0:
             raise DatasetFormatError("n must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetMeta":
-        return cls(**d)
-
 
 def draw_exogenous(uniforms: Sequence[float], config: ScmConfig) -> ExogenousAssignment:
     """Map one sample's exogenous uniforms to bits.
@@ -178,11 +171,14 @@ def _block_to_csv_bytes(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _block_to_packed(block: np.ndarray, n_observed: int) -> np.ndarray:
+def _check_packable(n_observed: int) -> None:
     if n_observed > _MAX_PACKED_OBSERVED:
         raise DatasetFormatError(
             f"packed format holds at most {_MAX_PACKED_OBSERVED} observed bits"
         )
+
+
+def _block_to_packed(block: np.ndarray, n_observed: int) -> np.ndarray:
     words = cell_ids(block[:, :n_observed]).astype(np.uint32)
     words |= block[:, n_observed].astype(np.uint32) << _PACKED_X_BIT
     words |= block[:, n_observed + 1].astype(np.uint32) << _PACKED_Y_BIT
@@ -201,12 +197,22 @@ def write_dataset(
 
     ``fmt`` is "csv" or "packed"; when omitted it is inferred from the suffix
     (".csv" vs anything else).  A JSON sidecar is written next to the file.
+    Arguments are checked before ``path`` is opened.
     """
     path = Path(path)
     if fmt is None:
         fmt = "csv" if path.suffix == ".csv" else "packed"
     if fmt not in ("csv", "packed"):
         raise ValueError(f"unknown format {fmt!r}")
+    if fmt == "packed":
+        _check_packable(config.n_observed)
+    meta = DatasetMeta(
+        kind=regime,
+        n=n_samples,
+        seed=seed,
+        n_observed=config.n_observed,
+        config_fingerprint=config.fingerprint,
+    )
 
     with open(path, "wb") as fh:
         if fmt == "csv":
@@ -216,16 +222,8 @@ def write_dataset(
                 _block_to_csv_bytes(block).tofile(fh)
             else:
                 _block_to_packed(block, config.n_observed).tofile(fh)
-
-    meta = DatasetMeta(
-        kind=regime,
-        n=n_samples,
-        seed=seed,
-        n_observed=config.n_observed,
-        config_fingerprint=config.fingerprint,
-    )
     with open(meta_path(path), "w", encoding="ascii") as fh:
-        json.dump(meta.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(meta), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return meta
 
@@ -236,7 +234,7 @@ def read_meta(path: str | Path) -> DatasetMeta:
     mp = meta_path(path)
     try:
         with open(mp, "r", encoding="ascii") as fh:
-            return DatasetMeta.from_dict(json.load(fh))
+            return DatasetMeta(**json.load(fh))
     except FileNotFoundError:
         # the dataset exists, so this is a broken pair rather than a bad path
         raise DatasetFormatError(f"missing dataset sidecar {mp}") from None
@@ -266,10 +264,7 @@ def _read_csv(path: Path, n_observed: int) -> np.ndarray:
 
 
 def _read_packed(path: Path, n_observed: int) -> np.ndarray:
-    if n_observed > _MAX_PACKED_OBSERVED:
-        raise DatasetFormatError(
-            f"packed format holds at most {_MAX_PACKED_OBSERVED} observed bits"
-        )
+    _check_packable(n_observed)
     words = np.fromfile(path, dtype="<u4")
     out = np.empty((len(words), n_observed + 2), dtype=np.uint8)
     out[:, :n_observed] = cell_bits(words, n_observed)

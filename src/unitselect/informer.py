@@ -117,7 +117,7 @@ class InformerTable(CellTable):
     def __iter__(self) -> Iterator[InformerRecord]:
         return map(
             InformerRecord,
-            map(CellKey, map(tuple, cell_bits(self.cell_id, self.n_observed).tolist())),
+            self._keys(),
             starmap(ExperimentalDistribution, self.exp.tolist()),
             starmap(ObservationalJoint, self.obs.tolist()),
             self.true_f.tolist(),

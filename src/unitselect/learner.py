@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -43,6 +43,9 @@ __all__ = [
 PREDICTIONS_HEADER = ["cell_id", "pred_lower", "pred_upper", "repaired"]
 
 _SHUFFLE_SALT = 0x9E3779B97F4A7C15
+
+# The weight fields of ``Model``, in layer order.
+_PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class Model:
             raise ValueError("inconsistent layer shapes")
         if self.b1.shape != (h,) or self.b2.shape != (h,) or self.b3.shape != (1,):
             raise ValueError("inconsistent bias shapes")
-        for arr in (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3):
+        for arr in self.params:
             if not np.isfinite(arr).all():
                 raise ValueError("non-finite weights")
 
@@ -93,13 +96,21 @@ class Model:
     def n_inputs(self) -> int:
         return self.w1.shape[0]
 
+    @property
+    def params(self) -> list[np.ndarray]:
+        """The weights in ``_PARAMS`` order."""
+        return [getattr(self, name) for name in _PARAMS]
+
 
 def _forward(
     params: Sequence[np.ndarray], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w1, b1, w2, b2, w3, b3 = params
-    a1 = np.tanh(x @ w1 + b1)
-    a2 = np.tanh(a1 @ w2 + b2)
+    # Bias and tanh in place, so a layer holds one (n, hidden) buffer, not three.
+    a1 = x @ w1
+    np.tanh(np.add(a1, b1, out=a1), out=a1)
+    a2 = a1 @ w2
+    np.tanh(np.add(a2, b2, out=a2), out=a2)
     return a1, a2, a2 @ w3 + b3
 
 
@@ -190,8 +201,7 @@ def train(
         loss, grads = _loss_and_grads(params, x, t)
         history.append(loss)
 
-    w1, b1, w2, b2, w3, b3 = params
-    return Model(w1, b1, w2, b2, w3, b3, hp, tuple(history))
+    return Model(*params, hp, tuple(history))
 
 
 def loss_and_gradients(
@@ -202,16 +212,12 @@ def loss_and_gradients(
     differences."""
     x = _as_features(features)
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
-    params = [model.w1, model.b1, model.w2, model.b2, model.w3, model.b3]
-    loss, grads = _loss_and_grads(params, x, t)
-    names = ["w1", "b1", "w2", "b2", "w3", "b3"]
-    return loss, dict(zip(names, grads))
+    loss, grads = _loss_and_grads(model.params, x, t)
+    return loss, dict(zip(_PARAMS, grads))
 
 
 def _raw_outputs(model: Model, x: np.ndarray) -> np.ndarray:
-    return _forward(
-        [model.w1, model.b1, model.w2, model.b2, model.w3, model.b3], x
-    )[2][:, 0]
+    return _forward(model.params, x)[2][:, 0]
 
 
 def predict(model: Model, cell: CellKey, v: BenefitVector) -> float:
@@ -270,7 +276,7 @@ def predict_all(
 
 def sample_cell_ids(n_cells: int, sample_n: int, seed: int) -> np.ndarray:
     """The seeded evaluation sample: sample_n distinct cell ids."""
-    if sample_n > n_cells:
+    if not 1 <= sample_n <= n_cells:
         raise ValueError(f"cannot sample {sample_n} of {n_cells} cells")
     rng = np.random.Generator(np.random.Philox(key=seed))
     return np.sort(rng.choice(n_cells, size=sample_n, replace=False))
@@ -315,21 +321,8 @@ def save_model(model: Model, path: str | Path) -> None:
     hp = model.hyperparams
     doc = {
         "arch": {"n_inputs": model.n_inputs, "hidden_width": hp.hidden_width},
-        "hyperparams": {
-            "hidden_width": hp.hidden_width,
-            "epochs": hp.epochs,
-            "learning_rate": hp.learning_rate,
-            "seed": hp.seed,
-            "batch_size": hp.batch_size,
-        },
-        "weights": {
-            "w1": model.w1.ravel().tolist(),
-            "b1": model.b1.tolist(),
-            "w2": model.w2.ravel().tolist(),
-            "b2": model.b2.tolist(),
-            "w3": model.w3.ravel().tolist(),
-            "b3": model.b3.tolist(),
-        },
+        "hyperparams": asdict(hp),
+        "weights": {name: p.ravel().tolist() for name, p in zip(_PARAMS, model.params)},
         "loss_history": list(model.loss_history),
     }
     with open(path, "w", encoding="ascii") as fh:
@@ -343,17 +336,10 @@ def load_model(path: str | Path) -> Model:
     try:
         n_in = doc["arch"]["n_inputs"]
         h = doc["arch"]["hidden_width"]
-        w = doc["weights"]
-        return Model(
-            w1=np.asarray(w["w1"]).reshape(n_in, h),
-            b1=np.asarray(w["b1"]),
-            w2=np.asarray(w["w2"]).reshape(h, h),
-            b2=np.asarray(w["b2"]),
-            w3=np.asarray(w["w3"]).reshape(h, 1),
-            b3=np.asarray(w["b3"]),
-            hyperparams=Hyperparams(**doc["hyperparams"]),
-            loss_history=tuple(doc["loss_history"]),
-        )
+        shapes = [(n_in, h), (h,), (h, h), (h,), (h, 1), (1,)]
+        params = [np.reshape(doc["weights"][n], s) for n, s in zip(_PARAMS, shapes)]
+        hp = Hyperparams(**doc["hyperparams"])
+        return Model(*params, hp, tuple(doc["loss_history"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from None
 

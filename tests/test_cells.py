@@ -1,3 +1,5 @@
+import csv
+import io
 import struct
 
 import numpy as np
@@ -16,8 +18,10 @@ from unitselect.cells import (
     ZERO_ARM,
     CellCounts,
     DroppedCell,
+    DropTable,
     IneligibleCellError,
     LabeledCell,
+    LabelTable,
     SplitSpec,
     aggregate,
     build_labels,
@@ -34,6 +38,13 @@ from unitselect.model import CellKey
 
 def _cell(bits):
     return CellKey(tuple(bits))
+
+
+def _table(cls, rows, n_observed):
+    """The column table of ``rows``, ``LabeledCell``s or ``DroppedCell``s."""
+    ids = [r.cell.id for r in rows]
+    cols = ([getattr(r, name) for r in rows] for name in list(cls._columns)[1:])
+    return cls(ids, n_observed, *cols)
 
 
 def _rows(*rows):
@@ -253,11 +264,11 @@ def test_build_labels_threshold_boundary():
     obs_map = {_cell((0,)): ok, _cell((1,)): ok}
     labels, drops = build_labels(exp_map, obs_map, v, threshold=1300)
     assert [lab.cell.id for lab in labels] == [0]
-    assert drops == [DroppedCell(_cell((1,)), BELOW_THRESHOLD, 1299, 1300)]
+    assert list(drops) == [DroppedCell(_cell((1,)), BELOW_THRESHOLD, 1299, 1300)]
     # at exactly the threshold the cell qualifies
     labels, drops = build_labels(exp_map, obs_map, v, threshold=1299)
     assert [lab.cell.id for lab in labels] == [0, 1]
-    assert drops == []
+    assert list(drops) == []
 
 
 def test_build_labels_separate_regime_maps():
@@ -267,7 +278,7 @@ def test_build_labels_separate_regime_maps():
     exp_map = {_cell((0,)): _counts(40, 20, 40, 4, (0, 0, 0, 0))}
     obs_map = {_cell((0,)): CellCounts(obs_xy=20, obs_xyp=20, obs_xpy=20, obs_xpyp=20)}
     labels, drops = build_labels(exp_map, obs_map, v, threshold=50)
-    assert drops == []
+    assert list(drops) == []
     assert len(labels) == 1
     assert labels[0].n_exp == 80
     assert labels[0].n_obs == 80
@@ -282,8 +293,8 @@ def test_build_labels_zero_arm_and_inconsistent():
     exp_map = {_cell((0,)): zero_arm, _cell((1,)): clash}
     obs_map = {_cell((0,)): zero_arm, _cell((1,)): clash}
     labels, drops = build_labels(exp_map, obs_map, v, threshold=10)
-    assert labels == []
-    assert drops == [
+    assert list(labels) == []
+    assert list(drops) == [
         DroppedCell(_cell((0,)), ZERO_ARM, 20, 20),
         DroppedCell(_cell((1,)), INCONSISTENT, 20, 10),
     ]
@@ -293,8 +304,8 @@ def test_build_labels_missing_from_one_regime():
     v = DEFAULT_BENEFIT_VECTOR
     ok = _counts(40, 20, 40, 4, (10, 10, 10, 10))
     labels, drops = build_labels({_cell((0,)): ok}, {}, v, threshold=10)
-    assert labels == []
-    assert drops == [DroppedCell(_cell((0,)), BELOW_THRESHOLD, 80, 0)]
+    assert list(labels) == []
+    assert list(drops) == [DroppedCell(_cell((0,)), BELOW_THRESHOLD, 80, 0)]
 
 
 def test_build_labels_within_value_range():
@@ -361,7 +372,7 @@ def test_build_labels_matches_scalar_chain(v):
             obs_map[key] = _counts(0, 0, 0, 0, rng.integers(0, 12, 4).tolist())
     labels, drops = build_labels(exp_map, obs_map, v, threshold=20)
     expect = _scalar_labels(exp_map, obs_map, v, threshold=20)
-    assert sorted(c.cell.id for c in labels + drops) == sorted(c.id for c in expect)
+    assert sorted(c.cell.id for c in [*labels, *drops]) == sorted(c.id for c in expect)
     assert {d.reason for d in drops} == {BELOW_THRESHOLD, ZERO_ARM, INCONSISTENT}
     assert len(labels) > 20
     for d in drops:
@@ -403,7 +414,7 @@ def test_labels_match_exact_truth_with_exact_proportions(desk4):
             obs_xpyp=round(rec.obs.p_xpyp * d),
         )
     labels, drops = build_labels(exp_map, obs_map, v, threshold=1)
-    assert drops == []
+    assert list(drops) == []
     assert len(labels) == 16
     for lab, rec in zip(labels, table):
         assert lab.cell == rec.cell
@@ -416,7 +427,7 @@ def _fake_labels(n):
     for i in range(n):
         bits = tuple((i >> b) & 1 for b in range(9))
         out.append(LabeledCell(CellKey(bits), -0.5, 0.5, 2000, 2000))
-    return out
+    return _table(LabelTable, out, 9)
 
 
 def test_split_sizes():
@@ -451,12 +462,12 @@ def test_split_validation():
 
 
 def test_labels_csv_roundtrip(tmp_path):
-    labels = [
+    labels = _table(LabelTable, [
         LabeledCell(_cell((1, 0, 1)), -0.123456789012, 0.75, 2000, 1500),
         LabeledCell(_cell((0, 1, 1)), 0.0, 1.0, 1300, 1300),
-    ]
+    ], 3)
     path = tmp_path / "labels.csv"
-    write_labels_csv(labels, path, n_observed=3)
+    write_labels_csv(labels, path)
     text = path.read_text()
     assert text.splitlines()[0] == "cell_id,z1,z2,z3,lower_label,upper_label,n_exp,n_obs"
     assert text.splitlines()[1].startswith("5,1,0,1,")
@@ -466,10 +477,10 @@ def test_labels_csv_roundtrip(tmp_path):
 def test_labels_csv_roundtrip_keeps_wide_cell_ids(tmp_path):
     # ids at and above 2**53 do not survive a trip through float64
     bits = [(1,) * 60, (0,) * 6 + (1,) * 54, (1,) + (0,) * 52 + (1,) * 7]
-    labels = [LabeledCell(_cell(b), -0.5, 0.25, 1300, 1400) for b in bits]
+    labels = _table(LabelTable, [LabeledCell(_cell(b), -0.5, 0.25, 1300, 1400) for b in bits], 60)
     assert all(lab.cell.id >= 2**53 for lab in labels)
     path = tmp_path / "labels.csv"
-    write_labels_csv(labels, path, n_observed=60)
+    write_labels_csv(labels, path)
     rows = path.read_text().splitlines()[1:]
     assert [int(r.split(",")[0]) for r in rows] == [lab.cell.id for lab in labels]
     assert read_labels_csv(path) == labels
@@ -477,7 +488,7 @@ def test_labels_csv_roundtrip_keeps_wide_cell_ids(tmp_path):
 
 def test_labels_csv_rejects_corruption(tmp_path):
     path = tmp_path / "labels.csv"
-    write_labels_csv([LabeledCell(_cell((1, 0)), 0.0, 0.5, 10, 10)], path, n_observed=2)
+    write_labels_csv(_table(LabelTable, [LabeledCell(_cell((1, 0)), 0.0, 0.5, 10, 10)], 2), path)
     lines = path.read_text().splitlines()
     broken = tmp_path / "broken.csv"
     broken.write_text("\n".join(["bogus,header,line"] + lines[1:]) + "\n")
@@ -491,10 +502,10 @@ def test_labels_csv_rejects_corruption(tmp_path):
 
 
 def test_drops_csv(tmp_path):
-    drops = [
+    drops = _table(DropTable, [
         DroppedCell(_cell((0, 0)), BELOW_THRESHOLD, 12, 3),
         DroppedCell(_cell((1, 1)), INCONSISTENT, 5000, 5000),
-    ]
+    ], 2)
     path = tmp_path / "drops.csv"
     write_drops_csv(drops, path)
     assert path.read_text().splitlines() == [
@@ -502,3 +513,80 @@ def test_drops_csv(tmp_path):
         "0,BELOW_THRESHOLD,12,3",
         "3,INCONSISTENT,5000,5000",
     ]
+
+
+def _csv_writer_bytes(header, rows):
+    """A CSV as the csv module writes it: the reference format."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode("ascii")
+
+
+def test_label_and_drop_writers_match_csv_writer(tmp_path):
+    wide = [(1,) * 60, (0,) * 6 + (1,) * 54, (1,) + (0,) * 52 + (1,) * 7]
+    labels = [
+        LabeledCell(_cell(wide[0]), -0.0, 0.1 + 0.2, 1300, 2**40),
+        LabeledCell(_cell(wide[1]), -1 / 3, 123456.789012345678, 1301, 1302),
+        LabeledCell(_cell(wide[2]), 1e-20, 0.0, 2000, 1500),
+    ]
+    drops = [
+        DroppedCell(_cell(wide[1]), BELOW_THRESHOLD, 12, 0),
+        DroppedCell(_cell(wide[0]), INCONSISTENT, 5000, 2**40),
+    ]
+    header = ["cell_id", *(f"z{i + 1}" for i in range(60)),
+              "lower_label", "upper_label", "n_exp", "n_obs"]
+    path = tmp_path / "labels.csv"
+    for rows in (labels, []):
+        write_labels_csv(_table(LabelTable, rows, 60), path)
+        expect = [
+            [lab.cell.id, *lab.cell.bits, format(lab.lower_label, ".12g"),
+             format(lab.upper_label, ".12g"), lab.n_exp, lab.n_obs]
+            for lab in rows
+        ]
+        assert path.read_bytes() == _csv_writer_bytes(header, expect)
+        if rows:  # -0.0 keeps its sign, 0.1 + 0.2 rounds to 12 digits
+            assert b",-0,0.3,1300,1099511627776\r\n1152921504606846912," in path.read_bytes()
+    assert path.read_bytes().endswith(b"n_obs\r\n")
+    for rows in (drops, []):
+        write_drops_csv(_table(DropTable, rows, 60), path)
+        expect = [[d.cell.id, d.reason, d.n_exp, d.n_obs] for d in rows]
+        header = ["cell_id", "reason", "n_exp", "n_obs"]
+        assert path.read_bytes() == _csv_writer_bytes(header, expect)
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("5,1,0,1,0.5,0.75,10,10", "repeated id"),
+        ("3,1,1,0,0.5,0.75,10.5,10", "non-integer count"),
+        ("6,0,2,1,0.5,0.75,10,10", "a bit that is not 0/1"),
+        ("6,0,1,1,0.5,0.75,10", "a short row"),
+        ("7,0,1,1,0.5,0.75,10,10", "an id that does not match its bits"),
+        ("6,0,1,1,nan,0.75,10,10", "a non-finite label"),
+    ],
+)
+def test_read_labels_csv_refuses_bad_rows(tmp_path, row, problem):
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        "cell_id,z1,z2,z3,lower_label,upper_label,n_exp,n_obs\r\n5,1,0,1,0.5,0.75,10,10\r\n"
+        + row + "\r\n"
+    )
+    with pytest.raises(ValueError):
+        read_labels_csv(path)
+
+
+def test_labels_csv_keeps_split_order(tmp_path):
+    train, test = split(_fake_labels(40), SplitSpec(test_fraction=0.25, seed=3))
+    assert list(train.cell_id) != sorted(train.cell_id)
+    path = tmp_path / "train.csv"
+    write_labels_csv(train, path)
+    assert read_labels_csv(path) == train
+    assert isinstance(test, LabelTable) and len(test) == 10
+
+
+def test_build_labels_refuses_mixed_widths():
+    ok = _counts(40, 20, 40, 4, (10, 10, 10, 10))
+    with pytest.raises(ValueError, match="different widths"):
+        build_labels({_cell((0,)): ok, _cell((0, 1)): ok}, {}, DEFAULT_BENEFIT_VECTOR, 10)

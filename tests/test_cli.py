@@ -140,6 +140,46 @@ def test_label_no_eligible_cells(ws, tmp_path, capsys):
     assert len(_read_csv(out_dir / "drops.csv")) == 17
 
 
+def test_label_empty_datasets_keep_the_config_width(ws, tmp_path):
+    for kind in ("experimental", "observational"):
+        assert run("simulate", "--config", ws["config"], "--kind", kind, "--n", 0,
+                   "--seed", 1, "--out", tmp_path / f"{kind}.csv") == 0
+    assert run("label", "--exp", tmp_path / "experimental.csv",
+               "--obs", tmp_path / "observational.csv", "--config", ws["config"],
+               "--seed", 7, "--out-dir", tmp_path / "labels") == 0
+    assert _read_csv(tmp_path / "labels" / "test_labels.csv") == [
+        ["cell_id", "z1", "z2", "z3", "z4", "lower_label", "upper_label", "n_exp", "n_obs"]
+    ]
+
+
+def _set_field(line, i, value):
+    fields = line.split(",")
+    fields[i] = value
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: ["cell_id,z1,z2,z3,z4,lower,upper,n_exp,n_obs", *lines[1:]],
+        lambda lines: [*lines, lines[-1]],  # a repeated id
+        lambda lines: [*lines[:-1], lines[-1] + ",1"],  # a long row
+        lambda lines: [*lines[:-1], _set_field(lines[-1], -1, "1.5")],  # a count of 1.5
+        lambda lines: [*lines[:-1], _set_field(lines[-1], 1, "2")],  # a bit of 2
+        lambda lines: [*lines[:-1], _set_field(lines[-1], 0, "99")],  # id and bits differ
+    ],
+)
+def test_train_refuses_bad_labels(ws, tmp_path, edit):
+    lines = (ws["labels"] / "train_labels.csv").read_text().splitlines()
+    bad = tmp_path / "labels.csv"
+    bad.write_text("\n".join(edit(lines)) + "\n")
+    assert run("train", "--labels", bad, "--epochs", 2, "--seed", 0,
+               "--out-dir", tmp_path / "models") == 2
+    bad.write_text("\n".join(lines) + "\n")
+    assert run("train", "--labels", bad, "--epochs", 2, "--seed", 0,
+               "--out-dir", tmp_path / "models") == 0
+
+
 def test_label_fingerprint_mismatch(ws, tmp_path, desk8):
     other_cfg = tmp_path / "other.json"
     desk8.dump(other_cfg)
@@ -281,6 +321,14 @@ def test_evaluate_sample_too_large(ws, tmp_path):
     rc = run("evaluate", "--predictions", ws["preds"], "--informer", ws["truth"],
              "--seed", 0)  # default sample_n=200 exceeds 16 cells
     assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report"])
+def test_sample_n_must_be_positive(ws, tmp_path, command):
+    out = tmp_path / "out"
+    assert run(command, "--predictions", ws["preds"], "--informer", ws["truth"],
+               "--sample-n", 0, "--seed", 0, "--out", out) == 2
+    assert not out.exists()
 
 
 def test_report_output(ws, tmp_path):
@@ -436,11 +484,15 @@ def test_console_script_on_path(ws, tmp_path):
 
 
 def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
-    """Table building, CSV I/O, evaluation and the select/evaluate/report
+    """Table building, CSV I/O, evaluation and the train/select/evaluate/report
     commands work on columns: they construct no row or key object."""
-    from unitselect import informer, learner
+    from unitselect import cells, informer, learner
+    from unitselect.datagen import generate_array
     from unitselect.model import CellKey
 
+    # aggregate keys its map by CellKey; the maps are built before counting
+    exp_map = cells.aggregate(generate_array(desk8, "experimental", 60_000, 5), "experimental")
+    obs_map = cells.aggregate(generate_array(desk8, "observational", 60_000, 6), "observational")
     built = {}
 
     def counting(cls):
@@ -452,10 +504,21 @@ def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", wrapped)
 
-    for cls in (informer.InformerRecord, learner.PredictionRow, CellKey):
+    row_types = (informer.InformerRecord, learner.PredictionRow, cells.LabeledCell,
+                 cells.DroppedCell, CellKey)
+    for cls in row_types:
         counting(cls)
 
     v = unitselect.DEFAULT_BENEFIT_VECTOR
+    labels, drops = cells.build_labels(exp_map, obs_map, v, threshold=200)
+    assert len(labels) >= 10 and len(drops) >= 10
+    train_set, test_set = cells.split(labels, cells.SplitSpec(0.2, seed=1))
+    cells.write_labels_csv(train_set, tmp_path / "train_labels.csv")
+    cells.write_labels_csv(test_set, tmp_path / "test_labels.csv")
+    cells.write_drops_csv(drops, tmp_path / "drops.csv")
+    assert (cells.read_labels_csv(tmp_path / "test_labels.csv").cell_id == test_set.cell_id).all()
+    assert run("train", "--labels", tmp_path / "train_labels.csv", "--hidden-width", 4,
+               "--epochs", 3, "--seed", 0, "--out-dir", tmp_path / "models") == 0
     model = train(np.eye(8), np.linspace(-1.0, 0.5, 8), Hyperparams(hidden_width=4, epochs=3))
     truth = informer.informer_table(desk8, v)
     informer.write_informer_csv(truth, tmp_path / "truth.csv")
@@ -471,6 +534,7 @@ def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
     assert run("evaluate", *files) == 0
     assert run("report", *files, "--out", tmp_path / "r.csv") == 0
     assert built == {}
-    # the counters do count: one row asked for builds one row and one key
-    truth[3], preds[3]
-    assert built == {"InformerRecord": 1, "PredictionRow": 1, "CellKey": 1}
+    # the counters do count: each row asked for is built once, with a key for
+    # the three row types that carry a CellKey
+    truth[3], preds[3], labels[3], drops[3]
+    assert built == {cls.__name__: 1 for cls in row_types} | {"CellKey": 3}

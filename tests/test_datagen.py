@@ -159,6 +159,20 @@ def test_empty_dataset(tmp_path, desk4):
     assert data.shape == (0, 6)
 
 
+def test_write_dataset_checks_before_opening(tmp_path, desk4):
+    from unitselect import random_config
+
+    wide = random_config(31, 0, seed=1)  # one bit more than a packed word holds
+    for n in (0, 10):
+        with pytest.raises(DatasetFormatError, match="at most 30 observed bits"):
+            write_dataset(tmp_path / "d.bin", wide, "experimental", n, seed=1)
+    with pytest.raises(ValueError):
+        write_dataset(tmp_path / "d.csv", desk4, "interventional", 10, seed=1)
+    with pytest.raises(ValueError):
+        write_dataset(tmp_path / "d.csv", desk4, "experimental", -1, seed=1)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_errors(tmp_path, desk4):
     path = tmp_path / "exp.csv"
     write_dataset(path, desk4, "experimental", 10, seed=1)

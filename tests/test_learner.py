@@ -85,6 +85,17 @@ def test_model_shape_validation():
         )
 
 
+def test_forward_matches_the_out_of_place_layers():
+    rng = np.random.default_rng(4)
+    x = rng.random((11, 5))
+    params = [rng.normal(size=shape) for shape in [(5, 7), (7,), (7, 7), (7,), (7, 1), (1,)]]
+    w1, b1, w2, b2, w3, b3 = params
+    a1 = np.tanh(x @ w1 + b1)
+    a2 = np.tanh(a1 @ w2 + b2)
+    for got, want in zip(learner._forward(params, x), (a1, a2, a2 @ w3 + b3)):
+        assert np.array_equal(got, want)
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     x = rng.integers(0, 2, size=(12, 3)).astype(float)
