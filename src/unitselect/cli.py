@@ -19,7 +19,7 @@ import numpy as np
 from . import cells, datagen, informer, learner
 from .bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector
 from .model import ScmConfig, cell_bits
-from .tables import write_cell_csv
+from .tables import atomic_write, write_cell_csv
 
 __all__ = ["SelectionPolicy", "main"]
 
@@ -176,7 +176,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     metrics["reference_mae_upper"] = REFERENCE_MAE_UPPER
     text = json.dumps(metrics, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
+        with atomic_write(args.out, "w", encoding="ascii") as fh:
+            fh.write(text)
     sys.stdout.write(text)
     return 0
 

@@ -17,12 +17,20 @@ treatment and outcome.  Latent characteristics and noise are drawn but never
 written.  A dataset is a (n, n_observed+2) uint8 array of 0/1 columns
 ``z1..zn, x, y``, produced whole (``generate_array``) or shard by shard
 (``iter_blocks``), and stored as CSV or as packed uint32 words.
+
+Because each shard has its own stream, shards can be made in any order and
+on any thread.  With more than one CPU, ``iter_blocks`` generates shards
+ahead of its consumer on one worker thread per CPU (numpy releases the
+interpreter lock while it fills and compares arrays) and yields them in
+shard order; the bytes are the same as when one thread makes them all.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -30,6 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .model import ExogenousAssignment, ScmConfig, cell_bits, cell_ids
+from .tables import atomic_write
 
 __all__ = [
     "SHARD_SIZE",
@@ -46,6 +55,9 @@ __all__ = [
 ]
 
 SHARD_SIZE = 1 << 18
+# Rows drawn at a time within a shard: measured fastest with one worker
+# thread per CPU.
+_CHUNK_ROWS = 1 << 14
 REGIMES = ("experimental", "observational")
 
 _KEY_MASK = (1 << 64) - 1
@@ -100,46 +112,78 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
 def _gen_shard(
     config: ScmConfig, regime: str, shard: int, m: int, seed: int
 ) -> np.ndarray:
-    """Rows [shard*SHARD_SIZE, shard*SHARD_SIZE + m) as a (m, n_observed+2) 0/1 array."""
+    """Rows [shard*SHARD_SIZE, shard*SHARD_SIZE + m) as a (m, n_observed+2) 0/1 array.
+
+    The shard is drawn ``_CHUNK_ROWS`` rows at a time from its one generator,
+    which continues its stream across calls, so the rows do not depend on the
+    chunk size and each chunk's temporaries stay in cache."""
     experimental = regime == "experimental"
-    width = config.n_total + 2 + (1 if experimental else 0)
-    u = _shard_rng(seed, shard).random((m, width))
-
-    bern_z = np.asarray(config.bern_z)
-    z = u[:, : config.n_total] < bern_z
-    u_y = u[:, config.n_total + 1] < config.bern_uy
-
-    zf = z.astype(np.float64)
-    if experimental:
-        x = u[:, config.n_total + 2] < config.experiment_assign_prob
-    else:
-        u_x = u[:, config.n_total] < config.bern_ux
-        m_x = zf @ np.asarray(config.weights_x)
-        x = m_x + u_x > 0.5
-
-    m_y = zf @ np.asarray(config.weights_y)
-    s = config.constant_c * x + m_y + u_y
-    y = ((0.0 < s) & (s < 1.0)) | ((1.0 < s) & (s < 2.0))
-
-    out = np.empty((m, config.n_observed + 2), dtype=np.uint8)
-    out[:, : config.n_observed] = z[:, : config.n_observed]
-    out[:, config.n_observed] = x
-    out[:, config.n_observed + 1] = y
+    n, n_obs = config.n_total, config.n_observed
+    # One probability per uniform column, in stream order.
+    probs = np.array(
+        [*config.bern_z, config.bern_ux, config.bern_uy]
+        + ([config.experiment_assign_prob] if experimental else [])
+    )
+    weights_x = np.asarray(config.weights_x)
+    weights_y = np.asarray(config.weights_y)
+    rng = _shard_rng(seed, shard)
+    out = np.empty((m, n_obs + 2), dtype=np.uint8)
+    for start in range(0, m, _CHUNK_ROWS):
+        bits = rng.random((min(_CHUNK_ROWS, m - start), len(probs))) < probs
+        zf = bits[:, :n].astype(np.float64)
+        if experimental:
+            x = bits[:, n + 2]
+        else:
+            x = zf @ weights_x + bits[:, n] > 0.5
+        s = config.constant_c * x + zf @ weights_y + bits[:, n + 1]
+        rows = out[start : start + len(bits)]
+        rows[:, :n_obs] = bits[:, :n_obs]
+        rows[:, n_obs] = x
+        rows[:, n_obs + 1] = ((0.0 < s) & (s < 1.0)) | ((1.0 < s) & (s < 2.0))
     return out
+
+
+def _n_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def iter_blocks(
     config: ScmConfig, regime: str, n_samples: int, seed: int
 ) -> Iterator[np.ndarray]:
-    """Yield the dataset shard by shard; concatenation order is sample order."""
+    """Yield the dataset shard by shard; concatenation order is sample order.
+
+    With more than one CPU and more than one shard, worker threads generate
+    up to one shard per CPU ahead of the consumer.  Closing the iterator
+    waits for the shards in flight; a worker's error is raised here."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     n_shards = (n_samples + SHARD_SIZE - 1) // SHARD_SIZE
-    for shard in range(n_shards):
-        m = min(SHARD_SIZE, n_samples - shard * SHARD_SIZE)
-        yield _gen_shard(config, regime, shard, m, seed)
+    sizes = [min(SHARD_SIZE, n_samples - shard * SHARD_SIZE) for shard in range(n_shards)]
+    workers = min(_n_cpus(), n_shards)
+    if workers < 2:
+        for shard, m in enumerate(sizes):
+            yield _gen_shard(config, regime, shard, m, seed)
+        return
+    # Imported here: concurrent.futures imports logging, which would slow
+    # every command's start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="unitselect-datagen")
+    try:
+        ahead = deque()
+        for shard, m in enumerate(sizes):
+            ahead.append(pool.submit(_gen_shard, config, regime, shard, m, seed))
+            if len(ahead) > workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def generate_array(
@@ -197,7 +241,9 @@ def write_dataset(
 
     ``fmt`` is "csv" or "packed"; when omitted it is inferred from the suffix
     (".csv" vs anything else).  A JSON sidecar is written next to the file.
-    Arguments are checked before ``path`` is opened.
+    Arguments are checked before anything is written, and both files are
+    written through ``tables.atomic_write``, so a failed run leaves an old
+    dataset and its sidecar whole.
     """
     path = Path(path)
     if fmt is None:
@@ -214,7 +260,7 @@ def write_dataset(
         config_fingerprint=config.fingerprint,
     )
 
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         if fmt == "csv":
             fh.write(_csv_header(config.n_observed))
         for block in iter_blocks(config, regime, n_samples, seed):
@@ -222,7 +268,7 @@ def write_dataset(
                 _block_to_csv_bytes(block).tofile(fh)
             else:
                 _block_to_packed(block, config.n_observed).tofile(fh)
-    with open(meta_path(path), "w", encoding="ascii") as fh:
+    with atomic_write(meta_path(path), "w", encoding="ascii") as fh:
         json.dump(dataclasses.asdict(meta), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return meta
@@ -265,6 +311,8 @@ def _read_csv(path: Path, n_observed: int) -> np.ndarray:
 
 def _read_packed(path: Path, n_observed: int) -> np.ndarray:
     _check_packable(n_observed)
+    if path.stat().st_size % 4:
+        raise DatasetFormatError(f"packed file {path} is not a whole number of words")
     words = np.fromfile(path, dtype="<u4")
     out = np.empty((len(words), n_observed + 2), dtype=np.uint8)
     out[:, :n_observed] = cell_bits(words, n_observed)

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import BenefitVector, value_range
 from .informer import InformerTable
 from .model import CellKey, cell_bits
-from .tables import CellTable, read_cell_csv, write_cell_csv
+from .tables import CellTable, atomic_write, read_cell_csv, write_cell_csv
 
 __all__ = [
     "Hyperparams",
@@ -46,6 +46,9 @@ _SHUFFLE_SALT = 0x9E3779B97F4A7C15
 
 # The weight fields of ``Model``, in layer order.
 _PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+# Cells per forward pass in ``predict_all``.
+_PREDICT_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -262,15 +265,19 @@ def predict_all(
     repaired to their midpoint."""
     if model_lower.n_inputs != n_observed or model_upper.n_inputs != n_observed:
         raise ValueError("model input width does not match n_observed")
-    n_cells = 1 << n_observed
-    bits = cell_bits(np.arange(n_cells), n_observed).astype(np.float64)
-    lo, hi = value_range(v)
-    lower = np.clip(_raw_outputs(model_lower, bits), lo, hi)
-    upper = np.clip(_raw_outputs(model_upper, bits), lo, hi)
+    ids = np.arange(1 << n_observed)
+    raw = np.empty((2, len(ids)))
+    # In blocks of cells, so the hidden activations stay small.
+    for start in range(0, len(ids), _PREDICT_BLOCK):
+        block = slice(start, start + _PREDICT_BLOCK)
+        bits = cell_bits(ids[block], n_observed).astype(np.float64)
+        raw[0, block] = _raw_outputs(model_lower, bits)
+        raw[1, block] = _raw_outputs(model_upper, bits)
+    lower, upper = np.clip(raw, *value_range(v))
     crossed = lower > upper
     mid = 0.5 * (lower + upper)
     return PredictionTable(
-        np.arange(n_cells), np.where(crossed, mid, lower), np.where(crossed, mid, upper), crossed
+        ids, np.where(crossed, mid, lower), np.where(crossed, mid, upper), crossed
     )
 
 
@@ -325,7 +332,7 @@ def save_model(model: Model, path: str | Path) -> None:
         "weights": {name: p.ravel().tolist() for name, p in zip(_PARAMS, model.params)},
         "loss_history": list(model.loss_history),
     }
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_write(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
 

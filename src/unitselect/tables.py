@@ -10,6 +10,7 @@ import dataclasses
 import os
 import warnings
 from collections.abc import Sequence
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -88,20 +89,29 @@ def read_cell_csv(path: str | Path, header: list[str]) -> tuple[np.ndarray, np.n
 def write_cell_csv(path: str | Path, header: list[str], columns: Sequence[np.ndarray]) -> None:
     """Write (k,) or (k, m) columns as CSV, rows ending in CRLF as csv.writer
     ends them: integers and flags exactly, as integers; floats at 12
-    significant digits; anything else as its str.  The rows go to a temporary
-    file beside ``path`` that then replaces it, so a failed write leaves any
-    old file whole."""
+    significant digits; anything else as its str.  The file is written
+    through ``atomic_write``."""
     cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     kinds = [c.dtype.kind for c in cols for _ in range(c.shape[1])]
     fmt = ["%.12g" if k == "f" else "%d" if k in "biu" else "%s" for k in kinds]
     # Python objects keep each column's values; one float64 array would round
     # integers above 2**53.
     rows = np.hstack([c.astype(object) for c in cols])
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    with atomic_write(path, newline="", encoding="ascii") as fh:
+        np.savetxt(fh, rows, fmt=fmt, delimiter=",", newline="\r\n",
+                   header=",".join(header), comments="")
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w", **kwargs):
+    """``open(tmp, mode, **kwargs)`` for a temporary file beside ``path``.
+    When the block ends normally the temporary replaces ``path``; on any
+    error it is removed and any old file stays whole."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="", encoding="ascii") as fh:
-            np.savetxt(fh, rows, fmt=fmt, delimiter=",", newline="\r\n",
-                       header=",".join(header), comments="")
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

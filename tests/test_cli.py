@@ -200,6 +200,20 @@ def test_label_missing_dataset(ws, tmp_path):
     assert rc == 3
 
 
+def test_label_refuses_a_ragged_packed_file(ws, tmp_path):
+    data = {}
+    for kind, seed in (("experimental", 1), ("observational", 2)):
+        data[kind] = tmp_path / f"{kind}.bin"
+        assert run("simulate", "--config", ws["config"], "--kind", kind, "--n", 1000,
+                   "--seed", seed, "--out", data[kind]) == 0
+    with open(data["observational"], "ab") as fh:
+        fh.write(b"\x00\x00\x00")
+    rc = run("label", "--exp", data["experimental"], "--obs", data["observational"],
+             "--config", ws["config"], "--seed", 7, "--out-dir", tmp_path / "labels")
+    assert rc == 2
+    assert not (tmp_path / "labels").exists()
+
+
 def test_train_rerun_identical(ws, tmp_path):
     out_dir = tmp_path / "models"
     assert run("train", "--labels", ws["labels"] / "train_labels.csv",
@@ -437,6 +451,14 @@ def test_custom_vector_accepted(ws, tmp_path):
     assert rows != _read_csv(ws["truth"])
 
 
+def _env_with_package():
+    """The environment with this package's source directory on PYTHONPATH."""
+    src = str(Path(unitselect.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_script_installed(ws, tmp_path):
     # The [project.scripts] target resolves to cli.main and runs; checked
     # without an install, through ``python -m unitselect``.
@@ -447,18 +469,26 @@ def test_console_script_installed(ws, tmp_path):
     assert sep and module and attr
     assert getattr(importlib.import_module(module), attr) is main
 
-    src = str(Path(unitselect.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = tmp_path / "cli.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "unitselect", "simulate", "--config", str(ws["config"]),
          "--kind", "experimental", "--n", "100", "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_env_with_package(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "wrote 100 experimental samples" in proc.stdout
     assert out.exists()
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # concurrent.futures imports logging; datagen imports it only to generate
+    # more than one shard, so it adds nothing to every command's start-up.
+    code = ("import sys, unitselect.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env_with_package())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def _installed(dist):

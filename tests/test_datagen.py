@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from unitselect import datagen, random_config
 from unitselect.datagen import (
+    REGIMES,
     SHARD_SIZE,
     DatasetFormatError,
     DatasetMeta,
@@ -173,6 +176,16 @@ def test_write_dataset_checks_before_opening(tmp_path, desk4):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("extra", [1, 2, 3])
+def test_packed_file_must_hold_whole_words(tmp_path, desk4, extra):
+    # np.fromfile alone would drop the trailing bytes and read 1,000 rows
+    path = tmp_path / "obs.bin"
+    write_dataset(path, desk4, "observational", 1000, seed=1)
+    path.write_bytes(path.read_bytes() + b"\x00" * extra)
+    with pytest.raises(DatasetFormatError, match="whole number of words"):
+        read_dataset(path)
+
+
 def test_read_errors(tmp_path, desk4):
     path = tmp_path / "exp.csv"
     write_dataset(path, desk4, "experimental", 10, seed=1)
@@ -234,3 +247,111 @@ def test_read_meta_reports_bad_sidecar(tmp_path, desk4):
     meta_path(path).write_text("{broken")
     with pytest.raises(DatasetFormatError):
         read_meta(path)
+
+
+def _use_cpus(monkeypatch, n_cpus):
+    monkeypatch.setattr(
+        datagen.os, "sched_getaffinity", lambda pid: set(range(n_cpus)), raising=False
+    )
+
+
+def _fail_on_shard(monkeypatch, bad_shard):
+    gen_shard = datagen._gen_shard
+
+    def failing(config, regime, shard, m, seed):
+        if shard == bad_shard:
+            raise RuntimeError(f"shard {shard} failed")
+        return gen_shard(config, regime, shard, m, seed)
+
+    monkeypatch.setattr(datagen, "_gen_shard", failing)
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("unitselect-datagen")]
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("width", [4, 16])
+def test_pool_and_serial_paths_give_the_same_blocks(monkeypatch, desk4, width, regime):
+    config = desk4 if width == 4 else random_config(16, 2, seed=16)
+    n = 3 * SHARD_SIZE + 1234
+    runs = {}
+    for n_cpus in (1, 2):
+        _use_cpus(monkeypatch, n_cpus)
+        it = iter_blocks(config, regime, n, seed=62)
+        first = next(it)
+        runs[n_cpus] = (len(_pool_threads()), [first, *it])
+    (serial_threads, serial), (pool_threads, pooled) = runs[1], runs[2]
+    assert serial_threads == 0 and pool_threads > 0
+    assert [len(b) for b in pooled] == [SHARD_SIZE] * 3 + [1234]
+    assert [b.tobytes() for b in pooled] == [b.tobytes() for b in serial]
+
+
+def _whole_shard(config, regime, shard, m, seed):
+    """A shard drawn in one piece, the formula ``_gen_shard`` had before it
+    walked the shard in chunks."""
+    experimental = regime == "experimental"
+    width = config.n_total + 2 + (1 if experimental else 0)
+    u = _shard_rng(seed, shard).random((m, width))
+    z = u[:, : config.n_total] < np.asarray(config.bern_z)
+    u_y = u[:, config.n_total + 1] < config.bern_uy
+    zf = z.astype(np.float64)
+    if experimental:
+        x = u[:, config.n_total + 2] < config.experiment_assign_prob
+    else:
+        u_x = u[:, config.n_total] < config.bern_ux
+        x = zf @ np.asarray(config.weights_x) + u_x > 0.5
+    s = config.constant_c * x + zf @ np.asarray(config.weights_y) + u_y
+    y = ((0.0 < s) & (s < 1.0)) | ((1.0 < s) & (s < 2.0))
+    return np.column_stack([z[:, : config.n_observed], x, y]).astype(np.uint8)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("name", ["desk8", "appendix"])
+def test_gen_shard_in_chunks_matches_one_whole_draw(request, name, regime):
+    config = request.getfixturevalue(name)
+    m = 2 * datagen._CHUNK_ROWS + 777  # two whole chunks and a tail
+    got = datagen._gen_shard(config, regime, 3, m, 61)
+    assert got.shape == (m, config.n_observed + 2)
+    assert np.array_equal(got, _whole_shard(config, regime, 3, m, 61))
+
+
+@pytest.mark.parametrize("how", ["close", "drop"])
+def test_ending_the_iterator_early_joins_its_workers(monkeypatch, desk4, how):
+    _use_cpus(monkeypatch, 2)
+    baseline = threading.active_count()
+    it = iter_blocks(desk4, "observational", 4 * SHARD_SIZE, seed=1)
+    assert len(next(it)) == SHARD_SIZE
+    assert threading.active_count() > baseline
+    if how == "close":
+        it.close()
+    else:
+        del it
+    assert threading.active_count() == baseline
+
+
+def test_a_worker_error_reaches_the_consumer(monkeypatch, desk4):
+    _use_cpus(monkeypatch, 2)
+    _fail_on_shard(monkeypatch, 2)
+    baseline = threading.active_count()
+    it = iter_blocks(desk4, "experimental", 4 * SHARD_SIZE, seed=1)
+    assert [len(next(it)) for _ in range(2)] == [SHARD_SIZE] * 2
+    with pytest.raises(RuntimeError, match="shard 2 failed"):
+        next(it)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+def test_failed_write_dataset_leaves_the_old_files_whole(
+    tmp_path, monkeypatch, desk4, suffix, n_cpus
+):
+    path = tmp_path / f"d{suffix}"
+    write_dataset(path, desk4, "experimental", 1000, seed=1)
+    old = (path.read_bytes(), meta_path(path).read_bytes())
+    _use_cpus(monkeypatch, n_cpus)
+    _fail_on_shard(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="shard 2 failed"):
+        write_dataset(path, desk4, "observational", 4 * SHARD_SIZE, seed=2)
+    assert (path.read_bytes(), meta_path(path).read_bytes()) == old
+    assert sorted(tmp_path.iterdir()) == sorted([path, meta_path(path)])

@@ -1,6 +1,7 @@
 """Training, prediction, and evaluation behavior of the bound regressor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from unitselect.learner import (
     train,
     write_predictions_csv,
 )
-from unitselect.model import CellKey
+from unitselect.model import CellKey, cell_bits
 
 
 def _all_bits(n):
@@ -282,6 +283,44 @@ def test_predict_all_covers_and_repairs():
         predict_all(_const_model(3, 0.0), _const_model(4, 0.0), 4, v)
 
 
+def _random_model(n_in, hidden, seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(n_in, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,)]
+    params = [rng.normal(scale=0.5, size=shape) for shape in shapes]
+    return Model(*params, hyperparams=Hyperparams(hidden_width=hidden), loss_history=(0.0,))
+
+
+def test_predict_all_in_blocks_matches_one_batch():
+    n = 13  # 8,192 cells: several blocks
+    assert 1 << n > 2 * learner._PREDICT_BLOCK
+    v = DEFAULT_BENEFIT_VECTOR
+    model_lower, model_upper = _random_model(n, 32, 1), _random_model(n, 32, 2)
+    table = predict_all(model_lower, model_upper, n, v)
+    bits = cell_bits(np.arange(1 << n), n).astype(np.float64)
+    lower = np.clip(learner._raw_outputs(model_lower, bits), *value_range(v))
+    upper = np.clip(learner._raw_outputs(model_upper, bits), *value_range(v))
+    crossed = lower > upper
+    mid = 0.5 * (lower + upper)
+    assert 0 < crossed.sum() < len(crossed)
+    assert np.array_equal(table.cell_id, np.arange(1 << n))
+    assert np.array_equal(table.pred_lower, np.where(crossed, mid, lower))
+    assert np.array_equal(table.pred_upper, np.where(crossed, mid, upper))
+    assert np.array_equal(table.repaired, crossed)
+
+
+def test_predict_all_memory_follows_the_block_not_the_cell_space():
+    # One batch over 65,536 cells holds (65,536 x 128) float64 activations,
+    # 67 MB per layer.
+    model_lower, model_upper = _random_model(16, 128, 1), _random_model(16, 128, 2)
+    tracemalloc.start()
+    try:
+        predict_all(model_lower, model_upper, 16, DEFAULT_BENEFIT_VECTOR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_sample_cell_ids():
     ids = sample_cell_ids(300, 200, seed=0)
     assert len(ids) == 200
@@ -328,6 +367,21 @@ def test_model_save_load_roundtrip(tmp_path):
     for cid in range(16):
         cell = CellKey.from_id(cid, 4)
         assert predict(loaded, cell, v) == predict(model, cell, v)
+
+
+def test_failed_save_model_leaves_the_old_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    path.write_text("old model\n")
+
+    def fail_midway(doc, fh, **kwargs):
+        fh.write('{"arch": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(learner.json, "dump", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(_const_model(4, 0.0), path)
+    assert path.read_text() == "old model\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_load_model_rejects_garbage(tmp_path):
