@@ -128,9 +128,6 @@ class ResponseProfile:
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"response profile sums to {total!r}, expected 1")
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p_complier, self.p_always, self.p_never, self.p_defier)
-
 
 @dataclass(frozen=True)
 class BoundsBreakdown:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,25 +21,13 @@ from .bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector
 from .model import ScmConfig, cell_bits
 from .tables import atomic_write, write_cell_csv
 
-__all__ = ["SelectionPolicy", "main"]
+__all__ = ["main"]
 
 # Published headline errors, echoed in metrics output for comparison.
 REFERENCE_MAE_LOWER = 0.5652
 REFERENCE_MAE_UPPER = 0.5447
 
 SELECTION_MODES = ("lower_positive", "top_k_lower", "top_k_midpoint")
-
-
-@dataclass(frozen=True)
-class SelectionPolicy:
-    mode: str
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in SELECTION_MODES:
-            raise ValueError(f"unknown selection mode {self.mode!r}")
-        if self.mode.startswith("top_k") and (self.k is None or self.k < 1):
-            raise ValueError(f"mode {self.mode} needs k >= 1")
 
 
 def _parse_vector(text: str) -> BenefitVector:
@@ -63,9 +51,7 @@ def _check_dataset(path: str, config: ScmConfig, regime: str) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = ScmConfig.load(args.config)
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
-    datagen.write_dataset(args.out, config, args.kind, args.n, args.seed, fmt=args.fmt)
+    datagen.write_dataset(args.out, config, args.kind, args.n, args.seed)
     print(f"wrote {args.n} {args.kind} samples to {args.out}")
     return 0
 
@@ -145,14 +131,15 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    policy = SelectionPolicy(mode=args.mode, k=args.k)
+    if args.mode != "lower_positive" and (args.k is None or args.k < 1):
+        raise ValueError(f"mode {args.mode} needs --k >= 1")
     table = learner.read_predictions_csv(args.predictions)
     ids, lower, upper = table.cell_id, table.pred_lower, table.pred_upper
-    if policy.mode == "lower_positive":
+    if args.mode == "lower_positive":
         chosen = np.flatnonzero(lower > 0.0)
     else:
-        key = lower if policy.mode == "top_k_lower" else (lower + upper) / 2.0
-        chosen = np.lexsort((ids, -key))[: policy.k]
+        key = lower if args.mode == "top_k_lower" else (lower + upper) / 2.0
+        chosen = np.lexsort((ids, -key))[: args.k]
     # Ranked by predicted lower bound, ties by ascending cell id.
     chosen = chosen[np.lexsort((ids[chosen], -lower[chosen]))]
     write_cell_csv(
@@ -211,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--fmt", choices=("csv", "packed"), default=None)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("informer", help="exact per-cell ground truth table")

@@ -230,27 +230,19 @@ def _block_to_packed(block: np.ndarray, n_observed: int) -> np.ndarray:
 
 
 def write_dataset(
-    path: str | Path,
-    config: ScmConfig,
-    regime: str,
-    n_samples: int,
-    seed: int,
-    fmt: str | None = None,
+    path: str | Path, config: ScmConfig, regime: str, n_samples: int, seed: int
 ) -> DatasetMeta:
     """Generate a dataset and stream it to ``path``; returns the sidecar meta.
 
-    ``fmt`` is "csv" or "packed"; when omitted it is inferred from the suffix
-    (".csv" vs anything else).  A JSON sidecar is written next to the file.
+    The format follows the suffix, as in ``read_dataset``: CSV for ".csv",
+    packed for anything else.  A JSON sidecar is written next to the file.
     Arguments are checked before anything is written, and both files are
     written through ``tables.atomic_write``, so a failed run leaves an old
     dataset and its sidecar whole.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix == ".csv" else "packed"
-    if fmt not in ("csv", "packed"):
-        raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "packed":
+    csv = path.suffix == ".csv"
+    if not csv:
         _check_packable(config.n_observed)
     meta = DatasetMeta(
         kind=regime,
@@ -261,10 +253,10 @@ def write_dataset(
     )
 
     with atomic_write(path, "wb") as fh:
-        if fmt == "csv":
+        if csv:
             fh.write(_csv_header(config.n_observed))
         for block in iter_blocks(config, regime, n_samples, seed):
-            if fmt == "csv":
+            if csv:
                 _block_to_csv_bytes(block).tofile(fh)
             else:
                 _block_to_packed(block, config.n_observed).tofile(fh)

@@ -53,7 +53,6 @@ __all__ = [
     "response_profile",
     "true_benefit_profile",
     "completion_weights",
-    "cell_truth",
     "informer_table",
     "write_informer_csv",
     "read_informer_csv",
@@ -69,6 +68,8 @@ INFORMER_HEADER = (
     + ["true_f", "true_lower", "true_upper"]
 )
 
+# Cells per _cell_block call.  The mixing matmul may sum in an order that
+# depends on the block's shape, so the table's bits are those of this size.
 _CHUNK_CELLS = 2048
 
 
@@ -189,29 +190,18 @@ def true_benefit_profile(
     return exact_benefit(v, response_profile(profile, config))
 
 
-def _completion_weights(config: ScmConfig) -> np.ndarray:
-    """Product-Bernoulli weight of every latent completion.
+def completion_weights(config: ScmConfig) -> np.ndarray:
+    """Mixture weights over the latent completions of a cell: the
+    product-Bernoulli weight of every completion.
 
-    Completion index j encodes the latent bits with the first unobserved
-    characteristic as the least-significant bit.
+    Characteristics are mutually independent, so every cell has the same
+    weights.  Completion index j encodes the latent bits with the first
+    unobserved characteristic as the least-significant bit.
     """
     n_u = config.n_unobserved
     bits = cell_bits(np.arange(1 << n_u), n_u)
     p = np.asarray(config.bern_z[config.n_observed :])
     return np.prod(np.where(bits == 1, p, 1.0 - p), axis=1)
-
-
-def completion_weights(cell: CellKey, config: ScmConfig) -> np.ndarray:
-    """Mixture weights over the latent completions of a cell.
-
-    Characteristics are mutually independent, so the weights do not depend on
-    the observed bits; the cell argument only pins the expected width.
-    """
-    if len(cell.bits) != config.n_observed:
-        raise ConfigError(
-            f"cell has {len(cell.bits)} bits, config expects {config.n_observed}"
-        )
-    return _completion_weights(config)
 
 
 def _profile_grid(bits: np.ndarray, config: ScmConfig) -> dict[str, np.ndarray]:
@@ -293,7 +283,7 @@ def _cell_block(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> Informe
         full[:, n_obs:] = np.tile(cell_bits(np.arange(n_comp), n_u), (k, 1))
     grid = _profile_grid(full, config)
 
-    weights = _completion_weights(config)
+    weights = completion_weights(config)
     f_profiles = (
         v.beta * grid["p_complier"]
         + v.gamma * grid["p_always"]
@@ -311,26 +301,6 @@ def _cell_block(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> Informe
     return InformerTable(ids, n_obs, exp, obs, true_f, true_lower, true_upper)
 
 
-def _chunk_of(cell_id: int, n_cells: int) -> np.ndarray:
-    """The ids of the ``_CHUNK_CELLS`` block that holds a cell."""
-    start = cell_id - cell_id % _CHUNK_CELLS
-    return np.arange(start, min(start + _CHUNK_CELLS, n_cells))
-
-
-def cell_truth(cell: CellKey, config: ScmConfig, v: BenefitVector) -> InformerRecord:
-    """The cell's row of ``informer_table``, bit for bit: it is computed in
-    the table's block of cells, as a one-row block would mix in another order.
-
-    So one call costs the work of up to ``_CHUNK_CELLS`` cells.  For many
-    cells, index ``informer_table(config, v)`` or read its columns."""
-    if len(cell.bits) != config.n_observed:
-        raise ConfigError(
-            f"cell has {len(cell.bits)} bits, config expects {config.n_observed}"
-        )
-    ids = _chunk_of(cell.id, 1 << config.n_observed)
-    return _cell_block(ids, config, v)[cell.id - int(ids[0])]
-
-
 def informer_table(config: ScmConfig, v: BenefitVector) -> InformerTable:
     """Exact truth for every cell, in ascending cell-id order."""
     n_cells = 1 << config.n_observed
@@ -339,7 +309,7 @@ def informer_table(config: ScmConfig, v: BenefitVector) -> InformerTable:
             f"2**{config.n_observed} cells exceeds the guard of {MAX_CELLS}"
         )
     blocks = [
-        _cell_block(_chunk_of(start, n_cells), config, v)
+        _cell_block(np.arange(start, min(start + _CHUNK_CELLS, n_cells)), config, v)
         for start in range(0, n_cells, _CHUNK_CELLS)
     ]
     return InformerTable(

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -30,14 +29,12 @@ __all__ = [
     "cell_ids",
     "cell_bits",
     "ExogenousAssignment",
-    "ResponseType",
     "default_config",
     "random_config",
     "m_value",
     "eval_x",
     "eval_y",
     "counterfactual_pair",
-    "response_type",
 ]
 
 
@@ -107,35 +104,25 @@ class ScmConfig:
     def n_total(self) -> int:
         return self.n_observed + self.n_unobserved
 
-    def to_dict(self) -> dict:
-        return {
-            "n_observed": self.n_observed,
-            "n_unobserved": self.n_unobserved,
-            "weights_x": list(self.weights_x),
-            "weights_y": list(self.weights_y),
-            "bern_z": list(self.bern_z),
-            "bern_ux": self.bern_ux,
-            "bern_uy": self.bern_uy,
-            "constant_c": self.constant_c,
-            "experiment_assign_prob": self.experiment_assign_prob,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "ScmConfig":
+        """Build a config from parsed JSON: one key per field, where only
+        fields with a default may be left out and unknown keys are ignored."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         try:
-            return cls(
-                n_observed=int(data["n_observed"]),
-                n_unobserved=int(data["n_unobserved"]),
-                weights_x=tuple(data["weights_x"]),
-                weights_y=tuple(data["weights_y"]),
-                bern_z=tuple(data["bern_z"]),
-                bern_ux=data["bern_ux"],
-                bern_uy=data["bern_uy"],
-                constant_c=data["constant_c"],
-                experiment_assign_prob=data.get("experiment_assign_prob", 0.5),
-            )
+            kwargs = {
+                f.name: data[f.name]
+                for f in fields(cls)
+                if f.default is MISSING or f.name in data
+            }
+            for name in ("n_observed", "n_unobserved"):
+                kwargs[name] = int(kwargs[name])
+            return cls(**kwargs)
         except KeyError as exc:
             raise ConfigError(f"config is missing key {exc.args[0]!r}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"config has a value of the wrong type: {exc}") from exc
 
     @classmethod
     def load(cls, path: str | Path) -> "ScmConfig":
@@ -148,7 +135,7 @@ class ScmConfig:
 
     def dump(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
             fh.write("\n")
 
     def canonical_json(self) -> str:
@@ -157,7 +144,7 @@ class ScmConfig:
         Two configs have equal canonical JSON iff their parsed values are
         equal, regardless of how the source files were formatted.
         """
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @property
     def fingerprint(self) -> str:
@@ -253,23 +240,6 @@ class ExogenousAssignment:
         object.__setattr__(self, "u_y", int(self.u_y))
 
 
-class ResponseType(Enum):
-    """Counterfactual behavior of one unit: outcome under (no treatment, treatment)."""
-
-    COMPLIER = "complier"        # (0, 1)
-    ALWAYS_TAKER = "always_taker"  # (1, 1)
-    NEVER_TAKER = "never_taker"  # (0, 0)
-    DEFIER = "defier"            # (1, 0)
-
-
-_RESPONSE_BY_PAIR = {
-    (0, 1): ResponseType.COMPLIER,
-    (1, 1): ResponseType.ALWAYS_TAKER,
-    (0, 0): ResponseType.NEVER_TAKER,
-    (1, 0): ResponseType.DEFIER,
-}
-
-
 @cache
 def default_config() -> ScmConfig:
     """The reference model bundled with the package (15 observed + 5 latent)."""
@@ -334,8 +304,3 @@ def counterfactual_pair(
         eval_y(0, m_y, u_y, config.constant_c),
         eval_y(1, m_y, u_y, config.constant_c),
     )
-
-
-def response_type(pair: tuple[int, int]) -> ResponseType:
-    """Classify a counterfactual outcome pair into its response type."""
-    return _RESPONSE_BY_PAIR[(int(pair[0]), int(pair[1]))]

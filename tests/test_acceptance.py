@@ -62,9 +62,9 @@ def test_criterion_2_algebraic_identity(desk8):
     # completions, then compare with the vectorized informer's true_f
     records = informer_table(desk8, V)
     n_u = desk8.n_unobserved
+    weights = completion_weights(desk8)
     worst = 0.0
     for rec in records:
-        weights = completion_weights(rec.cell, desk8)
         pc = 0.0
         p_do_x = 0.0
         p_do_xp = 0.0

@@ -2,6 +2,7 @@ import csv
 import importlib.metadata
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import unitselect
-from unitselect.cli import SelectionPolicy, main
+from unitselect.cli import _build_parser, main
 from unitselect.informer import read_informer_csv
 from unitselect.learner import (
     Hyperparams,
@@ -293,15 +294,16 @@ def test_select_top_k(tmp_path):
                "--out", tmp_path / "x.csv") == 2  # k missing
 
 
-def test_selection_policy_validation():
-    SelectionPolicy(mode="lower_positive")
-    SelectionPolicy(mode="top_k_lower", k=5)
-    with pytest.raises(ValueError):
-        SelectionPolicy(mode="top_k_lower")
-    with pytest.raises(ValueError):
-        SelectionPolicy(mode="top_k_midpoint", k=0)
-    with pytest.raises(ValueError):
-        SelectionPolicy(mode="bogus")
+def test_selection_policy_validation(ws, tmp_path):
+    out = tmp_path / "sel.csv"
+    for mode in ("top_k_lower", "top_k_midpoint"):
+        for k in (["--k", 0], []):
+            assert run("select", "--predictions", ws["preds"], "--mode", mode,
+                       *k, "--out", out) == 2
+    assert not out.exists()
+    with pytest.raises(SystemExit) as exc:
+        run("select", "--predictions", ws["preds"], "--mode", "bogus", "--out", out)
+    assert exc.value.code == 2
 
 
 def test_evaluate_metrics(ws, tmp_path, capsys):
@@ -440,6 +442,37 @@ def test_bad_vector_rejected(ws, tmp_path):
         run("informer", "--config", ws["config"], "--vector", "1,-1,-1",
             "--out", tmp_path / "x.csv")
     assert exc.value.code == 2
+
+
+def test_simulate_bad_arguments_exit_2(ws, tmp_path):
+    out = tmp_path / "exp.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--config", ws["config"], "--kind", "experimental",
+            "--n", 10, "--seed", 1, "--out", out, "--fmt", "csv")
+    assert exc.value.code == 2
+    assert run("simulate", "--config", ws["config"], "--kind", "experimental",
+               "--n", -1, "--seed", 1, "--out", out) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_malformed_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
+def test_readme_commands_use_real_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    shell = "\n".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    seen = set()
+    for cmd, rest in re.findall(r"(?m)^unitselect (\S+)(.*)$", shell):
+        assert cmd in commands
+        flags = set(re.findall(r"(?<!\S)--[\w-]+", rest))
+        assert flags <= set(commands[cmd]._option_string_actions), (cmd, flags)
+        seen.add(cmd)
+    assert len(seen) == len(commands)
 
 
 def test_custom_vector_accepted(ws, tmp_path):

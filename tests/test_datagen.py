@@ -150,6 +150,18 @@ def test_packed_dataset_roundtrip(tmp_path, desk4):
     assert int(words[0]) == expect
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".bin", ".dat"])
+def test_format_follows_the_suffix(tmp_path, desk4, suffix):
+    path = tmp_path / f"obs{suffix}"
+    write_dataset(path, desk4, "observational", 300, seed=5)
+    if suffix == ".csv":
+        assert path.read_bytes().startswith(b"z1,z2,z3,z4,x,y\n")
+    else:
+        assert path.stat().st_size == 300 * 4
+    data, _ = read_dataset(path)
+    assert np.array_equal(data, generate_array(desk4, "observational", 300, seed=5))
+
+
 def test_empty_dataset(tmp_path, desk4):
     path = tmp_path / "empty.csv"
     meta = write_dataset(path, desk4, "experimental", 0, seed=1)

@@ -16,7 +16,6 @@ from unitselect.informer import (
     CellSpaceTooLarge,
     InformerRecord,
     InformerTable,
-    cell_truth,
     completion_weights,
     exact_experimental,
     exact_observational,
@@ -123,7 +122,7 @@ def test_true_benefit_matches_composition(desk8):
 
 
 def test_completion_weights(appendix):
-    w = completion_weights(CellKey.from_id(0, 15), appendix)
+    w = completion_weights(appendix)
     assert len(w) == 32
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
     expected = 1.0
@@ -142,14 +141,14 @@ def test_completion_weights_no_latents(desk8):
         n_observed=desk8.n_total,
         n_unobserved=0,
     )
-    w = completion_weights(CellKey.from_id(3, cfg.n_observed), cfg)
+    w = completion_weights(cfg)
     assert w.tolist() == [1.0]
 
 
 def test_cell_truth_degenerate_mixture(desk8):
     cfg = dataclasses.replace(desk8, n_observed=desk8.n_total, n_unobserved=0)
     cell = CellKey.from_id(777, cfg.n_observed)
-    rec = cell_truth(cell, cfg, V)
+    rec = informer_table(cfg, V)[cell.id]
     profile = FullProfile(cell.bits)
     assert rec.true_f == pytest.approx(true_benefit_profile(profile, cfg, V), abs=1e-12)
     e = exact_experimental(profile, cfg)
@@ -160,10 +159,11 @@ def test_cell_truth_degenerate_mixture(desk8):
 
 def test_cell_truth_mixture_linearity(desk8):
     v = V
+    table = informer_table(desk8, v)
+    w = completion_weights(desk8)
     for cid in (0, 100, 255):
         cell = CellKey.from_id(cid, 8)
-        rec = cell_truth(cell, desk8, v)
-        w = completion_weights(cell, desk8)
+        rec = table[cell.id]
         mixed = 0.0
         for j in range(len(w)):
             latent = tuple((j >> i) & 1 for i in range(desk8.n_unobserved))
@@ -178,10 +178,11 @@ def test_cell_truth_mixes_distributions_not_bounds(desk4):
     from unitselect.bounds import benefit_bounds
 
     diffs = []
+    table = informer_table(desk4, V)
+    w = completion_weights(desk4)
     for cid in range(16):
         cell = CellKey.from_id(cid, 4)
-        rec = cell_truth(cell, desk4, V)
-        w = completion_weights(cell, desk4)
+        rec = table[cell.id]
         mixed_lower = 0.0
         for j in range(len(w)):
             latent = tuple((j >> i) & 1 for i in range(desk4.n_unobserved))
@@ -233,10 +234,6 @@ def test_informer_table_size_guard():
 def test_profile_length_checks(desk8):
     with pytest.raises(ConfigError):
         exact_experimental(FullProfile((0, 1)), desk8)
-    with pytest.raises(ConfigError):
-        cell_truth(CellKey((0, 1)), desk8, V)
-    with pytest.raises(ConfigError):
-        completion_weights(CellKey((0, 1)), desk8)
 
 
 def test_informer_csv_roundtrip(tmp_path, desk4):
@@ -265,26 +262,6 @@ def test_informer_csv_rejects_partial_table_without_width(tmp_path, desk4):
     with pytest.raises(ValueError):
         read_informer_csv(path)
     assert len(read_informer_csv(path, 4)) == 10
-
-
-def _record_bits(rec):
-    return (rec.cell.bits, struct.pack(
-        "<9d", rec.exp.p_y_do_x, rec.exp.p_y_do_xp, rec.obs.p_xy, rec.obs.p_xyp,
-        rec.obs.p_xpy, rec.obs.p_xpyp, rec.true_f, rec.true_lower, rec.true_upper,
-    ))
-
-
-def test_cell_truth_matches_the_table_bit_for_bit(desk8):
-    table = informer_table(desk8, V)
-    for cid in range(256):
-        rec = cell_truth(CellKey.from_id(cid, 8), desk8, V)
-        assert _record_bits(rec) == _record_bits(table[cid])
-    # a cell space of two blocks: cells on both sides of the boundary
-    cfg = random_config(12, 2, seed=3)
-    table = informer_table(cfg, V)
-    for cid in (0, 2047, 2048, 3000, 4095):
-        rec = cell_truth(CellKey.from_id(cid, 12), cfg, V)
-        assert _record_bits(rec) == _record_bits(table[cid])
 
 
 def test_informer_table_is_a_sequence_of_records(desk4):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -13,7 +14,6 @@ from unitselect.model import (
     ConfigError,
     ExogenousAssignment,
     FullProfile,
-    ResponseType,
     ScmConfig,
     cell_bits,
     cell_ids,
@@ -23,7 +23,6 @@ from unitselect.model import (
     eval_y,
     m_value,
     random_config,
-    response_type,
 )
 
 
@@ -49,7 +48,7 @@ def test_default_config_is_cached(appendix):
 
 
 def test_config_validation():
-    base = default_config().to_dict()
+    base = dataclasses.asdict(default_config())
     bad = dict(base, bern_ux=1.5)
     with pytest.raises(ConfigError):
         ScmConfig.from_dict(bad)
@@ -62,6 +61,33 @@ def test_config_validation():
     bad = dict(base, bern_z=[2.0] + list(base["bern_z"][1:]))
     with pytest.raises(ConfigError):
         ScmConfig.from_dict(bad)
+    with pytest.raises(ConfigError, match="missing key 'bern_uy'"):
+        ScmConfig.from_dict({k: v for k, v in base.items() if k != "bern_uy"})
+    without_default = {k: v for k, v in base.items() if k != "experiment_assign_prob"}
+    assert ScmConfig.from_dict(without_default).experiment_assign_prob == 0.5
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda d: [], lambda d: dict(d, weights_x=5), lambda d: dict(d, n_observed=None)],
+    ids=["not-an-object", "scalar-weights", "null-width"],
+)
+def test_config_of_the_wrong_type_is_a_config_error(change):
+    with pytest.raises(ConfigError):
+        ScmConfig.from_dict(change(dataclasses.asdict(default_config())))
+
+
+def test_config_bytes_are_pinned(tmp_path, appendix):
+    # The appendix fingerprint that benchmarks/pipeline.py records, and the
+    # bytes of the README's desk model file.
+    assert appendix.fingerprint == (
+        "28dcb1a794e060f1bb046d11421ea1fdd0debcb877fea8e5e6c7cc270bd2fd5f"
+    )
+    path = tmp_path / "desk.json"
+    random_config(4, 2, seed=370).dump(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "6279b8841b745c011c749269abbaa1e76d2d389ab34e1867da96ce676c569790"
+    )
 
 
 def test_config_file_roundtrip(tmp_path, appendix):
@@ -73,8 +99,8 @@ def test_config_file_roundtrip(tmp_path, appendix):
 def test_fingerprint_ignores_file_formatting(tmp_path, appendix):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    a.write_text(json.dumps(appendix.to_dict(), indent=4))
-    b.write_text(json.dumps(appendix.to_dict(), separators=(",", ":")))
+    a.write_text(json.dumps(dataclasses.asdict(appendix), indent=4))
+    b.write_text(json.dumps(dataclasses.asdict(appendix), separators=(",", ":")))
     assert ScmConfig.load(a).fingerprint == ScmConfig.load(b).fingerprint
     other = random_config(15, 5, seed=1)
     assert other.fingerprint != appendix.fingerprint
@@ -208,15 +234,6 @@ def test_counterfactual_pair_examples(appendix):
     assert counterfactual_pair(FullProfile((1,)), 1, cfg_half) == (1, 0)
     cfg_neg = dataclasses.replace(cfg, weights_y=(-2.0,))
     assert counterfactual_pair(FullProfile((1,)), 0, cfg_neg) == (0, 0)
-
-
-def test_response_type_partition():
-    assert response_type((0, 1)) is ResponseType.COMPLIER
-    assert response_type((1, 1)) is ResponseType.ALWAYS_TAKER
-    assert response_type((0, 0)) is ResponseType.NEVER_TAKER
-    assert response_type((1, 0)) is ResponseType.DEFIER
-    seen = {response_type((a, b)) for a in (0, 1) for b in (0, 1)}
-    assert seen == set(ResponseType)
 
 
 def test_structural_consistency(desk8):
