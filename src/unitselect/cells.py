@@ -1,10 +1,14 @@
-"""Per-cell aggregation of finite samples and bound-label construction.
+"""Per-cell counts of finite samples and bound-label construction.
 
-Counting is plain tallying, estimates are raw frequentist ratios (no
-smoothing), and a cell earns labels only when both regimes observed it at
-least ``threshold`` times, both experimental arms are populated, and the
-estimated interval is consistent.  Everything else lands in a drop log with a
-reason code.
+``aggregate`` counts one regime's samples into a dense
+``(2**n_observed, 4)`` int64 table: one row per cell id, one column per
+``x*2 + y``, so a row holds the counts of (x', y'), (x', y), (x, y') and
+(x, y).  It returns a map from the id of each cell seen to that cell's row,
+a view of the table.  Estimates are raw frequentist ratios (no smoothing),
+and a cell earns labels only when both regimes observed it at least
+``threshold`` times, both experimental arms are populated, and the estimated
+interval is consistent.  Everything else lands in a drop log with a reason
+code.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from .bounds import (
     benefit_bounds_array,
     value_range,
 )
-from .datagen import REGIMES
-from .model import CellKey, cell_bits, cell_ids
+from .datagen import REGIMES, SHARD_SIZE
+from .model import CellKey, cell_bits, cell_ids, check_cell_space
 from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -32,7 +36,6 @@ __all__ = [
     "BELOW_THRESHOLD",
     "ZERO_ARM",
     "INCONSISTENT",
-    "CellCounts",
     "LabeledCell",
     "DroppedCell",
     "LabelTable",
@@ -55,34 +58,9 @@ BELOW_THRESHOLD = "BELOW_THRESHOLD"
 ZERO_ARM = "ZERO_ARM"
 INCONSISTENT = "INCONSISTENT"
 
-# aggregate packs each row as id * 4 + x * 2 + y, which must fit in an int64.
-_MAX_OBSERVED = 61
-
 
 class IneligibleCellError(ValueError):
     """A cell's counts cannot support a frequentist estimate."""
-
-
-@dataclass
-class CellCounts:
-    """Tallies for one cell, across both regimes."""
-
-    exp_treated: int = 0
-    exp_treated_y1: int = 0
-    exp_control: int = 0
-    exp_control_y1: int = 0
-    obs_xy: int = 0
-    obs_xyp: int = 0
-    obs_xpy: int = 0
-    obs_xpyp: int = 0
-
-    @property
-    def n_exp(self) -> int:
-        return self.exp_treated + self.exp_control
-
-    @property
-    def n_obs(self) -> int:
-        return self.obs_xy + self.obs_xyp + self.obs_xpy + self.obs_xpyp
 
 
 @dataclass(frozen=True)
@@ -153,72 +131,88 @@ class SplitSpec:
             raise ValueError("test_fraction must lie in (0, 1)")
 
 
+def _table_of(counts: Mapping[int, np.ndarray]) -> np.ndarray | None:
+    """The (2**k, 4) int64 table whose rows a count map holds; None if empty."""
+    if not counts:
+        return None
+    table = getattr(next(iter(counts.values())), "base", None)
+    if not (
+        isinstance(table, np.ndarray)
+        and table.dtype == np.int64
+        and table.shape == (1 << (table.size // 4 - 1).bit_length(), 4)
+    ):
+        raise ValueError("a count map's rows must be views of the table aggregate made")
+    return table
+
+
 def aggregate(
     samples: np.ndarray,
     regime: str,
-    into: dict[CellKey, CellCounts] | None = None,
-) -> dict[CellKey, CellCounts]:
-    """Tally samples into per-cell counts for one regime.
+    into: dict[int, np.ndarray] | None = None,
+) -> dict[int, np.ndarray]:
+    """Count one regime's samples per cell.
 
     ``samples`` is a (n, n_observed+2) array of 0/1 values as produced by
-    datagen; any other value raises ValueError.  Pass ``into`` to merge
-    across shards; the merge is plain addition, so shard order never
-    matters.  A cell already in ``into`` keeps its key object; a key is built
-    only for a cell seen for the first time.
+    datagen; any other value raises ValueError, and more than ``MAX_CELLS``
+    cells raise CellSpaceTooLarge.  The result maps the id of each cell seen
+    to its row of one (2**n_observed, 4) int64 table, whose column
+    ``x*2 + y`` counts the rows with that x and y.  Pass a returned map as
+    ``into`` to merge across shards: its table is added to, and a key is
+    inserted only for a cell seen for the first time.  An ``into`` of another
+    width, or whose rows are not views of such a table, raises ValueError;
+    a refused call changes nothing.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if not isinstance(samples, np.ndarray) or samples.ndim != 2 or samples.shape[1] < 3:
         raise ValueError("samples must be a (n, n_observed+2) array")
     n_observed = samples.shape[1] - 2
-    if n_observed > _MAX_OBSERVED:
-        raise ValueError(f"at most {_MAX_OBSERVED} observed bits can be counted")
-    if not ((samples == 0) | (samples == 1)).all():
-        raise ValueError("samples must hold only 0/1 values")
+    n_cells = check_cell_space(n_observed)
     out = {} if into is None else into
-
-    xy = samples[:, -2].astype(np.int64) * 2 + samples[:, -1].astype(np.int64)
-    codes, hits = np.unique(cell_ids(samples[:, :n_observed]) * 4 + xy, return_counts=True)
-    ids, cell_of_code = np.unique(codes >> 2, return_inverse=True)
-    tallies = np.zeros((len(ids), 4), dtype=np.int64)
-    tallies[cell_of_code, codes & 3] = hits
-    counts_by_bits = {key.bits: counts for key, counts in out.items()}
-    keys = map(tuple, cell_bits(ids, n_observed).tolist())
-    for bits, (c00, c01, c10, c11) in zip(keys, tallies.tolist()):
-        counts = counts_by_bits.get(bits)
-        if counts is None:
-            counts = out[CellKey(bits)] = CellCounts()
-        if regime == "experimental":
-            counts.exp_treated += c10 + c11
-            counts.exp_treated_y1 += c11
-            counts.exp_control += c00 + c01
-            counts.exp_control_y1 += c01
-        else:
-            counts.obs_xy += c11
-            counts.obs_xyp += c10
-            counts.obs_xpy += c01
-            counts.obs_xpyp += c00
+    table = _table_of(out)
+    if table is None:
+        table = np.zeros((n_cells, 4), dtype=np.int64)
+    elif len(table) != n_cells:
+        raise ValueError(f"into counts cells of another width than {n_observed} bits")
+    # In chunks, so the temporaries stay small; all are checked before any is
+    # counted.  For integers the range decides, about 10 times faster.
+    chunks = [samples[start : start + SHARD_SIZE] for start in range(0, len(samples), SHARD_SIZE)]
+    if samples.dtype.kind in "biu":
+        binary = all(chunk.min() >= 0 and chunk.max() <= 1 for chunk in chunks)
+    else:
+        binary = all(((chunk == 0) | (chunk == 1)).all() for chunk in chunks)
+    if not binary:
+        raise ValueError("samples must hold only 0/1 values")
+    unseen = ~table.any(axis=1)
+    # y is bit 0 of a row's code, x bit 1 and the cell id the bits above.
+    code_bits = [n_observed + 1, n_observed, *range(n_observed)]
+    for chunk in chunks:
+        table += np.bincount(cell_ids(chunk[:, code_bits]), minlength=4 * n_cells).reshape(-1, 4)
+    new = np.flatnonzero(unseen & table.any(axis=1)).tolist()
+    out.update(zip(new, map(table.__getitem__, new)))
     return out
 
 
-def estimate(counts: CellCounts) -> tuple[ExperimentalDistribution, ObservationalJoint]:
-    """Frequentist ratios for one cell; raises when an arm is empty."""
-    if counts.exp_treated == 0 or counts.exp_control == 0:
+def _arms(exp: np.ndarray, obs: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """From count rows, or arrays of them: (treated, treated_y1, control,
+    control_y1) and the observational counts in ``ObservationalJoint`` order."""
+    arms = (exp[..., 2] + exp[..., 3], exp[..., 3], exp[..., 0] + exp[..., 1], exp[..., 1])
+    return arms, obs[..., ::-1]
+
+
+def estimate(
+    exp_row: np.ndarray, obs_row: np.ndarray
+) -> tuple[ExperimentalDistribution, ObservationalJoint]:
+    """Frequentist ratios for one cell from its experimental and
+    observational count rows; raises when an arm is empty."""
+    arms, obs = _arms(np.asarray(exp_row), np.asarray(obs_row))
+    treated, treated_y1, control, control_y1 = arms
+    if treated == 0 or control == 0:
         raise IneligibleCellError("empty experimental arm")
-    if counts.n_obs == 0:
+    if obs.sum() == 0:
         raise IneligibleCellError("no observational samples")
-    exp = ExperimentalDistribution(
-        p_y_do_x=counts.exp_treated_y1 / counts.exp_treated,
-        p_y_do_xp=counts.exp_control_y1 / counts.exp_control,
-    )
-    n = counts.n_obs
-    obs = ObservationalJoint(
-        p_xy=counts.obs_xy / n,
-        p_xyp=counts.obs_xyp / n,
-        p_xpy=counts.obs_xpy / n,
-        p_xpyp=counts.obs_xpyp / n,
-    )
-    return exp, obs
+    exp = ExperimentalDistribution(float(treated_y1 / treated), float(control_y1 / control))
+    return exp, ObservationalJoint(*(obs / obs.sum()).tolist())
 
 
 def _clamp(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -229,47 +223,38 @@ def _clamp(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def build_labels(
-    exp_map: Mapping[CellKey, CellCounts],
-    obs_map: Mapping[CellKey, CellCounts],
+    exp_map: Mapping[int, np.ndarray],
+    obs_map: Mapping[int, np.ndarray],
     v: BenefitVector,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> tuple[LabelTable, DropTable]:
     """Bound labels for every eligible cell, plus the drop log.
 
-    A cell is eligible when it was seen at least ``threshold`` times in each
-    regime.  Cells seen in neither map appear in neither table, and every
-    cell must have the same width.  Both tables are in ascending id order.
-    The estimates and bounds are those of ``estimate`` and
-    ``benefit_bounds``, computed for all cells at once.
+    The maps are ``aggregate``'s, one per regime; the width is that of
+    their tables, which must agree.  A cell is eligible when it was seen at
+    least ``threshold`` times in each regime.  Cells seen in neither map
+    appear in neither table, and both tables are in ascending id order.  The
+    estimates and bounds are those of ``estimate`` and ``benefit_bounds``,
+    computed for all cells at once.
     """
-    keys = list(set(exp_map) | set(obs_map))
-    n_observed = len(keys[0].bits) if keys else 0
-    if any(len(k.bits) != n_observed for k in keys):
+    tables = [_table_of(m) for m in (exp_map, obs_map)]
+    widths = {len(t) for t in tables if t is not None}
+    if len(widths) > 1:
         raise ValueError("cells of different widths cannot share a label table")
-    bits = np.array([k.bits for k in keys], dtype=np.uint8).reshape(len(keys), n_observed)
-    order = np.argsort(cell_ids(bits))
-    keys = [keys[i] for i in order.tolist()]
-    ids = cell_ids(bits[order])
-    empty = CellCounts()
-    counts = np.array(
-        [
-            (e.exp_treated, e.exp_treated_y1, e.exp_control, e.exp_control_y1)
-            + (o.obs_xy, o.obs_xyp, o.obs_xpy, o.obs_xpyp)
-            for e, o in ((exp_map.get(k, empty), obs_map.get(k, empty)) for k in keys)
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 8)
-    treated, treated_y1, control, control_y1 = counts[:, :4].T
+    n_observed = max(widths, default=1).bit_length() - 1
+    ids = np.union1d(*(np.fromiter(m, np.int64, len(m)) for m in (exp_map, obs_map)))
+    exp, obs = (np.zeros((len(ids), 4), np.int64) if t is None else t[ids] for t in tables)
+    (treated, treated_y1, control, control_y1), obs = _arms(exp, obs)
     n_exp = treated + control
-    n_obs = counts[:, 4:].sum(axis=1)
+    n_obs = obs.sum(axis=1)
 
-    reason = np.full(len(keys), "", dtype=object)
+    reason = np.full(len(ids), "", dtype=object)
     below = (n_exp < threshold) | (n_obs < threshold)
     reason[below] = BELOW_THRESHOLD
     reason[~below & ((treated == 0) | (control == 0) | (n_obs == 0))] = ZERO_ARM
     est = np.flatnonzero(reason == "")
     exp = np.stack([treated_y1[est] / treated[est], control_y1[est] / control[est]], axis=1)
-    obs = counts[est, 4:] / n_obs[est, None]
+    obs = obs[est] / n_obs[est, None]
     lower, upper, consistent = benefit_bounds_array(v, exp, obs)
     reason[est[~consistent]] = INCONSISTENT
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cells, datagen, informer, learner
 from .bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector
-from .model import ScmConfig, cell_bits
+from .model import ScmConfig, cell_bits, check_cell_space
 from .tables import atomic_write, write_cell_csv
 
 __all__ = ["main"]
@@ -66,6 +66,7 @@ def _cmd_informer(args: argparse.Namespace) -> int:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     config = ScmConfig.load(args.config)
+    check_cell_space(config.n_observed)  # before reading either dataset
     spec = cells.SplitSpec(test_fraction=args.test_fraction, seed=args.seed)
     _check_dataset(args.exp, config, "experimental")
     _check_dataset(args.obs, config, "observational")

@@ -37,6 +37,7 @@ from .model import (
     FullProfile,
     ScmConfig,
     cell_bits,
+    check_cell_space,
     counterfactual_pair,
     eval_x,
     eval_y,
@@ -45,7 +46,6 @@ from .model import m_value as _m_value
 from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
-    "CellSpaceTooLarge",
     "InformerRecord",
     "InformerTable",
     "exact_experimental",
@@ -58,9 +58,6 @@ __all__ = [
     "read_informer_csv",
 ]
 
-# informer_table refuses cell spaces larger than this.
-MAX_CELLS = 1 << 24
-
 # The exp and obs columns are in the field order of their classes.
 INFORMER_HEADER = (
     ["cell_id"]
@@ -71,10 +68,6 @@ INFORMER_HEADER = (
 # Cells per _cell_block call.  The mixing matmul may sum in an order that
 # depends on the block's shape, so the table's bits are those of this size.
 _CHUNK_CELLS = 2048
-
-
-class CellSpaceTooLarge(ValueError):
-    """The observed cell space exceeds the enumeration guard."""
 
 
 @dataclass(frozen=True)
@@ -303,11 +296,7 @@ def _cell_block(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> Informe
 
 def informer_table(config: ScmConfig, v: BenefitVector) -> InformerTable:
     """Exact truth for every cell, in ascending cell-id order."""
-    n_cells = 1 << config.n_observed
-    if n_cells > MAX_CELLS:
-        raise CellSpaceTooLarge(
-            f"2**{config.n_observed} cells exceeds the guard of {MAX_CELLS}"
-        )
+    n_cells = check_cell_space(config.n_observed)
     blocks = [
         _cell_block(np.arange(start, min(start + _CHUNK_CELLS, n_cells)), config, v)
         for start in range(0, n_cells, _CHUNK_CELLS)

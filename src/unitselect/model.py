@@ -22,6 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_CELLS",
+    "CellSpaceTooLarge",
+    "check_cell_space",
     "ConfigError",
     "ScmConfig",
     "FullProfile",
@@ -38,8 +41,24 @@ __all__ = [
 ]
 
 
+# The largest cell space: informer_table enumerates it, aggregate counts into it.
+MAX_CELLS = 1 << 24
+
+
 class ConfigError(ValueError):
     """A model configuration or profile violates its invariants."""
+
+
+class CellSpaceTooLarge(ValueError):
+    """The observed cell space exceeds the per-cell table guard."""
+
+
+def check_cell_space(n_observed: int) -> int:
+    """2**n_observed cells, or CellSpaceTooLarge when that exceeds MAX_CELLS."""
+    n_cells = 1 << n_observed
+    if n_cells > MAX_CELLS:
+        raise CellSpaceTooLarge(f"2**{n_observed} cells exceeds the guard of {MAX_CELLS}")
+    return n_cells
 
 
 def _as_prob(value: float, name: str) -> float:
@@ -107,7 +126,8 @@ class ScmConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScmConfig":
         """Build a config from parsed JSON: one key per field, where only
-        fields with a default may be left out and unknown keys are ignored."""
+        fields with a default may be left out and unknown keys are ignored.
+        Both widths must be JSON integers."""
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         try:
@@ -117,7 +137,8 @@ class ScmConfig:
                 if f.default is MISSING or f.name in data
             }
             for name in ("n_observed", "n_unobserved"):
-                kwargs[name] = int(kwargs[name])
+                if type(kwargs[name]) is not int:  # refuses 15.7, true and "15"
+                    raise ConfigError(f"{name} must be an integer, got {kwargs[name]!r}")
             return cls(**kwargs)
         except KeyError as exc:
             raise ConfigError(f"config is missing key {exc.args[0]!r}") from exc
@@ -211,10 +232,12 @@ class CellKey:
 def cell_ids(bits: np.ndarray) -> np.ndarray:
     """Int64 ids of the rows of a (k, n) 0/1 array, encoded as ``CellKey.id``:
     column 0 is the least-significant bit.  Bits are not checked."""
-    ids = np.zeros(len(bits), dtype=np.int64)
+    # Built in the narrowest unsigned type that holds them: less memory to move.
+    dtype = np.min_scalar_type((1 << min(bits.shape[1], 64)) - 1)
+    ids = np.zeros(len(bits), dtype=dtype)
     for i in range(bits.shape[1]):
-        ids |= bits[:, i].astype(np.int64) << i
-    return ids
+        ids |= bits[:, i].astype(dtype) << i
+    return ids.astype(np.int64)
 
 
 def cell_bits(ids: np.ndarray, n_bits: int) -> np.ndarray:

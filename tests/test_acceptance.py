@@ -120,15 +120,17 @@ def test_criterion_4_monte_carlo_convergence(desk4):
     checks = 0
     hits = 0
     for rec in informer_table(desk4, V):
-        ce = exp_map[rec.cell]
-        co = obs_map[rec.cell]
+        # count rows by x*2 + y: (x'y', x'y, xy', xy)
+        ce = exp_map[rec.cell.id]
+        co = obs_map[rec.cell.id]
+        treated, control, n_obs = ce[2] + ce[3], ce[0] + ce[1], co.sum()
         quantities = [
-            (ce.exp_treated_y1 / ce.exp_treated, rec.exp.p_y_do_x, ce.exp_treated),
-            (ce.exp_control_y1 / ce.exp_control, rec.exp.p_y_do_xp, ce.exp_control),
-            (co.obs_xy / co.n_obs, rec.obs.p_xy, co.n_obs),
-            (co.obs_xyp / co.n_obs, rec.obs.p_xyp, co.n_obs),
-            (co.obs_xpy / co.n_obs, rec.obs.p_xpy, co.n_obs),
-            (co.obs_xpyp / co.n_obs, rec.obs.p_xpyp, co.n_obs),
+            (ce[3] / treated, rec.exp.p_y_do_x, treated),
+            (ce[1] / control, rec.exp.p_y_do_xp, control),
+            (co[3] / n_obs, rec.obs.p_xy, n_obs),
+            (co[2] / n_obs, rec.obs.p_xyp, n_obs),
+            (co[1] / n_obs, rec.obs.p_xpy, n_obs),
+            (co[0] / n_obs, rec.obs.p_xpyp, n_obs),
         ]
         for est, p, n_arm in quantities:
             checks += 1

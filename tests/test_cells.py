@@ -1,11 +1,12 @@
 import csv
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from unitselect import cells
+from unitselect import model
 from unitselect.bounds import (
     DEFAULT_BENEFIT_VECTOR,
     BenefitVector,
@@ -16,7 +17,6 @@ from unitselect.cells import (
     BELOW_THRESHOLD,
     INCONSISTENT,
     ZERO_ARM,
-    CellCounts,
     DroppedCell,
     DropTable,
     IneligibleCellError,
@@ -31,9 +31,9 @@ from unitselect.cells import (
     write_drops_csv,
     write_labels_csv,
 )
-from unitselect.datagen import generate_array
+from unitselect.datagen import REGIMES, generate_array
 from unitselect.informer import informer_table
-from unitselect.model import CellKey
+from unitselect.model import CellKey, CellSpaceTooLarge
 
 
 def _cell(bits):
@@ -51,29 +51,45 @@ def _rows(*rows):
     return np.array(rows, dtype=np.uint8)
 
 
-def _tally_rows(arr, regime):
-    """Row-at-a-time reference count of a sample array."""
+def _tally_rows(arr):
+    """Row-at-a-time reference count of a sample array: each cell id's
+    counts of (x'y', x'y, xy', xy), the column order x*2 + y."""
     n_obs = arr.shape[1] - 2
     out = {}
     for row in arr.tolist():
-        counts = out.setdefault(_cell(row[:n_obs]), CellCounts())
+        counts = out.setdefault(_cell(row[:n_obs]).id, [0, 0, 0, 0])
         x, y = row[n_obs], row[n_obs + 1]
-        if regime == "experimental":
-            if x:
-                counts.exp_treated += 1
-                counts.exp_treated_y1 += y
-            else:
-                counts.exp_control += 1
-                counts.exp_control_y1 += y
-        elif x and y:
-            counts.obs_xy += 1
+        if x and y:
+            counts[3] += 1
         elif x:
-            counts.obs_xyp += 1
+            counts[2] += 1
         elif y:
-            counts.obs_xpy += 1
+            counts[1] += 1
         else:
-            counts.obs_xpyp += 1
+            counts[0] += 1
     return out
+
+
+def _as_lists(count_map):
+    return {cid: row.tolist() for cid, row in count_map.items()}
+
+
+def _exp_row(n_treated, n_t_y1, n_control, n_c_y1):
+    """An experimental count row: x is the assigned arm."""
+    return (n_control - n_c_y1, n_c_y1, n_treated - n_t_y1, n_t_y1)
+
+
+def _obs_row(xy, xyp, xpy, xpyp):
+    return (xpyp, xpy, xyp, xy)
+
+
+def _count_map(rows, n_observed=1):
+    """A map as ``aggregate`` returns it: each id's row is a view of one
+    table of ``n_observed`` bits."""
+    table = np.zeros((1 << n_observed, 4), dtype=np.int64)
+    for cid, row in rows.items():
+        table[cid] = row
+    return {cid: table[cid] for cid in rows}
 
 
 def test_aggregate_empty():
@@ -83,13 +99,9 @@ def test_aggregate_empty():
 
 def test_aggregate_three_identical_treated():
     counts = aggregate(_rows(*[(1, 0, 1, 1, 1)] * 3), "experimental")
-    assert set(counts) == {_cell((1, 0, 1))}
-    c = counts[_cell((1, 0, 1))]
-    assert c.exp_treated == 3
-    assert c.exp_treated_y1 == 3
-    assert c.exp_control == 0
-    assert c.n_exp == 3
-    assert c.n_obs == 0
+    # three treated rows with y = 1, all in column x*2 + y = 3
+    assert _as_lists(counts) == {_cell((1, 0, 1)).id: [0, 0, 0, 3]}
+    assert counts[5].base.shape == (8, 4)
 
 
 def test_aggregate_observational_quadrants():
@@ -100,23 +112,24 @@ def test_aggregate_observational_quadrants():
         (0, 0, 0, 0),
         (0, 0, 0, 0),
     )
-    c = aggregate(rows, "observational")[_cell((0, 0))]
-    assert (c.obs_xy, c.obs_xyp, c.obs_xpy, c.obs_xpyp) == (1, 1, 1, 2)
-    assert c.n_obs == 5
-    assert c.n_exp == 0
+    counts = aggregate(rows, "observational")
+    assert _as_lists(counts) == {0: list(_obs_row(1, 1, 1, 2))}
 
 
 def test_aggregate_array_matches_row_tally(desk4):
     arr = generate_array(desk4, "observational", 20_000, seed=31)
     fast = aggregate(arr, "observational")
-    assert fast == _tally_rows(arr, "observational")
+    assert _as_lists(fast) == _tally_rows(arr)
     # conservation: tallies account for every sample
-    assert sum(c.n_obs for c in fast.values()) == 20_000
+    assert sum(row.sum() for row in fast.values()) == 20_000
 
     arr = generate_array(desk4, "experimental", 20_000, seed=32)
     fast = aggregate(arr, "experimental")
-    assert fast == _tally_rows(arr, "experimental")
-    assert sum(c.n_exp for c in fast.values()) == 20_000
+    assert _as_lists(fast) == _tally_rows(arr)
+    assert sum(row.sum() for row in fast.values()) == 20_000
+    # 0/1 values of any numeric dtype count the same
+    for dtype in (bool, np.int8, np.float64):
+        assert _as_lists(aggregate(arr.astype(dtype), "experimental")) == _as_lists(fast)
 
 
 def test_aggregate_merges_blocks(desk4):
@@ -124,71 +137,85 @@ def test_aggregate_merges_blocks(desk4):
     whole = aggregate(arr, "experimental")
     merged = aggregate(arr[:2000], "experimental")
     merged = aggregate(arr[2000:], "experimental", into=merged)
-    assert merged == whole
+    assert _as_lists(merged) == _as_lists(whole)
 
 
-def test_aggregate_shards_into_one_map(desk4, monkeypatch):
-    built = []
-
-    def counting_key(bits):
-        built.append(bits)
-        return CellKey(bits)
-
-    monkeypatch.setattr(cells, "CellKey", counting_key)
-    exp = generate_array(desk4, "experimental", 12_000, seed=34)
-    obs = generate_array(desk4, "observational", 12_000, seed=35)
-    whole_exp = aggregate(exp, "experimental")
-    whole_obs = aggregate(obs, "observational")
-    shards = (0, 1500, 1501, 5000, 9000, 12_000)
-    exp_map, obs_map, first_keys = {}, {}, None
-    for lo, hi in zip(shards, shards[1:]):
-        assert aggregate(exp[lo:hi], "experimental", into=exp_map) is exp_map
-        assert aggregate(obs[lo:hi], "observational", into=obs_map) is obs_map
-        if first_keys is None:
-            first_keys = {key.bits: key for key in exp_map}
-    assert exp_map == whole_exp and obs_map == whole_obs
-    # one key built per cell and map, not one per cell and shard
-    assert len(built) == 2 * len(whole_exp) + 2 * len(whole_obs)
-    # later shards count into the key objects already in the map
-    assert first_keys
-    for key in exp_map:
-        if key.bits in first_keys:
-            assert key is first_keys[key.bits]
-    labels = build_labels(exp_map, obs_map, DEFAULT_BENEFIT_VECTOR, threshold=200)
-    assert labels[0]
-    assert labels == build_labels(whole_exp, whole_obs, DEFAULT_BENEFIT_VECTOR, threshold=200)
+def test_aggregate_shards_into_one_map():
+    # 22 observed bits: 4M cells, a 128 MiB table per regime; each width's
+    # tables are freed before the next are made
+    v = DEFAULT_BENEFIT_VECTOR
+    for n_observed in (1, 4, 16, 22):
+        rng = np.random.default_rng(n_observed)
+        n = 5000
+        arr = rng.integers(0, 2, (n, n_observed + 2), dtype=np.uint8)
+        arr[1000:1500, :n_observed] = arr[0, :n_observed]  # one cell seen many times
+        cuts = [0, *sorted(rng.choice(np.arange(1, n), 4, replace=False).tolist()), n]
+        whole = [aggregate(arr, regime) for regime in REGIMES]
+        expect = build_labels(*whole, v, threshold=5)
+        del whole
+        maps = []
+        for regime in REGIMES:
+            merged, first = {}, None
+            for lo, hi in zip(cuts, cuts[1:]):
+                assert aggregate(arr[lo:hi], regime, into=merged) is merged
+                first = first or dict(merged)
+            assert _as_lists(merged) == _tally_rows(arr)
+            # later shards count into the rows already in the map, all views
+            # of one table
+            assert all(merged[cid] is row for cid, row in first.items())
+            assert len({id(row.base) for row in merged.values()}) == 1
+            maps.append(merged)
+        labels = build_labels(*maps, v, threshold=5)
+        assert len(labels[0]) >= 1
+        assert labels == expect
+        del maps
 
 
 def test_aggregate_into_map_of_another_width(desk4):
-    # 3- and 4-bit keys share ids (4-bit cell 5 and 3-bit cell 5) but are
-    # different cells; neither width's counts leak into the other's.
+    # 3- and 4-bit cells share ids (4-bit cell 5 and 3-bit cell 5) but are
+    # different cells: counting one width into the other's map is refused,
+    # and the refused call counts nothing.
     narrow = (np.random.default_rng(3).random((400, 5)) < 0.5).astype(np.uint8)
     wide = generate_array(desk4, "experimental", 3000, seed=36)
-    narrow_only = aggregate(narrow, "experimental")
-    wide_only = aggregate(wide, "experimental")
-    merged = aggregate(wide, "experimental", into=aggregate(narrow, "experimental"))
-    assert len(merged) == len(narrow_only) + len(wide_only)
-    assert {k: c for k, c in merged.items() if len(k.bits) == 3} == narrow_only
-    assert {k: c for k, c in merged.items() if len(k.bits) == 4} == wide_only
-    assert {k.id for k in narrow_only} & {k.id for k in wide_only}
+    narrow_map = aggregate(narrow, "experimental")
+    before = _as_lists(narrow_map)
+    with pytest.raises(ValueError, match="another width"):
+        aggregate(wide, "experimental", into=narrow_map)
+    assert _as_lists(narrow_map) == before
+    wide_map = aggregate(wide, "experimental")
+    with pytest.raises(ValueError, match="different widths"):
+        build_labels(wide_map, narrow_map, DEFAULT_BENEFIT_VECTOR, 10)
 
 
-def test_aggregate_wide_rows():
-    # 22 observed bits: 4M cells, wider than any dense per-cell table needs
-    rng = np.random.default_rng(22)
-    arr = (rng.random((3000, 24)) < 0.5).astype(np.uint8)
-    arr[1000:1500] = arr[0]  # one cell seen many times
-    for regime in ("experimental", "observational"):
-        whole = aggregate(arr, regime)
-        assert whole == _tally_rows(arr, regime)
-        merged = aggregate(arr[:1200], regime)
-        assert aggregate(arr[1200:], regime, into=merged) is merged
-        assert merged == whole
-    # the widest countable row: 61 observed bits, the top one set
-    row = np.zeros((1, 63), dtype=np.uint8)
-    row[0, 60] = 1
-    (key,) = aggregate(row, "experimental")
-    assert key.id == 1 << 60
+@pytest.mark.parametrize(
+    "by_hand",
+    [
+        {0: np.zeros(4, dtype=np.int64)},  # a row that owns its data
+        {0: [0, 0, 0, 0]},
+        {0: np.zeros((16, 4))[0]},  # float counts
+        {0: np.zeros((12, 4), dtype=np.int64)[0]},  # not a whole cell space
+        {0: np.zeros((16, 8), dtype=np.int64)[0, :4]},  # eight columns
+    ],
+)
+def test_aggregate_refuses_a_map_built_by_hand(by_hand):
+    arr = _rows((0, 1, 0, 1, 1, 0))
+    with pytest.raises(ValueError, match="views of the table"):
+        aggregate(arr, "experimental", into=by_hand)
+    with pytest.raises(ValueError, match="views of the table"):
+        build_labels(by_hand, {}, DEFAULT_BENEFIT_VECTOR, 1)
+    made = aggregate(arr, "experimental")
+    assert aggregate(arr, "experimental", into=made)[10].tolist() == [0, 0, 2, 0]
+
+
+def test_aggregate_wide_rows(monkeypatch):
+    # past model.MAX_CELLS cells the table is refused before it is made
+    for n_observed in (25, 61, 62):
+        with pytest.raises(CellSpaceTooLarge):
+            aggregate(np.zeros((1, n_observed + 2), dtype=np.uint8), "experimental")
+    monkeypatch.setattr(model, "MAX_CELLS", 1 << 4)
+    assert aggregate(_rows((1, 1, 1, 1, 0, 1)), "observational")[15].tolist() == [0, 1, 0, 0]
+    with pytest.raises(CellSpaceTooLarge):
+        aggregate(np.zeros((1, 7), dtype=np.uint8), "experimental")
 
 
 def test_aggregate_rejects_bad_input():
@@ -199,7 +226,7 @@ def test_aggregate_rejects_bad_input():
     with pytest.raises(ValueError):
         aggregate([[0, 1, 1]], "experimental")  # not an array
     with pytest.raises(ValueError):
-        # 62 observed bits: id * 4 + x * 2 + y would overflow an int64
+        # 62 observed bits: past the cell-space guard
         aggregate(np.zeros((1, 64), dtype=np.uint8), "experimental")
 
 
@@ -217,51 +244,55 @@ def test_aggregate_rejects_non_binary(rows, regime):
         aggregate(rows, regime)
 
 
+def test_aggregate_memory_stays_per_chunk():
+    # 4M 4-bit rows (24 MB): counted a shard at a time, the temporaries stay
+    # near one shard's; whole-array counting needs several times the input.
+    arr = np.random.default_rng(4).integers(0, 2, (4_000_000, 6), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        counts = aggregate(arr, "experimental")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(row.sum() for row in counts.values()) == 4_000_000
+    assert peak < 16 * 2**20
+
+
 def test_estimate_ratios():
-    counts = CellCounts(
-        exp_treated=650,
-        exp_treated_y1=325,
-        exp_control=650,
-        exp_control_y1=65,
-        obs_xy=10,
-        obs_xyp=10,
-        obs_xpy=10,
-        obs_xpyp=10,
-    )
-    e, o = estimate(counts)
+    e, o = estimate(_exp_row(650, 325, 650, 65), _obs_row(10, 10, 10, 10))
     assert e.p_y_do_x == 0.5
     assert e.p_y_do_xp == 0.1
     assert (o.p_xy, o.p_xyp, o.p_xpy, o.p_xpyp) == (0.25, 0.25, 0.25, 0.25)
 
 
 def test_estimate_requires_both_arms_and_obs():
+    some_obs = _obs_row(5, 0, 0, 0)
     with pytest.raises(IneligibleCellError):
-        estimate(CellCounts(exp_treated=5, obs_xy=5))  # no controls
+        estimate(_exp_row(5, 0, 0, 0), some_obs)  # no controls
     with pytest.raises(IneligibleCellError):
-        estimate(CellCounts(exp_control=5, obs_xy=5))  # no treated
+        estimate(_exp_row(0, 0, 5, 0), some_obs)  # no treated
     with pytest.raises(IneligibleCellError):
-        estimate(CellCounts(exp_treated=5, exp_control=5))  # no observational
+        estimate(_exp_row(5, 0, 5, 0), (0, 0, 0, 0))  # no observational
 
 
 def _counts(n_treated, n_t_y1, n_control, n_c_y1, obs):
-    return CellCounts(
-        exp_treated=n_treated,
-        exp_treated_y1=n_t_y1,
-        exp_control=n_control,
-        exp_control_y1=n_c_y1,
-        obs_xy=obs[0],
-        obs_xyp=obs[1],
-        obs_xpy=obs[2],
-        obs_xpyp=obs[3],
-    )
+    """A cell's experimental and observational rows."""
+    return _exp_row(n_treated, n_t_y1, n_control, n_c_y1), _obs_row(*obs)
+
+
+def _maps(cells_by_id, n_observed=1):
+    """Experimental and observational maps of cells given as ``_counts``."""
+    exp = _count_map({cid: c[0] for cid, c in cells_by_id.items()}, n_observed)
+    obs = _count_map({cid: c[1] for cid, c in cells_by_id.items()}, n_observed)
+    return exp, obs
 
 
 def test_build_labels_threshold_boundary():
     v = DEFAULT_BENEFIT_VECTOR
     ok = _counts(650, 325, 650, 65, (325, 325, 325, 325))
     thin = _counts(650, 325, 649, 65, (325, 325, 325, 325))  # n_exp = 1299
-    exp_map = {_cell((0,)): ok, _cell((1,)): thin}
-    obs_map = {_cell((0,)): ok, _cell((1,)): ok}
+    exp_map = _count_map({0: ok[0], 1: thin[0]})
+    obs_map = _count_map({0: ok[1], 1: ok[1]})
     labels, drops = build_labels(exp_map, obs_map, v, threshold=1300)
     assert [lab.cell.id for lab in labels] == [0]
     assert list(drops) == [DroppedCell(_cell((1,)), BELOW_THRESHOLD, 1299, 1300)]
@@ -273,10 +304,10 @@ def test_build_labels_threshold_boundary():
 
 def test_build_labels_separate_regime_maps():
     # experimental tallies come from one map, observational from the other;
-    # counts of the opposite regime inside a map are ignored
+    # each map's rows are read as its own regime's
     v = DEFAULT_BENEFIT_VECTOR
-    exp_map = {_cell((0,)): _counts(40, 20, 40, 4, (0, 0, 0, 0))}
-    obs_map = {_cell((0,)): CellCounts(obs_xy=20, obs_xyp=20, obs_xpy=20, obs_xpyp=20)}
+    exp_map = _count_map({0: _exp_row(40, 20, 40, 4)})
+    obs_map = _count_map({0: _obs_row(20, 20, 20, 20)})
     labels, drops = build_labels(exp_map, obs_map, v, threshold=50)
     assert list(drops) == []
     assert len(labels) == 1
@@ -290,9 +321,7 @@ def test_build_labels_zero_arm_and_inconsistent():
     # e = (0.9, 0.0) with o = (0, 0.5, 0, 0.5) forces the lower PNS bound
     # (0.9) above the upper one (0.5)
     clash = _counts(10, 9, 10, 0, (0, 5, 0, 5))
-    exp_map = {_cell((0,)): zero_arm, _cell((1,)): clash}
-    obs_map = {_cell((0,)): zero_arm, _cell((1,)): clash}
-    labels, drops = build_labels(exp_map, obs_map, v, threshold=10)
+    labels, drops = build_labels(*_maps({0: zero_arm, 1: clash}), v, threshold=10)
     assert list(labels) == []
     assert list(drops) == [
         DroppedCell(_cell((0,)), ZERO_ARM, 20, 20),
@@ -302,8 +331,8 @@ def test_build_labels_zero_arm_and_inconsistent():
 
 def test_build_labels_missing_from_one_regime():
     v = DEFAULT_BENEFIT_VECTOR
-    ok = _counts(40, 20, 40, 4, (10, 10, 10, 10))
-    labels, drops = build_labels({_cell((0,)): ok}, {}, v, threshold=10)
+    exp_map = _count_map({0: _exp_row(40, 20, 40, 4)})
+    labels, drops = build_labels(exp_map, {}, v, threshold=10)
     assert list(labels) == []
     assert list(drops) == [DroppedCell(_cell((0,)), BELOW_THRESHOLD, 80, 0)]
 
@@ -312,7 +341,7 @@ def test_build_labels_within_value_range():
     v = BenefitVector(beta=1.0, gamma=-1.0, theta=-1.0, delta=-2.0)
     lo, hi = value_range(v)
     ok = _counts(100, 100, 100, 0, (50, 0, 0, 50))
-    labels, _ = build_labels({_cell((0,)): ok}, {_cell((0,)): ok}, v, threshold=10)
+    labels, _ = build_labels(*_maps({0: ok}), v, threshold=10)
     assert len(labels) == 1
     assert lo <= labels[0].lower_label <= labels[0].upper_label <= hi
 
@@ -326,25 +355,21 @@ def _scalar_labels(exp_map, obs_map, v, threshold):
     """The per-cell chain estimate -> benefit_bounds -> clamp, cell by cell."""
     lo, hi = value_range(v)
     out = {}
-    for key in set(exp_map) | set(obs_map):
-        e = exp_map.get(key, CellCounts())
-        o = obs_map.get(key, CellCounts())
-        merged = CellCounts(
-            e.exp_treated, e.exp_treated_y1, e.exp_control, e.exp_control_y1,
-            o.obs_xy, o.obs_xyp, o.obs_xpy, o.obs_xpyp,
-        )
-        if merged.n_exp < threshold or merged.n_obs < threshold:
-            out[key] = BELOW_THRESHOLD
+    for cid in set(exp_map) | set(obs_map):
+        e = exp_map.get(cid, np.zeros(4, dtype=np.int64))
+        o = obs_map.get(cid, np.zeros(4, dtype=np.int64))
+        if e.sum() < threshold or o.sum() < threshold:
+            out[cid] = BELOW_THRESHOLD
             continue
         try:
-            b = benefit_bounds(v, *estimate(merged))
+            b = benefit_bounds(v, *estimate(e, o))
         except IneligibleCellError:
-            out[key] = ZERO_ARM
+            out[cid] = ZERO_ARM
             continue
         if not b.consistent:
-            out[key] = INCONSISTENT
+            out[cid] = INCONSISTENT
         else:
-            out[key] = (min(max(b.lower, lo), hi), min(max(b.upper, lo), hi))
+            out[cid] = (min(max(b.lower, lo), hi), min(max(b.upper, lo), hi))
     return out
 
 
@@ -361,24 +386,24 @@ def _scalar_labels(exp_map, obs_map, v, threshold):
 )
 def test_build_labels_matches_scalar_chain(v):
     rng = np.random.default_rng(5)
-    exp_map, obs_map = {}, {}
+    exp_rows, obs_rows = {}, {}
     for cid in range(512):
-        key = CellKey.from_id(cid, 9)
         treated, control = (rng.integers(0, 40, 2) * (rng.random(2) < 0.9)).tolist()
         if rng.random() < 0.95:
             y1 = rng.integers(0, [treated + 1, control + 1]).tolist()
-            exp_map[key] = _counts(treated, y1[0], control, y1[1], (0, 0, 0, 0))
+            exp_rows[cid] = _exp_row(treated, y1[0], control, y1[1])
         if rng.random() < 0.95:
-            obs_map[key] = _counts(0, 0, 0, 0, rng.integers(0, 12, 4).tolist())
+            obs_rows[cid] = _obs_row(*rng.integers(0, 12, 4).tolist())
+    exp_map, obs_map = _count_map(exp_rows, 9), _count_map(obs_rows, 9)
     labels, drops = build_labels(exp_map, obs_map, v, threshold=20)
     expect = _scalar_labels(exp_map, obs_map, v, threshold=20)
-    assert sorted(c.cell.id for c in [*labels, *drops]) == sorted(c.id for c in expect)
+    assert sorted(c.cell.id for c in [*labels, *drops]) == sorted(expect)
     assert {d.reason for d in drops} == {BELOW_THRESHOLD, ZERO_ARM, INCONSISTENT}
     assert len(labels) > 20
     for d in drops:
-        assert expect[d.cell] == d.reason
+        assert expect[d.cell.id] == d.reason
     for lab in labels:
-        low, up = expect[lab.cell]
+        low, up = expect[lab.cell.id]
         assert (_f64(lab.lower_label), _f64(lab.upper_label)) == (_f64(low), _f64(up))
 
 
@@ -386,9 +411,9 @@ def test_build_labels_rejects_impossible_counts():
     v = DEFAULT_BENEFIT_VECTOR
     bad = _counts(10, 11, 10, 0, (5, 5, 5, 5))  # 11 of 10 treated had y = 1
     with pytest.raises(ValueError):
-        build_labels({_cell((0,)): bad}, {_cell((0,)): bad}, v, threshold=1)
+        build_labels(*_maps({0: bad}), v, threshold=1)
     with pytest.raises(ValueError):
-        estimate(bad)
+        estimate(*bad)
 
 
 def test_labels_match_exact_truth_with_exact_proportions(desk4):
@@ -397,23 +422,17 @@ def test_labels_match_exact_truth_with_exact_proportions(desk4):
     v = DEFAULT_BENEFIT_VECTOR
     table = informer_table(desk4, v)
     d = 10**12
-    exp_map = {}
-    obs_map = {}
+    half = d // 2
+    cells_by_id = {}
     for rec in table:
-        half = d // 2
-        exp_map[rec.cell] = CellCounts(
-            exp_treated=half,
-            exp_treated_y1=round(rec.exp.p_y_do_x * half),
-            exp_control=half,
-            exp_control_y1=round(rec.exp.p_y_do_xp * half),
-        )
-        obs_map[rec.cell] = CellCounts(
-            obs_xy=round(rec.obs.p_xy * d),
-            obs_xyp=round(rec.obs.p_xyp * d),
-            obs_xpy=round(rec.obs.p_xpy * d),
-            obs_xpyp=round(rec.obs.p_xpyp * d),
-        )
-    labels, drops = build_labels(exp_map, obs_map, v, threshold=1)
+        treated_y1 = round(rec.exp.p_y_do_x * half)
+        control_y1 = round(rec.exp.p_y_do_xp * half)
+        # columns by x*2 + y: (x'y', x'y, xy', xy)
+        exp_row = (half - control_y1, control_y1, half - treated_y1, treated_y1)
+        obs = rec.obs
+        obs_row = [round(p * d) for p in (obs.p_xpyp, obs.p_xpy, obs.p_xyp, obs.p_xy)]
+        cells_by_id[rec.cell.id] = (exp_row, obs_row)
+    labels, drops = build_labels(*_maps(cells_by_id, 4), v, threshold=1)
     assert list(drops) == []
     assert len(labels) == 16
     for lab, rec in zip(labels, table):
@@ -589,4 +608,5 @@ def test_labels_csv_keeps_split_order(tmp_path):
 def test_build_labels_refuses_mixed_widths():
     ok = _counts(40, 20, 40, 4, (10, 10, 10, 10))
     with pytest.raises(ValueError, match="different widths"):
-        build_labels({_cell((0,)): ok, _cell((0, 1)): ok}, {}, DEFAULT_BENEFIT_VECTOR, 10)
+        build_labels(_count_map({0: ok[0]}, 1), _count_map({0: ok[1]}, 2),
+                     DEFAULT_BENEFIT_VECTOR, 10)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import unitselect
+from unitselect import datagen
 from unitselect.cli import _build_parser, main
 from unitselect.informer import read_informer_csv
 from unitselect.learner import (
@@ -21,6 +23,7 @@ from unitselect.learner import (
     train,
     write_predictions_csv,
 )
+from unitselect.model import random_config
 
 
 def run(*args):
@@ -455,11 +458,34 @@ def test_simulate_bad_arguments_exit_2(ws, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_malformed_config_exits_2(tmp_path, capsys):
+def test_malformed_config_exits_2(tmp_path, capsys, desk4):
     bad = tmp_path / "bad.json"
     bad.write_text("[]")
     assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
     assert "must be a JSON object" in capsys.readouterr().err
+    # int() would load this as a 1-bit model with 5 latents
+    bad.write_text(json.dumps(dict(dataclasses.asdict(desk4), n_observed=True, n_unobserved=5)))
+    assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
+    assert "n_observed must be an integer, got True" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_label_refuses_a_cell_space_past_the_guard_before_reading(tmp_path, capsys,
+                                                                  monkeypatch):
+    config = tmp_path / "wide.json"
+    random_config(25, 0, seed=1).dump(config)
+    for kind, seed in (("experimental", 1), ("observational", 2)):
+        assert run("simulate", "--config", config, "--kind", kind, "--n", 100,
+                   "--seed", seed, "--out", tmp_path / f"{kind}.bin") == 0
+    reads = []
+    monkeypatch.setattr(datagen, "read_dataset", lambda *a: reads.append(a))
+    monkeypatch.setattr(datagen, "read_meta", lambda *a: reads.append(a))
+    assert run("label", "--exp", tmp_path / "experimental.bin",
+               "--obs", tmp_path / "observational.bin", "--config", config,
+               "--seed", 7, "--out-dir", tmp_path / "labels") == 2
+    assert "2**25 cells exceeds the guard" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "labels").exists()
 
 
 def test_readme_commands_use_real_flags():
@@ -547,15 +573,15 @@ def test_console_script_on_path(ws, tmp_path):
 
 
 def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
-    """Table building, CSV I/O, evaluation and the train/select/evaluate/report
-    commands work on columns: they construct no row or key object."""
+    """Counting, table building, CSV I/O, evaluation and the
+    train/select/evaluate/report commands work on columns: they construct no
+    row or key object."""
     from unitselect import cells, informer, learner
     from unitselect.datagen import generate_array
     from unitselect.model import CellKey
 
-    # aggregate keys its map by CellKey; the maps are built before counting
-    exp_map = cells.aggregate(generate_array(desk8, "experimental", 60_000, 5), "experimental")
-    obs_map = cells.aggregate(generate_array(desk8, "observational", 60_000, 6), "observational")
+    exp_rows = generate_array(desk8, "experimental", 60_000, 5)
+    obs_rows = generate_array(desk8, "observational", 60_000, 6)
     built = {}
 
     def counting(cls):
@@ -573,6 +599,8 @@ def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
         counting(cls)
 
     v = unitselect.DEFAULT_BENEFIT_VECTOR
+    exp_map = cells.aggregate(exp_rows, "experimental")
+    obs_map = cells.aggregate(obs_rows, "observational")
     labels, drops = cells.build_labels(exp_map, obs_map, v, threshold=200)
     assert len(labels) >= 10 and len(drops) >= 10
     train_set, test_set = cells.split(labels, cells.SplitSpec(0.2, seed=1))

@@ -13,7 +13,6 @@ from unitselect.bounds import (
 )
 from unitselect.informer import (
     INFORMER_HEADER,
-    CellSpaceTooLarge,
     InformerRecord,
     InformerTable,
     completion_weights,
@@ -25,7 +24,7 @@ from unitselect.informer import (
     true_benefit_profile,
     write_informer_csv,
 )
-from unitselect.model import CellKey, ConfigError, FullProfile, random_config
+from unitselect.model import CellKey, CellSpaceTooLarge, ConfigError, FullProfile, random_config
 
 V = DEFAULT_BENEFIT_VECTOR
 

@@ -69,8 +69,14 @@ def test_config_validation():
 
 @pytest.mark.parametrize(
     "change",
-    [lambda d: [], lambda d: dict(d, weights_x=5), lambda d: dict(d, n_observed=None)],
-    ids=["not-an-object", "scalar-weights", "null-width"],
+    [
+        lambda d: [],
+        lambda d: dict(d, weights_x=5),
+        lambda d: dict(d, n_observed=None),
+        lambda d: dict(d, n_observed=15.7),  # int() would load a 15-bit model
+        lambda d: dict(d, n_observed=True, n_unobserved=19),  # int() would load 1
+    ],
+    ids=["not-an-object", "scalar-weights", "null-width", "fractional-width", "boolean-width"],
 )
 def test_config_of_the_wrong_type_is_a_config_error(change):
     with pytest.raises(ConfigError):
