@@ -70,9 +70,11 @@ def _cmd_label(args: argparse.Namespace) -> int:
     spec = cells.SplitSpec(test_fraction=args.test_fraction, seed=args.seed)
     _check_dataset(args.exp, config, "experimental")
     _check_dataset(args.obs, config, "observational")
-    exp_map = cells.aggregate(datagen.read_dataset(args.exp)[0], "experimental")
-    obs_map = cells.aggregate(datagen.read_dataset(args.obs)[0], "observational")
-    labels, drops = cells.build_labels(exp_map, obs_map, args.vector, args.threshold)
+    maps = {"experimental": {}, "observational": {}}
+    for path, regime in ((args.exp, "experimental"), (args.obs, "observational")):
+        for block in datagen.iter_dataset(path):  # a shard at a time
+            cells.aggregate(block, regime, into=maps[regime])
+    labels, drops = cells.build_labels(*maps.values(), args.vector, args.threshold)
     if labels:
         train_set, test_set = cells.split(labels, spec)
     else:

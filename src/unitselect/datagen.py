@@ -16,7 +16,10 @@ Rows expose only what a study would record: the observed characteristics,
 treatment and outcome.  Latent characteristics and noise are drawn but never
 written.  A dataset is a (n, n_observed+2) uint8 array of 0/1 columns
 ``z1..zn, x, y``, produced whole (``generate_array``) or shard by shard
-(``iter_blocks``), and stored as CSV or as packed uint32 words.
+(``iter_blocks``), and stored as CSV or as packed uint32 words: fixed-width
+records after a header (CSV) or none (packed), with a JSON sidecar naming the
+format.  ``iter_dataset`` reads a stored dataset back shard by shard, so a
+reader holds one shard at a time; ``read_dataset`` reads it whole.
 
 Because each shard has its own stream, shards can be made in any order and
 on any thread.  With more than one CPU, ``iter_blocks`` generates shards
@@ -49,6 +52,7 @@ __all__ = [
     "iter_blocks",
     "generate_array",
     "write_dataset",
+    "iter_dataset",
     "read_dataset",
     "read_meta",
     "meta_path",
@@ -61,9 +65,9 @@ _CHUNK_ROWS = 1 << 14
 REGIMES = ("experimental", "observational")
 
 _KEY_MASK = (1 << 64) - 1
-# Packed rows keep the observed bits in a uint32 alongside x and y.
+# Packed rows keep the observed bits from bit 0 of a uint32, x at bit 30 and
+# y at bit 31.
 _PACKED_X_BIT = 30
-_PACKED_Y_BIT = 31
 _MAX_PACKED_OBSERVED = 30
 
 
@@ -73,19 +77,30 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetMeta:
-    """Sidecar describing how a dataset file was produced."""
+    """Sidecar describing how a dataset file was produced.  ``format`` is
+    "csv" or "packed", or None in a sidecar written before it was recorded."""
 
     kind: str
     n: int
     seed: int
     n_observed: int
     config_fingerprint: str
+    format: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in REGIMES:
             raise DatasetFormatError(f"unknown regime {self.kind!r}")
+        for name in ("n", "seed", "n_observed"):
+            if type(getattr(self, name)) is not int:  # refuses 4.0, true and "4"
+                raise DatasetFormatError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 0:
             raise DatasetFormatError("n must be nonnegative")
+        if self.n_observed < 1:
+            raise DatasetFormatError("n_observed must be at least 1")
+        if not isinstance(self.config_fingerprint, str):
+            raise DatasetFormatError("config_fingerprint must be a string")
+        if self.format not in (None, "csv", "packed"):
+            raise DatasetFormatError(f"format must be 'csv' or 'packed', got {self.format!r}")
 
 
 def draw_exogenous(uniforms: Sequence[float], config: ScmConfig) -> ExogenousAssignment:
@@ -200,11 +215,6 @@ def meta_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
-def _csv_header(n_observed: int) -> bytes:
-    cols = [f"z{i + 1}" for i in range(n_observed)] + ["x", "y"]
-    return (",".join(cols) + "\n").encode("ascii")
-
-
 def _block_to_csv_bytes(block: np.ndarray) -> np.ndarray:
     # Byte template: digit, separator, digit, separator, ..., digit, newline.
     m, n_cols = block.shape
@@ -215,18 +225,17 @@ def _block_to_csv_bytes(block: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_packable(n_observed: int) -> None:
+def _layout(path: Path, n_observed: int) -> tuple[str, bytes, int]:
+    """(format, header, bytes per row) of a dataset file: CSV for the suffix
+    ".csv", packed uint32 words for any other."""
+    if path.suffix == ".csv":
+        cols = [f"z{i + 1}" for i in range(n_observed)] + ["x", "y"]
+        return "csv", (",".join(cols) + "\n").encode("ascii"), 2 * (n_observed + 2)
     if n_observed > _MAX_PACKED_OBSERVED:
         raise DatasetFormatError(
             f"packed format holds at most {_MAX_PACKED_OBSERVED} observed bits"
         )
-
-
-def _block_to_packed(block: np.ndarray, n_observed: int) -> np.ndarray:
-    words = cell_ids(block[:, :n_observed]).astype(np.uint32)
-    words |= block[:, n_observed].astype(np.uint32) << _PACKED_X_BIT
-    words |= block[:, n_observed + 1].astype(np.uint32) << _PACKED_Y_BIT
-    return words.astype("<u4")
+    return "packed", b"", 4
 
 
 def write_dataset(
@@ -234,32 +243,32 @@ def write_dataset(
 ) -> DatasetMeta:
     """Generate a dataset and stream it to ``path``; returns the sidecar meta.
 
-    The format follows the suffix, as in ``read_dataset``: CSV for ".csv",
+    The format follows the suffix, as in ``iter_dataset``: CSV for ".csv",
     packed for anything else.  A JSON sidecar is written next to the file.
     Arguments are checked before anything is written, and both files are
     written through ``tables.atomic_write``, so a failed run leaves an old
     dataset and its sidecar whole.
     """
     path = Path(path)
-    csv = path.suffix == ".csv"
-    if not csv:
-        _check_packable(config.n_observed)
+    fmt, header, _ = _layout(path, config.n_observed)
     meta = DatasetMeta(
         kind=regime,
         n=n_samples,
         seed=seed,
         n_observed=config.n_observed,
         config_fingerprint=config.fingerprint,
+        format=fmt,
     )
 
+    n = config.n_observed
     with atomic_write(path, "wb") as fh:
-        if csv:
-            fh.write(_csv_header(config.n_observed))
+        fh.write(header)
         for block in iter_blocks(config, regime, n_samples, seed):
-            if csv:
+            if header:
                 _block_to_csv_bytes(block).tofile(fh)
             else:
-                _block_to_packed(block, config.n_observed).tofile(fh)
+                words = cell_ids(block[:, :n]) | cell_ids(block[:, n:]) << _PACKED_X_BIT
+                words.astype("<u4").tofile(fh)
     with atomic_write(meta_path(path), "w", encoding="ascii") as fh:
         json.dump(dataclasses.asdict(meta), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -280,54 +289,55 @@ def read_meta(path: str | Path) -> DatasetMeta:
         raise DatasetFormatError(f"bad dataset sidecar {mp}: {exc}") from None
 
 
-def _read_csv(path: Path, n_observed: int) -> np.ndarray:
-    n_cols = n_observed + 2
-    raw = path.read_bytes()
-    header = _csv_header(n_observed)
-    if not raw.startswith(header):
-        raise DatasetFormatError(f"unexpected CSV header in {path}")
-    body = np.frombuffer(raw, dtype=np.uint8, offset=len(header))
-    if body.size % (2 * n_cols):
-        raise DatasetFormatError(f"ragged CSV body in {path}")
-    rows = body.reshape(-1, 2 * n_cols)
-    if rows.size:
-        seps = rows[:, 1::2]
-        if not ((seps[:, :-1] == ord(",")).all() and (seps[:, -1] == ord("\n")).all()):
-            raise DatasetFormatError(f"malformed CSV rows in {path}")
-    # uint8 arithmetic: a byte below "0" wraps past 1, so <= 1 means 0 or 1.
-    vals = rows[:, 0::2] - np.uint8(ord("0"))
-    if not (vals <= 1).all():
-        raise DatasetFormatError(f"non-binary values in {path}")
-    return vals
+def iter_dataset(path: str | Path) -> Iterator[np.ndarray]:
+    """Yield a stored dataset ``SHARD_SIZE`` rows at a time, as uint8 blocks
+    of (m, n_observed+2) 0/1 values in file order.
 
-
-def _read_packed(path: Path, n_observed: int) -> np.ndarray:
-    _check_packable(n_observed)
-    if path.stat().st_size % 4:
-        raise DatasetFormatError(f"packed file {path} is not a whole number of words")
-    words = np.fromfile(path, dtype="<u4")
-    out = np.empty((len(words), n_observed + 2), dtype=np.uint8)
-    out[:, :n_observed] = cell_bits(words, n_observed)
-    out[:, n_observed] = (words >> np.uint32(_PACKED_X_BIT)) & 1
-    out[:, n_observed + 1] = (words >> np.uint32(_PACKED_Y_BIT)) & 1
-    stray = words & ~(
-        np.uint32((1 << n_observed) - 1)
-        | np.uint32(1 << _PACKED_X_BIT)
-        | np.uint32(1 << _PACKED_Y_BIT)
-    )
-    if stray.any():
-        raise DatasetFormatError(f"stray bits in packed file {path}")
-    return out
+    The sidecar, the header, the body's size and its row count are checked
+    before any row is decoded, and each block before it is yielded; a failed
+    check raises DatasetFormatError.
+    """
+    path = Path(path)
+    meta = read_meta(path)
+    n_obs = meta.n_observed
+    fmt, header, row_bytes = _layout(path, n_obs)
+    if meta.format not in (None, fmt):
+        raise DatasetFormatError(f"{meta_path(path)} describes a {meta.format} file, not {path}")
+    allowed = np.uint32((1 << n_obs) - 1 | 3 << _PACKED_X_BIT)
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            raise DatasetFormatError(f"unexpected CSV header in {path}")
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        if size % row_bytes:
+            raise DatasetFormatError(
+                f"ragged CSV body in {path}" if header
+                else f"packed file {path} is not a whole number of words"
+            )
+        if size // row_bytes != meta.n:
+            raise DatasetFormatError(f"{path} has {size // row_bytes} rows, sidecar says {meta.n}")
+        for start in range(0, meta.n, SHARD_SIZE):
+            m = min(SHARD_SIZE, meta.n - start)
+            if header:
+                rows = np.fromfile(fh, np.uint8, m * row_bytes).reshape(m, row_bytes)
+                seps = rows[:, 1::2]
+                if not ((seps[:, :-1] == ord(",")).all() and (seps[:, -1] == ord("\n")).all()):
+                    raise DatasetFormatError(f"malformed CSV rows in {path}")
+                # uint8 arithmetic: a byte below "0" wraps past 1, so <= 1 means 0 or 1.
+                block = rows[:, 0::2] - np.uint8(ord("0"))
+                if not (block <= 1).all():
+                    raise DatasetFormatError(f"non-binary values in {path}")
+            else:
+                words = np.fromfile(fh, "<u4", m)
+                if (words & ~allowed).any():
+                    raise DatasetFormatError(f"stray bits in packed file {path}")
+                block = cell_bits(words, n_obs + 2)  # the top two columns are 0
+                block[:, n_obs:] = cell_bits(words >> np.uint32(_PACKED_X_BIT), 2)
+            yield block
 
 
 def read_dataset(path: str | Path) -> tuple[np.ndarray, DatasetMeta]:
-    """Load a dataset and its sidecar; returns ((n, n_observed+2) uint8, meta)."""
-    path = Path(path)
+    """Load a whole dataset and its sidecar; returns ((n, n_observed+2) uint8,
+    meta).  The data are the blocks of ``iter_dataset``, concatenated."""
     meta = read_meta(path)
-    if path.suffix == ".csv":
-        data = _read_csv(path, meta.n_observed)
-    else:
-        data = _read_packed(path, meta.n_observed)
-    if len(data) != meta.n:
-        raise DatasetFormatError(f"{path} has {len(data)} rows, sidecar says {meta.n}")
-    return data, meta
+    blocks = [np.empty((0, meta.n_observed + 2), np.uint8), *iter_dataset(path)]
+    return np.concatenate(blocks), meta

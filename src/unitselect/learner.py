@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import BenefitVector, value_range
 from .informer import InformerTable
-from .model import CellKey, cell_bits
+from .model import CellKey, cell_bits, check_cell_space
 from .tables import CellTable, atomic_write, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -265,7 +265,7 @@ def predict_all(
     repaired to their midpoint."""
     if model_lower.n_inputs != n_observed or model_upper.n_inputs != n_observed:
         raise ValueError("model input width does not match n_observed")
-    ids = np.arange(1 << n_observed)
+    ids = np.arange(check_cell_space(n_observed))
     raw = np.empty((2, len(ids)))
     # In blocks of cells, so the hidden activations stay small.
     for start in range(0, len(ids), _PREDICT_BLOCK):

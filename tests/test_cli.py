@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,79 @@ def test_label_refuses_a_ragged_packed_file(ws, tmp_path):
     assert not (tmp_path / "labels").exists()
 
 
+def test_label_refuses_a_sidecar_of_the_other_format(ws, tmp_path):
+    # exp.csv and exp.bin share exp.meta.json, so the second write replaces it
+    for suffix, seed in ((".csv", 1), (".bin", 2)):
+        assert run("simulate", "--config", ws["config"], "--kind", "experimental",
+                   "--n", 1000, "--seed", seed, "--out", tmp_path / f"exp{suffix}") == 0
+    rc = run("label", "--exp", tmp_path / "exp.csv", "--obs", ws["obs"],
+             "--config", ws["config"], "--seed", 7, "--out-dir", tmp_path / "labels")
+    assert rc == 2
+    assert not (tmp_path / "labels").exists()
+
+
+def test_label_refuses_a_sidecar_field_of_the_wrong_type(ws, tmp_path, capsys):
+    exp = tmp_path / "exp.csv"
+    shutil.copy(ws["exp"], exp)
+    meta = json.loads(datagen.meta_path(ws["exp"]).read_text())
+    datagen.meta_path(exp).write_text(json.dumps(dict(meta, n_observed="4")))
+    rc = run("label", "--exp", exp, "--obs", ws["obs"],
+             "--config", ws["config"], "--seed", 7, "--out-dir", tmp_path / "labels")
+    assert rc == 2
+    assert "n_observed must be an integer, got '4'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def shards(tmp_path_factory, ws):
+    """Both regimes of the desk model in four whole shards and a partial
+    fifth, as CSV and as packed files."""
+    paths = {}
+    for suffix in (".csv", ".bin"):
+        root = tmp_path_factory.mktemp("shards")  # one each: they share sidecar names
+        for kind, seed in (("experimental", 11), ("observational", 12)):
+            paths[kind, suffix] = root / f"{kind}{suffix}"
+            assert run("simulate", "--config", ws["config"], "--kind", kind,
+                       "--n", 4 * datagen.SHARD_SIZE + 5, "--seed", seed,
+                       "--out", paths[kind, suffix]) == 0
+    return paths
+
+
+def _label_shards(ws, exp, obs, out_dir):
+    return run("label", "--exp", exp, "--obs", obs, "--config", ws["config"],
+               "--threshold", 50, "--seed", 7, "--out-dir", out_dir)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+def test_label_memory_follows_the_shard_not_the_file(ws, shards, tmp_path, suffix):
+    # Reading a whole file costs 18 (CSV) or 10 (packed) bytes a row; each
+    # file here has over 4 * SHARD_SIZE rows.  One shard with its counting
+    # temporaries takes about 34 bytes a row of the shard.
+    tracemalloc.start()
+    try:
+        rc = _label_shards(ws, shards["experimental", suffix],
+                           shards["observational", suffix], tmp_path / "labels")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 48 * datagen.SHARD_SIZE
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+def test_label_refuses_a_bad_byte_in_the_last_shard(ws, shards, tmp_path, suffix):
+    exp = tmp_path / f"exp{suffix}"
+    shutil.copy(shards["experimental", suffix], exp)
+    shutil.copy(datagen.meta_path(shards["experimental", suffix]), datagen.meta_path(exp))
+    raw = bytearray(exp.read_bytes())
+    if suffix == ".csv":
+        raw[-2] = ord("2")  # y of the last row
+    else:
+        raw[-1] |= 0x10  # bit 28 of the last word, beyond the 4 observed bits
+    exp.write_bytes(bytes(raw))
+    assert _label_shards(ws, exp, shards["observational", suffix], tmp_path / "labels") == 2
+    assert not (tmp_path / "labels").exists()
+
+
 def test_train_rerun_identical(ws, tmp_path):
     out_dir = tmp_path / "models"
     assert run("train", "--labels", ws["labels"] / "train_labels.csv",
@@ -250,6 +324,16 @@ def test_predict_width_mismatch(ws, tmp_path):
     rc = run("predict", "--model-lower", ws["models"] / "model_lower.json",
              "--model-upper", tmp_path / "narrow.json", "--out", tmp_path / "p.csv")
     assert rc == 2
+
+
+def test_predict_refuses_a_cell_space_past_the_guard(tmp_path, capsys):
+    wide = train(np.zeros((2, 40)), [0.1, 0.2], Hyperparams(hidden_width=2, epochs=1))
+    save_model(wide, tmp_path / "wide.json")
+    rc = run("predict", "--model-lower", tmp_path / "wide.json",
+             "--model-upper", tmp_path / "wide.json", "--out", tmp_path / "p.csv")
+    assert rc == 2
+    assert "2**40 cells exceeds the guard" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_predict_missing_model(ws, tmp_path):
@@ -479,6 +563,7 @@ def test_label_refuses_a_cell_space_past_the_guard_before_reading(tmp_path, caps
                    "--seed", seed, "--out", tmp_path / f"{kind}.bin") == 0
     reads = []
     monkeypatch.setattr(datagen, "read_dataset", lambda *a: reads.append(a))
+    monkeypatch.setattr(datagen, "iter_dataset", lambda *a: reads.append(a))
     monkeypatch.setattr(datagen, "read_meta", lambda *a: reads.append(a))
     assert run("label", "--exp", tmp_path / "experimental.bin",
                "--obs", tmp_path / "observational.bin", "--config", config,

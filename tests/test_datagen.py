@@ -14,6 +14,7 @@ from unitselect.datagen import (
     draw_exogenous,
     generate_array,
     iter_blocks,
+    iter_dataset,
     meta_path,
     read_dataset,
     read_meta,
@@ -256,9 +257,17 @@ def test_unknown_regime_rejected(desk4):
 def test_read_meta_reports_bad_sidecar(tmp_path, desk4):
     path = tmp_path / "d.csv"
     write_dataset(path, desk4, "experimental", 5, seed=1)
+    good = json.loads(meta_path(path).read_text())
     meta_path(path).write_text("{broken")
     with pytest.raises(DatasetFormatError):
         read_meta(path)
+    # wrong types would reach the reader's arithmetic as a TypeError
+    for field, value in [("n_observed", "4"), ("n_observed", 4.0), ("n_observed", True),
+                         ("n_observed", 0), ("n", "5"), ("n", False), ("seed", 1.5),
+                         ("seed", None), ("config_fingerprint", 5), ("format", "json")]:
+        meta_path(path).write_text(json.dumps(dict(good, **{field: value})))
+        with pytest.raises(DatasetFormatError, match=f"^{field} must"):
+            read_meta(path)
 
 
 def _use_cpus(monkeypatch, n_cpus):
@@ -367,3 +376,46 @@ def test_failed_write_dataset_leaves_the_old_files_whole(
         write_dataset(path, desk4, "observational", 4 * SHARD_SIZE, seed=2)
     assert (path.read_bytes(), meta_path(path).read_bytes()) == old
     assert sorted(tmp_path.iterdir()) == sorted([path, meta_path(path)])
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+@pytest.mark.parametrize("n", [0, 100, SHARD_SIZE, 2 * SHARD_SIZE + 77])
+def test_iter_dataset_yields_shards_of_the_generated_rows(tmp_path, desk4, suffix, n):
+    path = tmp_path / f"obs{suffix}"
+    write_dataset(path, desk4, "observational", n, seed=3)
+    blocks = list(iter_dataset(path))
+    sizes = [SHARD_SIZE] * (n // SHARD_SIZE) + [n % SHARD_SIZE] * (n % SHARD_SIZE > 0)
+    assert [len(b) for b in blocks] == sizes
+    assert all(b.dtype == np.uint8 and b.shape[1] == 6 for b in blocks)
+    whole = np.concatenate([np.empty((0, 6), np.uint8), *blocks])
+    assert np.array_equal(whole, generate_array(desk4, "observational", n, seed=3))
+    assert np.array_equal(read_dataset(path)[0], whole)
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+@pytest.mark.parametrize("cut", ["row", "byte"])
+def test_truncated_file_is_refused_before_any_block(tmp_path, desk4, suffix, cut):
+    path = tmp_path / f"exp{suffix}"
+    write_dataset(path, desk4, "experimental", SHARD_SIZE + 10, seed=2)
+    row_bytes = 12 if suffix == ".csv" else 4
+    with open(path, "r+b") as fh:
+        fh.truncate(path.stat().st_size - (row_bytes if cut == "row" else 1))
+    blocks = iter_dataset(path)
+    match = "sidecar says" if cut == "row" else "ragged CSV body|whole number of words"
+    with pytest.raises(DatasetFormatError, match=match):
+        next(blocks)
+
+
+def test_sidecar_of_the_other_format_is_refused(tmp_path, desk4):
+    # exp.csv and exp.bin share exp.meta.json: the later write replaces it
+    write_dataset(tmp_path / "exp.csv", desk4, "experimental", 1000, seed=1)
+    write_dataset(tmp_path / "exp.bin", desk4, "experimental", 1000, seed=2)
+    assert read_meta(tmp_path / "exp.csv").format == "packed"
+    with pytest.raises(DatasetFormatError, match="describes a packed file"):
+        read_dataset(tmp_path / "exp.csv")
+    assert read_dataset(tmp_path / "exp.bin")[0].shape == (1000, 6)
+    # a sidecar written before the format was recorded is read as either
+    meta = json.loads(meta_path(tmp_path / "exp.bin").read_text())
+    del meta["format"]
+    meta_path(tmp_path / "exp.bin").write_text(json.dumps(meta))
+    assert read_dataset(tmp_path / "exp.bin")[1].format is None
