@@ -10,7 +10,8 @@ Per sample the uniform stream is consumed in a fixed order: one uniform per
 characteristic (observed first, then unobserved), one for the treatment noise,
 one for the outcome noise, and, in the experimental regime only, one for the
 randomized treatment assignment.  A bit is 1 when its uniform is strictly
-below the corresponding probability.
+below the corresponding probability.  Treatment (when not assigned) and
+outcome are ``model.eval_x`` and ``eval_y`` run on a chunk of rows at once.
 
 Rows expose only what a study would record: the observed characteristics,
 treatment and outcome.  Latent characteristics and noise are drawn but never
@@ -40,7 +41,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import ExogenousAssignment, ScmConfig, cell_bits, cell_ids
+from .model import ExogenousAssignment, ScmConfig, cell_bits, cell_ids, eval_x, eval_y
 from .tables import atomic_write
 
 __all__ = [
@@ -146,15 +147,11 @@ def _gen_shard(
     for start in range(0, m, _CHUNK_ROWS):
         bits = rng.random((min(_CHUNK_ROWS, m - start), len(probs))) < probs
         zf = bits[:, :n].astype(np.float64)
-        if experimental:
-            x = bits[:, n + 2]
-        else:
-            x = zf @ weights_x + bits[:, n] > 0.5
-        s = config.constant_c * x + zf @ weights_y + bits[:, n + 1]
+        x = bits[:, n + 2] if experimental else eval_x(zf @ weights_x, bits[:, n])
         rows = out[start : start + len(bits)]
         rows[:, :n_obs] = bits[:, :n_obs]
         rows[:, n_obs] = x
-        rows[:, n_obs + 1] = ((0.0 < s) & (s < 1.0)) | ((1.0 < s) & (s < 2.0))
+        rows[:, n_obs + 1] = eval_y(x, zf @ weights_y, bits[:, n + 1], config.constant_c)
     return out
 
 

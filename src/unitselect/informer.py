@@ -3,7 +3,9 @@
 Everything here is closed-form enumeration over the exogenous noise bits and
 the latent characteristic completions; no sampling is involved.  The informer
 table is the oracle that sampled estimates and learned predictions are judged
-against.
+against.  It runs the sampler's mechanism: ``model.eval_x`` and ``eval_y``,
+called on one profile by the scalar functions here and on arrays of every
+(cell, completion) profile by ``informer_table``.
 
 A cell fixes only the observed characteristics.  Its exact distributions are
 mixtures, over the 2**n_unobserved latent completions, of the per-profile
@@ -197,74 +199,9 @@ def completion_weights(config: ScmConfig) -> np.ndarray:
     return np.prod(np.where(bits == 1, p, 1.0 - p), axis=1)
 
 
-def _profile_grid(bits: np.ndarray, config: ScmConfig) -> dict[str, np.ndarray]:
-    """Exact per-profile quantities for a batch of full profiles.
-
-    ``bits`` is a (k, n_total) 0/1 array; every returned array has length k.
-    This is the vectorized twin of the scalar operations above and is checked
-    against them in the test suite.
-    """
-    w_x = np.asarray(config.weights_x)
-    w_y = np.asarray(config.weights_y)
-    m_x = bits @ w_x
-    m_y = bits @ w_y
-    c = config.constant_c
-
-    def y_bit(x, u_y: float) -> np.ndarray:
-        s = c * x + m_y + u_y
-        return (((0.0 < s) & (s < 1.0)) | ((1.0 < s) & (s < 2.0))).astype(np.float64)
-
-    # Outcome under forced treatment, per outcome-noise branch.
-    y_x1 = {0: y_bit(1.0, 0.0), 1: y_bit(1.0, 1.0)}
-    y_x0 = {0: y_bit(0.0, 0.0), 1: y_bit(0.0, 1.0)}
-    q = {1: config.bern_uy, 0: 1.0 - config.bern_uy}
-    r = {1: config.bern_ux, 0: 1.0 - config.bern_ux}
-
-    p_do_x = q[0] * y_x1[0] + q[1] * y_x1[1]
-    p_do_xp = q[0] * y_x0[0] + q[1] * y_x0[1]
-
-    nat_x = {0: (m_x + 0.0 > 0.5).astype(np.float64), 1: (m_x + 1.0 > 0.5).astype(np.float64)}
-    p_xy = np.zeros_like(m_x)
-    p_xyp = np.zeros_like(m_x)
-    p_xpy = np.zeros_like(m_x)
-    p_xpyp = np.zeros_like(m_x)
-    for u_x in (0, 1):
-        x = nat_x[u_x]
-        for u_y in (0, 1):
-            y = np.where(x == 1.0, y_x1[u_y], y_x0[u_y])
-            w = r[u_x] * q[u_y]
-            p_xy += w * x * y
-            p_xyp += w * x * (1.0 - y)
-            p_xpy += w * (1.0 - x) * y
-            p_xpyp += w * (1.0 - x) * (1.0 - y)
-
-    p_complier = np.zeros_like(m_x)
-    p_always = np.zeros_like(m_x)
-    p_never = np.zeros_like(m_x)
-    p_defier = np.zeros_like(m_x)
-    for u_y in (0, 1):
-        y0, y1 = y_x0[u_y], y_x1[u_y]
-        p_complier += q[u_y] * (1.0 - y0) * y1
-        p_always += q[u_y] * y0 * y1
-        p_never += q[u_y] * (1.0 - y0) * (1.0 - y1)
-        p_defier += q[u_y] * y0 * (1.0 - y1)
-
-    return {
-        "p_do_x": p_do_x,
-        "p_do_xp": p_do_xp,
-        "p_xy": p_xy,
-        "p_xyp": p_xyp,
-        "p_xpy": p_xpy,
-        "p_xpyp": p_xpyp,
-        "p_complier": p_complier,
-        "p_always": p_always,
-        "p_never": p_never,
-        "p_defier": p_defier,
-    }
-
-
 def _cell_block(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> InformerTable:
-    """Exact truth for a batch of cell ids."""
+    """Exact truth for a batch of cell ids: the scalar functions above, run
+    on every (cell, completion) profile at once and mixed per cell."""
     n_obs = config.n_observed
     n_u = config.n_unobserved
     n_comp = 1 << n_u
@@ -274,23 +211,38 @@ def _cell_block(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> Informe
     full[:, :n_obs] = np.repeat(cell_bits(ids, n_obs), n_comp, axis=0)
     if n_u:
         full[:, n_obs:] = np.tile(cell_bits(np.arange(n_comp), n_u), (k, 1))
-    grid = _profile_grid(full, config)
+    m_x = full @ np.asarray(config.weights_x)
+    m_y = full @ np.asarray(config.weights_y)
+    c = config.constant_c
+    r = (1.0 - config.bern_ux, config.bern_ux)
+    q = (1.0 - config.bern_uy, config.bern_uy)
+
+    # Per profile, in ObservationalJoint and in ResponseProfile field order.
+    joint = np.zeros((4, len(full)))
+    types = np.zeros((4, len(full)))
+    for u_x in (0, 1):
+        x = eval_x(m_x, u_x)
+        for u_y in (0, 1):
+            y = eval_y(x, m_y, u_y, c)
+            joint += r[u_x] * q[u_y] * np.stack([x & y, x & ~y, ~x & y, ~x & ~y])
+    for u_y in (0, 1):
+        y0 = eval_y(0, m_y, u_y, c)
+        y1 = eval_y(1, m_y, u_y, c)
+        types += q[u_y] * np.stack([~y0 & y1, y0 & y1, ~y0 & ~y1, y0 & ~y1])
+    # P(y | do(x)) is compliers plus always-takers and P(y | do(x')) always-takers
+    # plus defiers: the same noise masses as the forced outcomes, added exactly.
+    do = np.stack([types[0] + types[1], types[1] + types[3]])
+    f = v.beta * types[0] + v.gamma * types[1] + v.theta * types[2] + v.delta * types[3]
 
     weights = completion_weights(config)
-    f_profiles = (
-        v.beta * grid["p_complier"]
-        + v.gamma * grid["p_always"]
-        + v.theta * grid["p_never"]
-        + v.delta * grid["p_defier"]
-    )
 
-    def mix(*names: str) -> np.ndarray:
-        return np.stack([grid[name].reshape(k, n_comp) @ weights for name in names], axis=1)
+    def mix(rows: np.ndarray) -> np.ndarray:
+        # One contiguous matmul per row; a batched one may sum in another order.
+        return np.stack([row.reshape(k, n_comp) @ weights for row in rows], axis=1)
 
-    exp = mix("p_do_x", "p_do_xp")
-    obs = mix("p_xy", "p_xyp", "p_xpy", "p_xpyp")
+    exp, obs = mix(do), mix(joint)
     true_lower, true_upper, _ = benefit_bounds_array(v, exp, obs)
-    true_f = f_profiles.reshape(k, n_comp) @ weights
+    true_f = f.reshape(k, n_comp) @ weights
     return InformerTable(ids, n_obs, exp, obs, true_f, true_lower, true_upper)
 
 
@@ -315,16 +267,14 @@ def write_informer_csv(table: InformerTable, path: str | Path) -> None:
     write_cell_csv(path, INFORMER_HEADER, [getattr(table, n) for n in table._columns])
 
 
-def read_informer_csv(path: str | Path, n_observed: int | None = None) -> InformerTable:
-    """Load a written table.  When ``n_observed`` is omitted it is inferred
-    from the row count, which must then be a power of two (a full table).
-    Besides ``read_cell_csv``'s checks, ids must lie in the cell space and
-    the distributions pass ``check_distributions``."""
+def read_informer_csv(path: str | Path) -> InformerTable:
+    """Load a written full table; its width is inferred from the row count,
+    which must be a power of two.  Besides ``read_cell_csv``'s checks, ids
+    must lie in the cell space and the distributions pass
+    ``check_distributions``."""
     ids, vals = read_cell_csv(path, INFORMER_HEADER)
-    if n_observed is None:
-        n = len(ids)
-        n_observed = max(n - 1, 0).bit_length()
-        if n != 1 << n_observed:
-            raise ValueError(f"{path} has {n} rows, not a full power-of-two cell table")
+    n_observed = max(len(ids) - 1, 0).bit_length()
+    if len(ids) != 1 << n_observed:
+        raise ValueError(f"{path} has {len(ids)} rows, not a full power-of-two cell table")
     exp, obs = check_distributions(vals[:, :2], vals[:, 2:6])
     return InformerTable(ids, n_observed, exp, obs, *vals[:, 6:].T)

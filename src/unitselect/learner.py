@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import BenefitVector, value_range
 from .informer import InformerTable
-from .model import CellKey, cell_bits, check_cell_space
+from .model import cell_bits, check_cell_space
 from .tables import CellTable, atomic_write, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "PredictionRow",
     "PredictionTable",
     "train",
-    "predict",
     "predict_all",
     "evaluate",
     "evaluation_sample",
@@ -221,17 +220,6 @@ def loss_and_gradients(
 
 def _raw_outputs(model: Model, x: np.ndarray) -> np.ndarray:
     return _forward(model.params, x)[2][:, 0]
-
-
-def predict(model: Model, cell: CellKey, v: BenefitVector) -> float:
-    """Forward pass for one cell, clamped to the benefit vector's value range."""
-    if len(cell.bits) != model.n_inputs:
-        raise ValueError(
-            f"cell has {len(cell.bits)} bits, model expects {model.n_inputs}"
-        )
-    lo, hi = value_range(v)
-    raw = float(_raw_outputs(model, np.asarray([cell.bits], dtype=np.float64))[0])
-    return min(max(raw, lo), hi)
 
 
 @dataclass(frozen=True)

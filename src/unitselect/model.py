@@ -7,6 +7,10 @@ binary outcome ``y = [c*x + m_y(z) + u_y in (0,1) or (1,2)]``, where ``m_x``
 and ``m_y`` are fixed linear scores of the characteristics and ``u_x``, ``u_y``
 are Bernoulli noise bits.  All threshold comparisons are strict; a score that
 lands exactly on 0, 0.5, 1 or 2 takes the zero branch.
+
+``eval_x`` and ``eval_y`` are the one statement of the two mechanisms.  They
+take scalars or numpy arrays alike: the sampler in ``datagen`` and the exact
+per-cell truth in ``informer`` call them on arrays, so both run the same model.
 """
 
 from __future__ import annotations
@@ -155,7 +159,10 @@ class ScmConfig:
         return cls.from_dict(data)
 
     def dump(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write the config as indented JSON through ``tables.atomic_write``."""
+        from .tables import atomic_write  # tables imports this module
+
+        with atomic_write(path, "w", encoding="utf-8") as fh:
             json.dump(asdict(self), fh, indent=2)
             fh.write("\n")
 
@@ -270,17 +277,12 @@ def default_config() -> ScmConfig:
     return ScmConfig.from_dict(json.loads(text))
 
 
-def random_config(
-    n_observed: int,
-    n_unobserved: int,
-    seed: int,
-    experiment_assign_prob: float = 0.5,
-) -> ScmConfig:
+def random_config(n_observed: int, n_unobserved: int, seed: int) -> ScmConfig:
     """Draw a model of the same family with random parameters.
 
     Weights and the outcome constant are uniform on [-1, 1]; every Bernoulli
-    parameter is uniform on [0, 1].  Useful for desk-scale models where the
-    full cell space can be enumerated.
+    parameter is uniform on [0, 1]; the assignment rate keeps its default.
+    Useful for desk-scale models where the full cell space can be enumerated.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = n_observed + n_unobserved
@@ -293,7 +295,6 @@ def random_config(
         bern_ux=float(rng.uniform(0.0, 1.0)),
         bern_uy=float(rng.uniform(0.0, 1.0)),
         constant_c=float(rng.uniform(-1.0, 1.0)),
-        experiment_assign_prob=experiment_assign_prob,
     )
 
 
@@ -307,20 +308,22 @@ def m_value(profile: FullProfile, weights: Sequence[float]) -> float:
     return float(sum(w for b, w in zip(profile.bits, weights) if b))
 
 
-def eval_x(m_x: float, u_x: int) -> int:
-    """Treatment mechanism: 1 iff m_x + u_x > 0.5 (strict)."""
-    return 1 if m_x + u_x > 0.5 else 0
+def eval_x(m_x, u_x):
+    """Treatment mechanism: m_x + u_x > 0.5 (strict), as a bool, or elementwise
+    as a bool array."""
+    return m_x + u_x > 0.5
 
 
-def eval_y(x: int, m_y: float, u_y: int, c: float) -> int:
-    """Outcome mechanism: 1 iff c*x + m_y + u_y falls strictly inside (0,1) or (1,2)."""
+def eval_y(x, m_y, u_y, c: float):
+    """Outcome mechanism: c*x + m_y + u_y lies strictly inside (0,1) or (1,2),
+    as a bool, or elementwise as a bool array."""
     s = c * x + m_y + u_y
-    return 1 if (0.0 < s < 1.0 or 1.0 < s < 2.0) else 0
+    return ((0.0 < s) & (s < 1.0)) | ((1.0 < s) & (s < 2.0))
 
 
 def counterfactual_pair(
     profile: FullProfile, u_y: int, config: ScmConfig
-) -> tuple[int, int]:
+) -> tuple[bool, bool]:
     """Outcome under both forced treatments, as (y without treatment, y with treatment)."""
     m_y = m_value(profile, config.weights_y)
     return (

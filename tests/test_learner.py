@@ -17,7 +17,6 @@ from unitselect.learner import (
     evaluate,
     load_model,
     loss_and_gradients,
-    predict,
     predict_all,
     read_predictions_csv,
     sample_cell_ids,
@@ -25,7 +24,7 @@ from unitselect.learner import (
     train,
     write_predictions_csv,
 )
-from unitselect.model import CellKey, cell_bits
+from unitselect.model import cell_bits
 
 
 def _all_bits(n):
@@ -131,8 +130,8 @@ def test_fits_constant_target():
     targets = [0.3] * 16
     hp = Hyperparams(hidden_width=128, epochs=2000, learning_rate=0.1, seed=1)
     model = train(feats, targets, hp)
-    devs = [abs(predict(model, CellKey(tuple(f)), DEFAULT_BENEFIT_VECTOR) - 0.3)
-            for f in feats]
+    preds = predict_all(model, model, 4, DEFAULT_BENEFIT_VECTOR)
+    devs = np.abs(preds.pred_lower - 0.3)  # feats are the cells in id order
     assert max(devs) <= 0.01
 
 
@@ -141,8 +140,8 @@ def test_fits_single_bit_signal():
     feats = [[(i >> b) & 1 for b in range(7)] for i in range(100)]
     targets = [1.0 if f[0] else 0.0 for f in feats]
     model = train(feats, targets, Hyperparams(seed=2))
-    errs = [abs(predict(model, CellKey(tuple(f)), DEFAULT_BENEFIT_VECTOR) - t)
-            for f, t in zip(feats, targets)]
+    preds = predict_all(model, model, 7, DEFAULT_BENEFIT_VECTOR)
+    errs = np.abs(preds.pred_lower[:100] - targets)  # feats are cells 0..99
     assert np.mean(errs) <= 0.05
 
 
@@ -260,12 +259,12 @@ def test_predict_clamps_to_value_range():
     v = DEFAULT_BENEFIT_VECTOR
     lo, hi = value_range(v)
     assert (lo, hi) == (-2.0, 1.0)
-    cell = CellKey((1, 0, 1, 1))
-    assert predict(_const_model(4, 1.7), cell, v) == hi
-    assert predict(_const_model(4, -3.5), cell, v) == lo
-    assert predict(_const_model(4, 0.25), cell, v) == 0.25
+    for bias, expected in ((1.7, hi), (-3.5, lo), (0.25, 0.25)):
+        model = _const_model(4, bias)
+        rows = predict_all(model, model, 4, v)
+        assert (rows.pred_lower == expected).all() and (rows.pred_upper == expected).all()
     with pytest.raises(ValueError):
-        predict(_const_model(6, 0.0), cell, v)
+        predict_all(_const_model(6, 0.0), _const_model(6, 0.0), 4, v)
 
 
 def test_predict_all_covers_and_repairs():
@@ -364,9 +363,7 @@ def test_model_save_load_roundtrip(tmp_path):
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         assert np.array_equal(getattr(loaded, name), getattr(model, name))
     v = DEFAULT_BENEFIT_VECTOR
-    for cid in range(16):
-        cell = CellKey.from_id(cid, 4)
-        assert predict(loaded, cell, v) == predict(model, cell, v)
+    assert predict_all(loaded, loaded, 4, v) == predict_all(model, model, 4, v)
 
 
 def test_failed_save_model_leaves_the_old_file_whole(tmp_path, monkeypatch):

@@ -102,6 +102,21 @@ def test_config_file_roundtrip(tmp_path, appendix):
     assert ScmConfig.load(path) == appendix
 
 
+def test_failed_dump_leaves_the_old_file_whole(tmp_path, appendix, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text("old config\n")
+
+    def fail_midway(doc, fh, **kwargs):
+        fh.write('{"n_observed": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        appendix.dump(path)
+    assert path.read_text() == "old config\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_fingerprint_ignores_file_formatting(tmp_path, appendix):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -173,6 +188,10 @@ def test_eval_x_strict_threshold():
     assert eval_x(0.5, 0) == 0
     assert eval_x(-0.2, 1) == 1
     assert eval_x(-0.5, 1) == 0  # sum exactly 0.5
+    # the same cases as one array, as datagen and the informer call it
+    m_x, u_x = np.array([0.6, 0.5, -0.2, -0.5]), np.array([0, 0, 1, 1], dtype=bool)
+    scalar = [eval_x(float(m), int(u)) for m, u in zip(m_x, u_x)]
+    assert eval_x(m_x, u_x).tolist() == scalar == [1, 0, 1, 0]
 
 
 def test_eval_y_windows():
@@ -185,6 +204,12 @@ def test_eval_y_windows():
     assert eval_y(0, -0.5, 0, c) == 0
     assert eval_y(0, 2.5, 0, c) == 0
     assert eval_y(0, 1.5, 0, c) == 1
+    # the same cases as one array, as datagen and the informer call it
+    x = np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=bool)
+    m_y = np.array([0.0, 0.0, 0.0, 0.0, 2.0, -0.5, 2.5, 1.5])
+    u_y = np.array([0, 1, 1, 0, 0, 0, 0, 0], dtype=bool)
+    scalar = [eval_y(int(a), float(m), int(u), c) for a, m, u in zip(x, m_y, u_y)]
+    assert eval_y(x, m_y, u_y, c).tolist() == scalar == [1, 0, 1, 0, 0, 0, 0, 1]
 
 
 def test_m_value():
