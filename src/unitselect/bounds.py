@@ -31,7 +31,6 @@ __all__ = [
     "check_distributions",
     "exact_benefit",
     "value_range",
-    "experimental_from_profile",
 ]
 
 # Slack for validating probability inputs and for the L <= U consistency flag.
@@ -277,12 +276,3 @@ def value_range(v: BenefitVector) -> tuple[float, float]:
     """Attainable range of the benefit over all response profiles."""
     payoffs = v.as_tuple()
     return min(payoffs), max(payoffs)
-
-
-def experimental_from_profile(r: ResponseProfile) -> ExperimentalDistribution:
-    """Causal effects induced by a response profile:
-    P(y|do(x)) = compliers + always-takers, P(y|do(x')) = always-takers + defiers."""
-    return ExperimentalDistribution(
-        p_y_do_x=min(r.p_complier + r.p_always, 1.0),
-        p_y_do_xp=min(r.p_always + r.p_defier, 1.0),
-    )

@@ -37,6 +37,10 @@ def _parse_vector(text: str) -> BenefitVector:
     return BenefitVector(*(float(p) for p in parts))
 
 
+def _parse_seed(text: str) -> int:
+    return datagen.check_seed(int(text))
+
+
 def _check_dataset(path: str, config: ScmConfig, regime: str) -> None:
     meta = datagen.read_meta(path)
     if meta.config_fingerprint != config.fingerprint:
@@ -103,7 +107,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         epochs=args.epochs,
         learning_rate=args.learning_rate,
         seed=args.seed,
-        batch_size=args.batch_size,
     )
     features = cell_bits(labels.cell_id, labels.n_observed)
     out_dir = Path(args.out_dir)
@@ -122,8 +125,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     model_lower = learner.load_model(args.model_lower)
     model_upper = learner.load_model(args.model_upper)
-    if model_lower.n_inputs != model_upper.n_inputs:
-        raise ValueError("lower and upper models disagree on input width")
     table = learner.predict_all(
         model_lower, model_upper, model_lower.n_inputs, args.vector
     )
@@ -199,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--kind", required=True, choices=datagen.REGIMES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -216,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_vector(p)
     p.add_argument("--threshold", type=int, default=cells.DEFAULT_THRESHOLD)
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_label)
 
@@ -225,8 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-width", type=int, default=128)
     p.add_argument("--epochs", type=int, default=600)
     p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -252,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--predictions", required=True)
         p.add_argument("--informer", required=True)
         p.add_argument("--sample-n", type=int, default=200)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=_parse_seed, required=True)
         p.add_argument("--out", required=func is _cmd_report)
         p.set_defaults(func=func)
 

@@ -3,8 +3,9 @@
 Sampling is deterministic given (config, regime, n_samples, seed) and is
 organized in fixed-size shards so that the output does not depend on how many
 samples are requested at a time: shard ``s`` is generated from a counter-based
-Philox stream keyed by ``seed ^ s``, and the first k samples of any run are
-byte-identical to a run asked for only k samples.
+Philox stream keyed by ``seed ^ s`` (``check_seed`` keeps seeds in
+[0, 2**64)), and the first k samples of any run are byte-identical to a run
+asked for only k samples.
 
 Per sample the uniform stream is consumed in a fixed order: one uniform per
 characteristic (observed first, then unobserved), one for the treatment noise,
@@ -49,6 +50,7 @@ __all__ = [
     "REGIMES",
     "DatasetMeta",
     "DatasetFormatError",
+    "check_seed",
     "draw_exogenous",
     "iter_blocks",
     "generate_array",
@@ -65,7 +67,6 @@ SHARD_SIZE = 1 << 18
 _CHUNK_ROWS = 1 << 14
 REGIMES = ("experimental", "observational")
 
-_KEY_MASK = (1 << 64) - 1
 # Packed rows keep the observed bits from bit 0 of a uint32, x at bit 30 and
 # y at bit 31.
 _PACKED_X_BIT = 30
@@ -121,8 +122,15 @@ def draw_exogenous(uniforms: Sequence[float], config: ScmConfig) -> ExogenousAss
     )
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` itself, if it can key a stream: 0 <= seed < 2**64."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed ^ shard) & _KEY_MASK))
+    return np.random.Generator(np.random.Philox(key=seed ^ shard))
 
 
 def _gen_shard(
@@ -174,6 +182,7 @@ def iter_blocks(
         raise ValueError(f"unknown regime {regime!r}")
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
+    check_seed(seed)
     n_shards = (n_samples + SHARD_SIZE - 1) // SHARD_SIZE
     sizes = [min(SHARD_SIZE, n_samples - shard * SHARD_SIZE) for shard in range(n_shards)]
     workers = min(_n_cpus(), n_shards)

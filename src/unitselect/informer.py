@@ -199,9 +199,12 @@ def completion_weights(config: ScmConfig) -> np.ndarray:
     return np.prod(np.where(bits == 1, p, 1.0 - p), axis=1)
 
 
-def _cell_block(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> InformerTable:
-    """Exact truth for a batch of cell ids: the scalar functions above, run
-    on every (cell, completion) profile at once and mixed per cell."""
+def _cell_block(
+    ids: np.ndarray, config: ScmConfig, v: BenefitVector
+) -> tuple[np.ndarray, ...]:
+    """Exact truth for a batch of cell ids, as the ``InformerTable`` columns
+    after ``cell_id``: the scalar functions above, run on every
+    (cell, completion) profile at once and mixed per cell."""
     n_obs = config.n_observed
     n_u = config.n_unobserved
     n_comp = 1 << n_u
@@ -242,24 +245,17 @@ def _cell_block(ids: np.ndarray, config: ScmConfig, v: BenefitVector) -> Informe
 
     exp, obs = mix(do), mix(joint)
     true_lower, true_upper, _ = benefit_bounds_array(v, exp, obs)
-    true_f = f.reshape(k, n_comp) @ weights
-    return InformerTable(ids, n_obs, exp, obs, true_f, true_lower, true_upper)
+    return exp, obs, f.reshape(k, n_comp) @ weights, true_lower, true_upper
 
 
 def informer_table(config: ScmConfig, v: BenefitVector) -> InformerTable:
     """Exact truth for every cell, in ascending cell-id order."""
-    n_cells = check_cell_space(config.n_observed)
+    ids = np.arange(check_cell_space(config.n_observed))
     blocks = [
-        _cell_block(np.arange(start, min(start + _CHUNK_CELLS, n_cells)), config, v)
-        for start in range(0, n_cells, _CHUNK_CELLS)
+        _cell_block(ids[start : start + _CHUNK_CELLS], config, v)
+        for start in range(0, len(ids), _CHUNK_CELLS)
     ]
-    return InformerTable(
-        n_observed=config.n_observed,
-        **{
-            name: np.concatenate([getattr(b, name) for b in blocks])
-            for name in InformerTable._columns
-        },
-    )
+    return InformerTable(ids, config.n_observed, *map(np.concatenate, zip(*blocks)))
 
 
 def write_informer_csv(table: InformerTable, path: str | Path) -> None:

@@ -1,9 +1,9 @@
 """Bound regression: a small dense network trained with gradient descent.
 
 Two independent models are trained, one per bound.  The network is
-input -> tanh hidden -> tanh hidden -> linear output, fit by seeded
-(mini-batch) gradient descent on mean-squared error.  Nothing here is
-stochastic beyond the named seed: identical inputs give bit-identical
+input -> tanh hidden -> tanh hidden -> linear output, fit by full-batch
+gradient descent on mean-squared error from a seeded initialisation.  Nothing
+here is stochastic beyond the named seed: identical inputs give bit-identical
 weights, predictions and files.
 """
 
@@ -41,8 +41,6 @@ __all__ = [
 
 PREDICTIONS_HEADER = ["cell_id", "pred_lower", "pred_upper", "repaired"]
 
-_SHUFFLE_SALT = 0x9E3779B97F4A7C15
-
 # The weight fields of ``Model``, in layer order.
 _PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -56,15 +54,15 @@ class Hyperparams:
     epochs: int = 600
     learning_rate: float = 0.01
     seed: int = 0
-    batch_size: int | None = None  # None = full batch
 
     def __post_init__(self) -> None:
+        for name in ("hidden_width", "epochs", "seed"):
+            if type(getattr(self, name)) is not int:  # refuses 2.5, true and "4"
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.hidden_width < 1 or self.epochs < 1:
             raise ValueError("hidden_width and epochs must be positive")
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be positive when given")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +88,8 @@ class Model:
             raise ValueError("inconsistent layer shapes")
         if self.b1.shape != (h,) or self.b2.shape != (h,) or self.b3.shape != (1,):
             raise ValueError("inconsistent bias shapes")
+        if self.hyperparams.hidden_width != h:
+            raise ValueError(f"hyperparams hidden_width differs from the weights' {h}")
         for arr in self.params:
             if not np.isfinite(arr).all():
                 raise ValueError("non-finite weights")
@@ -167,7 +167,7 @@ def train(
     targets: Sequence[float] | np.ndarray,
     hp: Hyperparams,
 ) -> Model:
-    """Fit the network to (features, targets) by seeded gradient descent.
+    """Fit the network to (features, targets) by full-batch gradient descent.
     The model's loss_history has epochs + 1 entries, as ``Model`` says."""
     x = _as_features(features)
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
@@ -179,27 +179,13 @@ def train(
         raise ValueError("non-finite training target")
 
     params = _init_params(x.shape[1], hp)
-    # Separate key keeps batch shuffles independent of the init draws.
-    shuffle_rng = np.random.Generator(
-        np.random.Philox(key=(hp.seed ^ _SHUFFLE_SALT) & (1 << 64) - 1)
-    )
-
     # One full pass per epoch: its loss is the history entry after that
-    # epoch, and its gradients are the next full-batch step.
+    # epoch, and its gradients are the next step.
     loss, grads = _loss_and_grads(params, x, t)
     history = [loss]
-    batch = hp.batch_size if hp.batch_size is not None else len(x)
     for _ in range(hp.epochs):
-        if batch >= len(x):
-            for p, g in zip(params, grads):
-                p -= hp.learning_rate * g
-        else:
-            order = shuffle_rng.permutation(len(x))
-            for start in range(0, len(x), batch):
-                idx = order[start : start + batch]
-                _, grads = _loss_and_grads(params, x[idx], t[idx])
-                for p, g in zip(params, grads):
-                    p -= hp.learning_rate * g
+        for p, g in zip(params, grads):
+            p -= hp.learning_rate * g
         loss, grads = _loss_and_grads(params, x, t)
         history.append(loss)
 
@@ -333,9 +319,11 @@ def load_model(path: str | Path) -> Model:
         h = doc["arch"]["hidden_width"]
         shapes = [(n_in, h), (h,), (h, h), (h,), (h, 1), (1,)]
         params = [np.reshape(doc["weights"][n], s) for n, s in zip(_PARAMS, shapes)]
+        # Files written while a minibatch trainer existed record its batch size.
+        doc["hyperparams"].pop("batch_size", None)
         hp = Hyperparams(**doc["hyperparams"])
         return Model(*params, hp, tuple(doc["loss_history"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from None
 
 

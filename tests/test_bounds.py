@@ -15,7 +15,6 @@ from unitselect.bounds import (
     benefit_bounds,
     benefit_bounds_array,
     exact_benefit,
-    experimental_from_profile,
     pns_bounds,
     sigma,
     value_range,
@@ -129,13 +128,6 @@ def test_value_range():
     assert value_range(BenefitVector(0, 0, 0, 0)) == (0.0, 0.0)
 
 
-def test_experimental_from_profile():
-    r = ResponseProfile(0.2, 0.3, 0.4, 0.1)
-    e = experimental_from_profile(r)
-    assert e.p_y_do_x == pytest.approx(0.5)
-    assert e.p_y_do_xp == pytest.approx(0.4)
-
-
 def test_monotone_payoff_response():
     e = ExperimentalDistribution(0.6, 0.2)
     o = ObservationalJoint(0.3, 0.2, 0.1, 0.4)
@@ -178,7 +170,8 @@ def test_identity_w_plus_sigma_pc(v, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     raw = rng.dirichlet(np.ones(4))
     r = ResponseProfile(*raw)
-    e = experimental_from_profile(r)
+    # P(y|do(x)) is compliers plus always-takers, P(y|do(x')) always-takers plus defiers
+    e = ExperimentalDistribution(r.p_complier + r.p_always, r.p_always + r.p_defier)
     lhs = exact_benefit(v, r)
     rhs = w_term(v, e) + sigma(v) * r.p_complier
     assert abs(lhs - rhs) < 1e-12

@@ -326,6 +326,19 @@ def test_predict_width_mismatch(ws, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("edit", [{"hidden_width": 3}, {"epochs": True, "hidden_width": 2.5}])
+def test_predict_refuses_a_model_file_that_contradicts_itself(ws, tmp_path, capsys, edit):
+    doc = json.loads((ws["models"] / "model_lower.json").read_text())
+    doc["hyperparams"].update(edit)  # the weights are 8 wide
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = run("predict", "--model-lower", bad, "--model-upper",
+             ws["models"] / "model_upper.json", "--out", tmp_path / "p.csv")
+    assert rc == 2
+    assert f"malformed model file {bad}" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_predict_refuses_a_cell_space_past_the_guard(tmp_path, capsys):
     wide = train(np.zeros((2, 40)), [0.1, 0.2], Hyperparams(hidden_width=2, epochs=1))
     save_model(wide, tmp_path / "wide.json")
@@ -584,6 +597,41 @@ def test_readme_commands_use_real_flags():
         assert flags <= set(commands[cmd]._option_string_actions), (cmd, flags)
         seen.add(cmd)
     assert len(seen) == len(commands)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["simulate", "label", "train", "evaluate", "report"])
+def test_seed_outside_the_key_range_exits_2_before_reading(tmp_path, capsys, command, seed):
+    # Every input is missing, so a command that got as far as reading would
+    # return 3 instead.
+    missing = tmp_path / "missing"
+    args = {
+        "simulate": ["--config", missing, "--kind", "experimental", "--n", 10,
+                     "--out", tmp_path / "x.csv"],
+        "label": ["--exp", missing, "--obs", missing, "--config", missing,
+                  "--out-dir", tmp_path / "labels"],
+        "train": ["--labels", missing, "--out-dir", tmp_path / "models"],
+        "evaluate": ["--predictions", missing, "--informer", missing],
+        "report": ["--predictions", missing, "--informer", missing,
+                   "--out", tmp_path / "r.csv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run(command, *args, "--seed", seed)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_options_are_the_hyperparams(ws, tmp_path):
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    options = set(commands["train"]._option_string_actions)
+    options -= {"-h", "--help", "--labels", "--out-dir"}
+    fields = dataclasses.fields(Hyperparams)
+    assert options == {"--" + f.name.replace("_", "-") for f in fields}
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--labels", ws["labels"] / "train_labels.csv", "--batch-size", 4,
+            "--seed", 3, "--out-dir", tmp_path / "m")
+    assert exc.value.code == 2
 
 
 def test_custom_vector_accepted(ws, tmp_path):

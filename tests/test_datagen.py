@@ -247,6 +247,13 @@ def test_meta_validation():
         DatasetMeta(kind="experimental", n=-1, seed=0, n_observed=4, config_fingerprint="x")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_key_range_is_refused(desk4, seed):
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        list(iter_blocks(desk4, "experimental", 5, seed=seed))
+    assert generate_array(desk4, "experimental", 5, seed=2**64 - 1).shape == (5, 6)
+
+
 def test_unknown_regime_rejected(desk4):
     with pytest.raises(ValueError):
         list(iter_blocks(desk4, "interventional", 5, seed=1))

@@ -1,5 +1,7 @@
 """Training, prediction, and evaluation behavior of the bound regressor."""
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -48,15 +50,17 @@ def _const_model(n_in, bias, hidden=2):
 def test_hyperparams_defaults_and_validation():
     hp = Hyperparams()
     assert (hp.hidden_width, hp.epochs, hp.learning_rate) == (128, 600, 0.01)
-    assert hp.seed == 0 and hp.batch_size is None
+    assert hp.seed == 0
     with pytest.raises(ValueError):
         Hyperparams(hidden_width=0)
     with pytest.raises(ValueError):
         Hyperparams(epochs=0)
     with pytest.raises(ValueError):
         Hyperparams(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        Hyperparams(batch_size=0)
+    for field in ("hidden_width", "epochs", "seed"):
+        for value in (2.5, 4.0, True, "4"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                Hyperparams(**{field: value})
 
 
 def test_model_shape_validation():
@@ -83,6 +87,8 @@ def test_model_shape_validation():
             hyperparams=m.hyperparams,
             loss_history=(),
         )
+    with pytest.raises(ValueError, match="hidden_width differs"):
+        dataclasses.replace(m, hyperparams=Hyperparams(hidden_width=3))
 
 
 def test_forward_matches_the_out_of_place_layers():
@@ -167,52 +173,26 @@ def test_loss_history_shape_and_descent():
     assert all(math.isfinite(v) for v in model.loss_history)
 
 
-def test_minibatch_paths():
-    feats = _all_bits(4)
-    targets = [0.2 * f[1] for f in feats]
-    hp_mini = Hyperparams(hidden_width=8, epochs=25, seed=5, batch_size=4)
-    model = train(feats, targets, hp_mini)
-    assert len(model.loss_history) == 26
-    # a batch at least as large as the data degenerates to full-batch
-    full = train(feats, targets, Hyperparams(hidden_width=8, epochs=25, seed=5))
-    big = train(feats, targets, Hyperparams(hidden_width=8, epochs=25, seed=5, batch_size=64))
-    assert np.array_equal(full.w1, big.w1)
-    assert full.loss_history == big.loss_history
-
-
 def _two_pass_train(features, targets, hp):
     # Reference trainer: each epoch steps, then makes a separate full pass
     # only to log the loss.  train must match it bit for bit.
     x = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
     params = learner._init_params(x.shape[1], hp)
-    shuffle_rng = np.random.Generator(
-        np.random.Philox(key=(hp.seed ^ learner._SHUFFLE_SALT) & (1 << 64) - 1)
-    )
     history = [learner._loss_and_grads(params, x, t)[0]]
-    batch = hp.batch_size if hp.batch_size is not None else len(x)
     for _ in range(hp.epochs):
-        if batch >= len(x):
-            _, grads = learner._loss_and_grads(params, x, t)
-            for p, g in zip(params, grads):
-                p -= hp.learning_rate * g
-        else:
-            order = shuffle_rng.permutation(len(x))
-            for start in range(0, len(x), batch):
-                idx = order[start : start + batch]
-                _, grads = learner._loss_and_grads(params, x[idx], t[idx])
-                for p, g in zip(params, grads):
-                    p -= hp.learning_rate * g
+        _, grads = learner._loss_and_grads(params, x, t)
+        for p, g in zip(params, grads):
+            p -= hp.learning_rate * g
         history.append(learner._loss_and_grads(params, x, t)[0])
     return params, tuple(history)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
-@pytest.mark.parametrize("batch_size", [None, 7, 32, 100])
-def test_train_matches_two_pass_reference(seed, batch_size):
+def test_train_matches_two_pass_reference(seed):
     feats = _all_bits(5)
     targets = np.random.default_rng(seed).uniform(-0.5, 0.5, size=32)
-    hp = Hyperparams(hidden_width=16, epochs=30, seed=seed, batch_size=batch_size)
+    hp = Hyperparams(hidden_width=16, epochs=30, seed=seed)
     model = train(feats, targets, hp)
     params, history = _two_pass_train(feats, targets, hp)
     for name, ref in zip(("w1", "b1", "w2", "b2", "w3", "b3"), params):
@@ -232,16 +212,8 @@ def test_full_batch_train_makes_one_pass_per_epoch(monkeypatch):
     monkeypatch.setattr(learner, "_loss_and_grads", counting)
     feats = _all_bits(4)
     targets = [0.1 * sum(f) for f in feats]
-    for batch_size in (None, 16, 64):
-        calls.clear()
-        train(feats, targets, Hyperparams(hidden_width=8, epochs=12, batch_size=batch_size))
-        assert calls == [16] * 13
-    # minibatch: the per-batch passes, plus one full pass per epoch and one
-    # before the first
-    calls.clear()
-    train(feats, targets, Hyperparams(hidden_width=8, epochs=12, batch_size=5))
-    assert len(calls) == 13 + 12 * 4
-    assert calls.count(16) == 13
+    train(feats, targets, Hyperparams(hidden_width=8, epochs=12))
+    assert calls == [16] * 13
 
 
 def test_train_input_validation():
@@ -364,6 +336,26 @@ def test_model_save_load_roundtrip(tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(model, name))
     v = DEFAULT_BENEFIT_VECTOR
     assert predict_all(loaded, loaded, 4, v) == predict_all(model, model, 4, v)
+
+
+@pytest.mark.parametrize("batch_size", [None, 4])
+def test_model_file_with_a_recorded_batch_size_loads(tmp_path, batch_size):
+    # Files written while a minibatch trainer existed record a batch size.
+    feats = _all_bits(4)
+    targets = [0.3 * f[2] - 0.1 for f in feats]
+    model = train(feats, targets, Hyperparams(hidden_width=8, epochs=20, seed=6))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    assert "batch_size" not in doc["hyperparams"]
+    doc["hyperparams"]["batch_size"] = batch_size
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    loaded = load_model(path)
+    assert loaded.hyperparams == model.hyperparams
+    v = DEFAULT_BENEFIT_VECTOR
+    want, got = predict_all(model, model, 4, v), predict_all(loaded, loaded, 4, v)
+    for name in PredictionTable._columns:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_failed_save_model_leaves_the_old_file_whole(tmp_path, monkeypatch):
