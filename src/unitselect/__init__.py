@@ -21,10 +21,8 @@ from .bounds import (
     w_term,
 )
 from .cells import (
-    DroppedCell,
     DropTable,
     IneligibleCellError,
-    LabeledCell,
     LabelTable,
     SplitSpec,
     aggregate,
@@ -39,7 +37,6 @@ from .datagen import (
     write_dataset,
 )
 from .informer import (
-    InformerRecord,
     InformerTable,
     completion_weights,
     exact_experimental,
@@ -51,7 +48,6 @@ from .informer import (
 from .learner import (
     Hyperparams,
     Model,
-    PredictionRow,
     PredictionTable,
     evaluate,
     predict_all,
@@ -84,20 +80,16 @@ __all__ = [
     "DEFAULT_BENEFIT_VECTOR",
     "DatasetMeta",
     "DropTable",
-    "DroppedCell",
     "ExogenousAssignment",
     "ExperimentalDistribution",
     "FullProfile",
     "Hyperparams",
     "IneligibleCellError",
-    "InformerRecord",
     "InformerTable",
     "LabelTable",
-    "LabeledCell",
     "MAX_CELLS",
     "Model",
     "ObservationalJoint",
-    "PredictionRow",
     "PredictionTable",
     "ResponseProfile",
     "ScmConfig",

@@ -14,7 +14,7 @@ code.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .bounds import (
     value_range,
 )
 from .datagen import REGIMES, SHARD_SIZE
-from .model import CellKey, cell_bits, cell_ids, check_cell_space
+from .model import cell_bits, cell_ids, check_cell_space
 from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "BELOW_THRESHOLD",
     "ZERO_ARM",
     "INCONSISTENT",
-    "LabeledCell",
-    "DroppedCell",
     "LabelTable",
     "DropTable",
     "SplitSpec",
@@ -63,30 +61,10 @@ class IneligibleCellError(ValueError):
     """A cell's counts cannot support a frequentist estimate."""
 
 
-@dataclass(frozen=True)
-class LabeledCell:
-    """A cell eligible for training, with its estimated bound labels."""
-
-    cell: CellKey
-    lower_label: float
-    upper_label: float
-    n_exp: int
-    n_obs: int
-
-
-@dataclass(frozen=True)
-class DroppedCell:
-    cell: CellKey
-    reason: str
-    n_exp: int
-    n_obs: int
-
-
 @dataclass(frozen=True, eq=False)
 class LabelTable(CellTable):
     """Bound labels of cells of ``n_observed`` bits, as columns, in ascending
-    id order from ``build_labels`` and shuffled by ``split``.  Its rows are
-    ``LabeledCell``s."""
+    id order from ``build_labels`` and shuffled by ``split``."""
 
     cell_id: np.ndarray
     n_observed: int
@@ -98,15 +76,11 @@ class LabelTable(CellTable):
     _columns = dict(cell_id="i8", lower_label="f8", upper_label="f8", n_exp="i8", n_obs="i8")
     _ascending = False
 
-    def __iter__(self) -> Iterator[LabeledCell]:
-        cols = (getattr(self, name).tolist() for name in list(self._columns)[1:])
-        return map(LabeledCell, self._keys(), *cols)
-
 
 @dataclass(frozen=True, eq=False)
 class DropTable(CellTable):
     """The drop log: cells of ``n_observed`` bits with a reason code, as
-    columns.  Its rows are ``DroppedCell``s."""
+    columns."""
 
     cell_id: np.ndarray
     n_observed: int
@@ -115,10 +89,6 @@ class DropTable(CellTable):
     n_obs: np.ndarray
 
     _columns = dict(cell_id="i8", reason="O", n_exp="i8", n_obs="i8")
-
-    def __iter__(self) -> Iterator[DroppedCell]:
-        cols = (getattr(self, name).tolist() for name in list(self._columns)[1:])
-        return map(DroppedCell, self._keys(), *cols)
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,18 @@ SELECTION_MODES = ("lower_positive", "top_k_lower", "top_k_midpoint")
 def _parse_vector(text: str) -> BenefitVector:
     parts = text.split(",")
     if len(parts) != 4:
-        raise ValueError("benefit vector needs 4 comma-separated payoffs")
-    return BenefitVector(*(float(p) for p in parts))
+        raise argparse.ArgumentTypeError("benefit vector needs 4 comma-separated payoffs")
+    try:
+        return BenefitVector(*(float(p) for p in parts))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_seed(text: str) -> int:
-    return datagen.check_seed(int(text))
+    try:
+        return datagen.check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _check_dataset(path: str, config: ScmConfig, regime: str) -> None:

@@ -24,10 +24,10 @@ format.  ``iter_dataset`` reads a stored dataset back shard by shard, so a
 reader holds one shard at a time; ``read_dataset`` reads it whole.
 
 Because each shard has its own stream, shards can be made in any order and
-on any thread.  With more than one CPU, ``iter_blocks`` generates shards
-ahead of its consumer on one worker thread per CPU (numpy releases the
-interpreter lock while it fills and compares arrays) and yields them in
-shard order; the bytes are the same as when one thread makes them all.
+on any thread.  ``iter_blocks`` generates shards ahead of its consumer on
+one worker thread per CPU it may run on, one thread on one CPU (numpy
+releases the interpreter lock while it fills and compares arrays), and
+yields them in shard order; the bytes do not depend on the number of CPUs.
 """
 
 from __future__ import annotations
@@ -175,9 +175,10 @@ def iter_blocks(
 ) -> Iterator[np.ndarray]:
     """Yield the dataset shard by shard; concatenation order is sample order.
 
-    With more than one CPU and more than one shard, worker threads generate
-    up to one shard per CPU ahead of the consumer.  Closing the iterator
-    waits for the shards in flight; a worker's error is raised here."""
+    Worker threads, one per CPU but no more than there are shards, generate
+    up to one shard per worker ahead of the consumer; an empty dataset starts
+    no thread.  Closing the iterator waits for the shards in flight; a
+    worker's error is raised here."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if n_samples < 0:
@@ -185,11 +186,9 @@ def iter_blocks(
     check_seed(seed)
     n_shards = (n_samples + SHARD_SIZE - 1) // SHARD_SIZE
     sizes = [min(SHARD_SIZE, n_samples - shard * SHARD_SIZE) for shard in range(n_shards)]
-    workers = min(_n_cpus(), n_shards)
-    if workers < 2:
-        for shard, m in enumerate(sizes):
-            yield _gen_shard(config, regime, shard, m, seed)
+    if n_shards == 0:
         return
+    workers = min(_n_cpus(), n_shards)
     # Imported here: concurrent.futures imports logging, which would slow
     # every command's start-up.
     from concurrent.futures import ThreadPoolExecutor

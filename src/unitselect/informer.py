@@ -17,9 +17,7 @@ the estimable distributions imply).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +32,6 @@ from .bounds import (
     exact_benefit,
 )
 from .model import (
-    CellKey,
     ConfigError,
     FullProfile,
     ScmConfig,
@@ -48,7 +45,6 @@ from .model import m_value as _m_value
 from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
-    "InformerRecord",
     "InformerTable",
     "exact_experimental",
     "exact_observational",
@@ -72,25 +68,13 @@ INFORMER_HEADER = (
 _CHUNK_CELLS = 2048
 
 
-@dataclass(frozen=True)
-class InformerRecord:
-    """Exact truth for one cell: distributions, benefit and its bounds."""
-
-    cell: CellKey
-    exp: ExperimentalDistribution
-    obs: ObservationalJoint
-    true_f: float
-    true_lower: float
-    true_upper: float
-
-
 @dataclass(frozen=True, eq=False)
 class InformerTable(CellTable):
     """Exact truth for a run of cells, as columns.
 
     ``exp`` is (k, 2) in ``ExperimentalDistribution`` field order and ``obs``
     is (k, 4) in ``ObservationalJoint`` order; ids lie in the cell space of
-    ``n_observed`` bits.  Its rows are ``InformerRecord``s.
+    ``n_observed`` bits.
     """
 
     cell_id: np.ndarray
@@ -109,17 +93,6 @@ class InformerTable(CellTable):
         super().__post_init__()
         if self.n_observed < 1 or (self.cell_id >> self.n_observed).any():
             raise ConfigError(f"cell ids out of range for {self.n_observed} observed bits")
-
-    def __iter__(self) -> Iterator[InformerRecord]:
-        return map(
-            InformerRecord,
-            self._keys(),
-            starmap(ExperimentalDistribution, self.exp.tolist()),
-            starmap(ObservationalJoint, self.obs.tolist()),
-            self.true_f.tolist(),
-            self.true_lower.tolist(),
-            self.true_upper.tolist(),
-        )
 
 
 def _check_profile(profile: FullProfile, config: ScmConfig) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -26,7 +25,6 @@ from .tables import CellTable, atomic_write, read_cell_csv, write_cell_csv
 __all__ = [
     "Hyperparams",
     "Model",
-    "PredictionRow",
     "PredictionTable",
     "train",
     "predict_all",
@@ -61,8 +59,11 @@ class Hyperparams:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.hidden_width < 1 or self.epochs < 1:
             raise ValueError("hidden_width and epochs must be positive")
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):  # refuses true, "0.1"
+            raise ValueError(f"learning_rate must be a number, got {rate!r}")
+        if not 0.0 < rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,18 +209,9 @@ def _raw_outputs(model: Model, x: np.ndarray) -> np.ndarray:
     return _forward(model.params, x)[2][:, 0]
 
 
-@dataclass(frozen=True)
-class PredictionRow:
-    cell_id: int
-    pred_lower: float
-    pred_upper: float
-    repaired: bool
-
-
 @dataclass(frozen=True, eq=False)
 class PredictionTable(CellTable):
-    """Predicted bounds for a run of cells, as columns.  Its rows are
-    ``PredictionRow``s."""
+    """Predicted bounds for a run of cells, as columns."""
 
     cell_id: np.ndarray
     pred_lower: np.ndarray
@@ -227,9 +219,6 @@ class PredictionTable(CellTable):
     repaired: np.ndarray
 
     _columns = dict(cell_id="i8", pred_lower="f8", pred_upper="f8", repaired="?")
-
-    def __iter__(self) -> Iterator[PredictionRow]:
-        return map(PredictionRow, *(getattr(self, name).tolist() for name in self._columns))
 
 
 def predict_all(

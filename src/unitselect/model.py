@@ -131,7 +131,7 @@ class ScmConfig:
     def from_dict(cls, data: dict) -> "ScmConfig":
         """Build a config from parsed JSON: one key per field, where only
         fields with a default may be left out and unknown keys are ignored.
-        Both widths must be JSON integers."""
+        Both widths must be JSON integers, and no field may hold a boolean."""
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         try:
@@ -143,6 +143,10 @@ class ScmConfig:
             for name in ("n_observed", "n_unobserved"):
                 if type(kwargs[name]) is not int:  # refuses 15.7, true and "15"
                     raise ConfigError(f"{name} must be an integer, got {kwargs[name]!r}")
+            for name, value in kwargs.items():
+                items = value if isinstance(value, (list, tuple)) else [value]
+                if any(isinstance(x, bool) for x in items):  # true would load as 1.0
+                    raise ConfigError(f"{name} must hold numbers, got {value!r}")
             return cls(**kwargs)
         except KeyError as exc:
             raise ConfigError(f"config is missing key {exc.args[0]!r}") from exc

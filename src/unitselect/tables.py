@@ -1,7 +1,9 @@
 """Per-cell column tables and their CSV form.
 
-A table holds one array per field, one entry per cell, and is a read-only
-sequence of its row type whose rows are built only on access.
+A table holds one read-only array per field, one entry per cell, and is
+worked on column by column.  A slice or an int array of positions picks a
+table of those cells; iterating gives plain rows, which only the benchmark
+reads.
 """
 
 from __future__ import annotations
@@ -9,20 +11,21 @@ from __future__ import annotations
 import dataclasses
 import os
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .model import CellKey, cell_bits
 
 
-class CellTable(Sequence):
+class CellTable:
     """Base of the frozen-dataclass tables.  ``_columns`` maps each array
     field, in CSV order, to the numpy dtype of one cell's entry (such as
-    ``"(2,)f8"`` for two floats); subclasses build rows in ``__iter__``.
-    Ids are strictly ascending unless a subclass sets ``_ascending`` False."""
+    ``"(2,)f8"`` for two floats).  Ids are strictly ascending unless a
+    subclass sets ``_ascending`` False."""
 
     _columns: dict[str, str] = {}
     _ascending = True
@@ -41,14 +44,13 @@ class CellTable(Sequence):
     def __len__(self) -> int:
         return len(self.cell_id)
 
-    def __getitem__(self, index):
-        """A row for an int; a table of those rows for a slice or int array."""
-        if isinstance(index, (slice, np.ndarray)):
-            return dataclasses.replace(
-                self, **{name: getattr(self, name)[index] for name in self._columns}
-            )
-        i = range(len(self))[index]
-        return next(iter(self[i : i + 1]))
+    def __getitem__(self, index: slice | np.ndarray):
+        """The table of the cells a slice or an int array picks."""
+        if not isinstance(index, (slice, np.ndarray)):
+            raise TypeError(f"tables take a slice or an int array, not {type(index).__name__}")
+        return dataclasses.replace(
+            self, **{name: getattr(self, name)[index] for name in self._columns}
+        )
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -58,9 +60,20 @@ class CellTable(Sequence):
             for f in dataclasses.fields(self)
         )
 
-    def _keys(self):
-        """The rows' ``CellKey``s, for tables with an ``n_observed`` width."""
-        return map(CellKey, map(tuple, cell_bits(self.cell_id, self.n_observed).tolist()))
+    def __iter__(self) -> Iterator[SimpleNamespace]:
+        """One plain row per cell, whose fields are the ``_columns`` names
+        holding Python values (a list for a multi-value entry); in a table
+        with an ``n_observed`` width, ``cell_id`` becomes ``cell``, a
+        ``CellKey``.  Only ``benchmarks/`` reads rows, until ROADMAP item 4
+        moves it to columns."""
+        names = list(self._columns)
+        cols = [getattr(self, name).tolist() for name in names[1:]]
+        if hasattr(self, "n_observed"):
+            names[0] = "cell"
+            ids = map(CellKey, map(tuple, cell_bits(self.cell_id, self.n_observed).tolist()))
+        else:
+            ids = self.cell_id.tolist()
+        return (SimpleNamespace(**dict(zip(names, row))) for row in zip(ids, *cols))
 
 
 def read_cell_csv(path: str | Path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:

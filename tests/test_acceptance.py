@@ -14,6 +14,8 @@ from oracles import feasible_benefit_range
 from unitselect.bounds import (
     DEFAULT_BENEFIT_VECTOR,
     BenefitVector,
+    ExperimentalDistribution,
+    ObservationalJoint,
     sigma,
     value_range,
     w_term,
@@ -34,7 +36,7 @@ from unitselect.learner import (
     predict_all,
     train,
 )
-from unitselect.model import FullProfile
+from unitselect.model import FullProfile, cell_bits
 
 V = DEFAULT_BENEFIT_VECTOR
 
@@ -45,8 +47,8 @@ def test_criterion_1_soundness_exhaustive(desk8):
     elapsed = time.perf_counter() - start
     assert len(records) == 256
     slack = min(
-        min(r.true_f - r.true_lower for r in records),
-        min(r.true_upper - r.true_f for r in records),
+        (records.true_f - records.true_lower).min(),
+        (records.true_upper - records.true_f).min(),
     )
     assert slack >= -1e-9
     assert elapsed < 10.0
@@ -63,19 +65,19 @@ def test_criterion_2_algebraic_identity(desk8):
     n_u = desk8.n_unobserved
     weights = completion_weights(desk8)
     worst = 0.0
-    for rec in records:
+    for i, bits in enumerate(cell_bits(records.cell_id, records.n_observed).tolist()):
         pc = 0.0
         p_do_x = 0.0
         p_do_xp = 0.0
         for c in range(1 << n_u):
             comp = tuple((c >> j) & 1 for j in range(n_u))
-            profile = FullProfile(rec.cell.bits + comp)
+            profile = FullProfile((*bits, *comp))
             pc += weights[c] * response_profile(profile, desk8).p_complier
             e = exact_experimental(profile, desk8)
             p_do_x += weights[c] * e.p_y_do_x
             p_do_xp += weights[c] * e.p_y_do_xp
-        w = w_term(V, type(rec.exp)(p_y_do_x=p_do_x, p_y_do_xp=p_do_xp))
-        worst = max(worst, abs(rec.true_f - (w + sigma(V) * pc)))
+        w = w_term(V, ExperimentalDistribution(p_y_do_x=p_do_x, p_y_do_xp=p_do_xp))
+        worst = max(worst, abs(records.true_f[i] - (w + sigma(V) * pc)))
     assert worst < 1e-9
     print(
         f"ACCEPTANCE PASS criterion 2: |true_f - (W + sigma*p_complier)| "
@@ -87,21 +89,23 @@ def test_criterion_3_sigma_branches(desk8):
     start = time.perf_counter()
     flat = BenefitVector(1.0, 1.0, 1.0, 1.0)
     assert sigma(flat) == 0.0
-    for rec in informer_table(desk8, flat):
-        assert rec.true_lower == 1.0
-        assert rec.true_upper == 1.0
-        assert rec.true_f == 1.0
+    table = informer_table(desk8, flat)
+    assert (table.true_lower == 1.0).all()
+    assert (table.true_upper == 1.0).all()
+    assert (table.true_f == 1.0).all()
 
     worst = 0.0
     for v in (V, BenefitVector(0.0, 1.0, 1.0, 1.0)):  # sigma +1 and -1
         assert abs(sigma(v)) == 1.0
-        for rec in informer_table(desk8, v):
-            oracle = feasible_benefit_range(v, rec.exp, rec.obs)
+        table = informer_table(desk8, v)
+        for i in range(len(table)):
+            exp, obs = ExperimentalDistribution(*table.exp[i]), ObservationalJoint(*table.obs[i])
+            oracle = feasible_benefit_range(v, exp, obs)
             assert oracle is not None
             worst = max(
                 worst,
-                abs(rec.true_lower - oracle[0]),
-                abs(rec.true_upper - oracle[1]),
+                abs(table.true_lower[i] - oracle[0]),
+                abs(table.true_upper[i] - oracle[1]),
             )
     elapsed = time.perf_counter() - start
     assert worst < 2e-3
@@ -118,18 +122,20 @@ def test_criterion_4_monte_carlo_convergence(desk4):
     obs_map = aggregate(generate_array(desk4, "observational", n, seed=42), "observational")
     checks = 0
     hits = 0
-    for rec in informer_table(desk4, V):
+    truth = informer_table(desk4, V)
+    for i, cid in enumerate(truth.cell_id.tolist()):
+        exp, obs = ExperimentalDistribution(*truth.exp[i]), ObservationalJoint(*truth.obs[i])
         # count rows by x*2 + y: (x'y', x'y, xy', xy)
-        ce = exp_map[rec.cell.id]
-        co = obs_map[rec.cell.id]
+        ce = exp_map[cid]
+        co = obs_map[cid]
         treated, control, n_obs = ce[2] + ce[3], ce[0] + ce[1], co.sum()
         quantities = [
-            (ce[3] / treated, rec.exp.p_y_do_x, treated),
-            (ce[1] / control, rec.exp.p_y_do_xp, control),
-            (co[3] / n_obs, rec.obs.p_xy, n_obs),
-            (co[2] / n_obs, rec.obs.p_xyp, n_obs),
-            (co[1] / n_obs, rec.obs.p_xpy, n_obs),
-            (co[0] / n_obs, rec.obs.p_xpyp, n_obs),
+            (ce[3] / treated, exp.p_y_do_x, treated),
+            (ce[1] / control, exp.p_y_do_xp, control),
+            (co[3] / n_obs, obs.p_xy, n_obs),
+            (co[2] / n_obs, obs.p_xyp, n_obs),
+            (co[1] / n_obs, obs.p_xpy, n_obs),
+            (co[0] / n_obs, obs.p_xpyp, n_obs),
         ]
         for est, p, n_arm in quantities:
             checks += 1
@@ -142,7 +148,7 @@ def test_criterion_4_monte_carlo_convergence(desk4):
     )
 
 
-def _median_label_error(config, n, seed_exp, seed_obs, threshold, truth_by_id):
+def _median_label_error(config, n, seed_exp, seed_obs, threshold, truth):
     exp_map = aggregate(
         generate_array(config, "experimental", n, seed_exp), "experimental"
     )
@@ -150,20 +156,18 @@ def _median_label_error(config, n, seed_exp, seed_obs, threshold, truth_by_id):
         generate_array(config, "observational", n, seed_obs), "observational"
     )
     labels, _ = build_labels(exp_map, obs_map, V, threshold)
-    errs = []
-    for lab in labels:
-        rec = truth_by_id[lab.cell.id]
-        errs.append(abs(lab.lower_label - rec.true_lower))
-        errs.append(abs(lab.upper_label - rec.true_upper))
-    return float(np.median(errs)), len(labels)
+    # the truth table is full, so a cell's id is its row
+    errs = [
+        np.abs(labels.lower_label - truth.true_lower[labels.cell_id]),
+        np.abs(labels.upper_label - truth.true_upper[labels.cell_id]),
+    ]
+    return float(np.median(np.concatenate(errs))), len(labels)
 
 
 def test_criterion_5_label_convergence(desk4):
-    truth_by_id = {rec.cell.id: rec for rec in informer_table(desk4, V)}
-    med_high, n_high = _median_label_error(
-        desk4, 3_000_000, 51, 52, 100_000, truth_by_id
-    )
-    med_low, n_low = _median_label_error(desk4, 32_000, 53, 54, 1300, truth_by_id)
+    truth = informer_table(desk4, V)
+    med_high, n_high = _median_label_error(desk4, 3_000_000, 51, 52, 100_000, truth)
+    med_low, n_low = _median_label_error(desk4, 32_000, 53, 54, 1300, truth)
     assert n_high > 0 and n_low > 0
     assert med_high <= 0.05
     assert med_low <= 0.15
@@ -191,10 +195,10 @@ def test_criterion_6_full_scale_end_to_end(appendix):
 
     train_set, _ = split(labels, SplitSpec(test_fraction=0.2, seed=0))
     hp = Hyperparams()  # (128, 600, 0.01)
-    feats = [lab.cell.bits for lab in train_set]
+    feats = cell_bits(train_set.cell_id, train_set.n_observed)
     start = time.perf_counter()
-    model_lower = train(feats, [lab.lower_label for lab in train_set], hp)
-    model_upper = train(feats, [lab.upper_label for lab in train_set], hp)
+    model_lower = train(feats, train_set.lower_label, hp)
+    model_upper = train(feats, train_set.upper_label, hp)
     t_train = time.perf_counter() - start
 
     preds = predict_all(model_lower, model_upper, appendix.n_observed, V)

@@ -10,6 +10,8 @@ from unitselect import model
 from unitselect.bounds import (
     DEFAULT_BENEFIT_VECTOR,
     BenefitVector,
+    ExperimentalDistribution,
+    ObservationalJoint,
     benefit_bounds,
     value_range,
 )
@@ -17,10 +19,8 @@ from unitselect.cells import (
     BELOW_THRESHOLD,
     INCONSISTENT,
     ZERO_ARM,
-    DroppedCell,
     DropTable,
     IneligibleCellError,
-    LabeledCell,
     LabelTable,
     SplitSpec,
     aggregate,
@@ -41,9 +41,10 @@ def _cell(bits):
 
 
 def _table(cls, rows, n_observed):
-    """The column table of ``rows``, ``LabeledCell``s or ``DroppedCell``s."""
-    ids = [r.cell.id for r in rows]
-    cols = ([getattr(r, name) for r in rows] for name in list(cls._columns)[1:])
+    """The column table of ``rows``: tuples of a cell's bits, then its other
+    columns in table order."""
+    ids = [_cell(r[0]).id for r in rows]
+    cols = ([r[i] for r in rows] for i in range(1, len(cls._columns)))
     return cls(ids, n_observed, *cols)
 
 
@@ -294,12 +295,12 @@ def test_build_labels_threshold_boundary():
     exp_map = _count_map({0: ok[0], 1: thin[0]})
     obs_map = _count_map({0: ok[1], 1: ok[1]})
     labels, drops = build_labels(exp_map, obs_map, v, threshold=1300)
-    assert [lab.cell.id for lab in labels] == [0]
-    assert list(drops) == [DroppedCell(_cell((1,)), BELOW_THRESHOLD, 1299, 1300)]
+    assert labels.cell_id.tolist() == [0]
+    assert drops == _table(DropTable, [((1,), BELOW_THRESHOLD, 1299, 1300)], 1)
     # at exactly the threshold the cell qualifies
     labels, drops = build_labels(exp_map, obs_map, v, threshold=1299)
-    assert [lab.cell.id for lab in labels] == [0, 1]
-    assert list(drops) == []
+    assert labels.cell_id.tolist() == [0, 1]
+    assert len(drops) == 0
 
 
 def test_build_labels_separate_regime_maps():
@@ -309,10 +310,10 @@ def test_build_labels_separate_regime_maps():
     exp_map = _count_map({0: _exp_row(40, 20, 40, 4)})
     obs_map = _count_map({0: _obs_row(20, 20, 20, 20)})
     labels, drops = build_labels(exp_map, obs_map, v, threshold=50)
-    assert list(drops) == []
+    assert len(drops) == 0
     assert len(labels) == 1
-    assert labels[0].n_exp == 80
-    assert labels[0].n_obs == 80
+    assert labels.n_exp[0] == 80
+    assert labels.n_obs[0] == 80
 
 
 def test_build_labels_zero_arm_and_inconsistent():
@@ -322,19 +323,19 @@ def test_build_labels_zero_arm_and_inconsistent():
     # (0.9) above the upper one (0.5)
     clash = _counts(10, 9, 10, 0, (0, 5, 0, 5))
     labels, drops = build_labels(*_maps({0: zero_arm, 1: clash}), v, threshold=10)
-    assert list(labels) == []
-    assert list(drops) == [
-        DroppedCell(_cell((0,)), ZERO_ARM, 20, 20),
-        DroppedCell(_cell((1,)), INCONSISTENT, 20, 10),
-    ]
+    assert len(labels) == 0
+    assert drops == _table(DropTable, [
+        ((0,), ZERO_ARM, 20, 20),
+        ((1,), INCONSISTENT, 20, 10),
+    ], 1)
 
 
 def test_build_labels_missing_from_one_regime():
     v = DEFAULT_BENEFIT_VECTOR
     exp_map = _count_map({0: _exp_row(40, 20, 40, 4)})
     labels, drops = build_labels(exp_map, {}, v, threshold=10)
-    assert list(labels) == []
-    assert list(drops) == [DroppedCell(_cell((0,)), BELOW_THRESHOLD, 80, 0)]
+    assert len(labels) == 0
+    assert drops == _table(DropTable, [((0,), BELOW_THRESHOLD, 80, 0)], 1)
 
 
 def test_build_labels_within_value_range():
@@ -343,7 +344,7 @@ def test_build_labels_within_value_range():
     ok = _counts(100, 100, 100, 0, (50, 0, 0, 50))
     labels, _ = build_labels(*_maps({0: ok}), v, threshold=10)
     assert len(labels) == 1
-    assert lo <= labels[0].lower_label <= labels[0].upper_label <= hi
+    assert lo <= labels.lower_label[0] <= labels.upper_label[0] <= hi
 
 
 def _f64(x) -> bytes:
@@ -397,14 +398,15 @@ def test_build_labels_matches_scalar_chain(v):
     exp_map, obs_map = _count_map(exp_rows, 9), _count_map(obs_rows, 9)
     labels, drops = build_labels(exp_map, obs_map, v, threshold=20)
     expect = _scalar_labels(exp_map, obs_map, v, threshold=20)
-    assert sorted(c.cell.id for c in [*labels, *drops]) == sorted(expect)
-    assert {d.reason for d in drops} == {BELOW_THRESHOLD, ZERO_ARM, INCONSISTENT}
+    assert sorted([*labels.cell_id.tolist(), *drops.cell_id.tolist()]) == sorted(expect)
+    assert set(drops.reason) == {BELOW_THRESHOLD, ZERO_ARM, INCONSISTENT}
     assert len(labels) > 20
-    for d in drops:
-        assert expect[d.cell.id] == d.reason
-    for lab in labels:
-        low, up = expect[lab.cell.id]
-        assert (_f64(lab.lower_label), _f64(lab.upper_label)) == (_f64(low), _f64(up))
+    for cid, reason in zip(drops.cell_id.tolist(), drops.reason):
+        assert expect[cid] == reason
+    rows = zip(labels.cell_id.tolist(), labels.lower_label.tolist(), labels.upper_label.tolist())
+    for cid, lower, upper in rows:
+        low, up = expect[cid]
+        assert (_f64(lower), _f64(upper)) == (_f64(low), _f64(up))
 
 
 def test_build_labels_rejects_impossible_counts():
@@ -424,29 +426,26 @@ def test_labels_match_exact_truth_with_exact_proportions(desk4):
     d = 10**12
     half = d // 2
     cells_by_id = {}
-    for rec in table:
-        treated_y1 = round(rec.exp.p_y_do_x * half)
-        control_y1 = round(rec.exp.p_y_do_xp * half)
+    for i, cid in enumerate(table.cell_id.tolist()):
+        exp = ExperimentalDistribution(*table.exp[i])
+        obs = ObservationalJoint(*table.obs[i])
+        treated_y1 = round(exp.p_y_do_x * half)
+        control_y1 = round(exp.p_y_do_xp * half)
         # columns by x*2 + y: (x'y', x'y, xy', xy)
         exp_row = (half - control_y1, control_y1, half - treated_y1, treated_y1)
-        obs = rec.obs
         obs_row = [round(p * d) for p in (obs.p_xpyp, obs.p_xpy, obs.p_xyp, obs.p_xy)]
-        cells_by_id[rec.cell.id] = (exp_row, obs_row)
+        cells_by_id[cid] = (exp_row, obs_row)
     labels, drops = build_labels(*_maps(cells_by_id, 4), v, threshold=1)
-    assert list(drops) == []
+    assert len(drops) == 0
     assert len(labels) == 16
-    for lab, rec in zip(labels, table):
-        assert lab.cell == rec.cell
-        assert abs(lab.lower_label - rec.true_lower) < 1e-9
-        assert abs(lab.upper_label - rec.true_upper) < 1e-9
+    assert (labels.cell_id == table.cell_id).all() and labels.n_observed == table.n_observed
+    assert (abs(labels.lower_label - table.true_lower) < 1e-9).all()
+    assert (abs(labels.upper_label - table.true_upper) < 1e-9).all()
 
 
 def _fake_labels(n):
-    out = []
-    for i in range(n):
-        bits = tuple((i >> b) & 1 for b in range(9))
-        out.append(LabeledCell(CellKey(bits), -0.5, 0.5, 2000, 2000))
-    return _table(LabelTable, out, 9)
+    rows = [(CellKey.from_id(i, 9).bits, -0.5, 0.5, 2000, 2000) for i in range(n)]
+    return _table(LabelTable, rows, 9)
 
 
 def test_split_sizes():
@@ -462,10 +461,10 @@ def test_split_deterministic_disjoint_exhaustive():
     train1, test1 = split(labels, spec)
     train2, test2 = split(labels, spec)
     assert train1 == train2 and test1 == test2
-    ids_train = {lab.cell.id for lab in train1}
-    ids_test = {lab.cell.id for lab in test1}
+    ids_train = set(train1.cell_id.tolist())
+    ids_test = set(test1.cell_id.tolist())
     assert not ids_train & ids_test
-    assert ids_train | ids_test == {lab.cell.id for lab in labels}
+    assert ids_train | ids_test == set(labels.cell_id.tolist())
     # a different seed shuffles differently
     train3, _ = split(labels, SplitSpec(test_fraction=0.25, seed=12))
     assert train3 != train1
@@ -482,8 +481,8 @@ def test_split_validation():
 
 def test_labels_csv_roundtrip(tmp_path):
     labels = _table(LabelTable, [
-        LabeledCell(_cell((1, 0, 1)), -0.123456789012, 0.75, 2000, 1500),
-        LabeledCell(_cell((0, 1, 1)), 0.0, 1.0, 1300, 1300),
+        ((1, 0, 1), -0.123456789012, 0.75, 2000, 1500),
+        ((0, 1, 1), 0.0, 1.0, 1300, 1300),
     ], 3)
     path = tmp_path / "labels.csv"
     write_labels_csv(labels, path)
@@ -496,18 +495,18 @@ def test_labels_csv_roundtrip(tmp_path):
 def test_labels_csv_roundtrip_keeps_wide_cell_ids(tmp_path):
     # ids at and above 2**53 do not survive a trip through float64
     bits = [(1,) * 60, (0,) * 6 + (1,) * 54, (1,) + (0,) * 52 + (1,) * 7]
-    labels = _table(LabelTable, [LabeledCell(_cell(b), -0.5, 0.25, 1300, 1400) for b in bits], 60)
-    assert all(lab.cell.id >= 2**53 for lab in labels)
+    labels = _table(LabelTable, [(b, -0.5, 0.25, 1300, 1400) for b in bits], 60)
+    assert (labels.cell_id >= 2**53).all()
     path = tmp_path / "labels.csv"
     write_labels_csv(labels, path)
     rows = path.read_text().splitlines()[1:]
-    assert [int(r.split(",")[0]) for r in rows] == [lab.cell.id for lab in labels]
+    assert [int(r.split(",")[0]) for r in rows] == labels.cell_id.tolist()
     assert read_labels_csv(path) == labels
 
 
 def test_labels_csv_rejects_corruption(tmp_path):
     path = tmp_path / "labels.csv"
-    write_labels_csv(_table(LabelTable, [LabeledCell(_cell((1, 0)), 0.0, 0.5, 10, 10)], 2), path)
+    write_labels_csv(_table(LabelTable, [((1, 0), 0.0, 0.5, 10, 10)], 2), path)
     lines = path.read_text().splitlines()
     broken = tmp_path / "broken.csv"
     broken.write_text("\n".join(["bogus,header,line"] + lines[1:]) + "\n")
@@ -522,8 +521,8 @@ def test_labels_csv_rejects_corruption(tmp_path):
 
 def test_drops_csv(tmp_path):
     drops = _table(DropTable, [
-        DroppedCell(_cell((0, 0)), BELOW_THRESHOLD, 12, 3),
-        DroppedCell(_cell((1, 1)), INCONSISTENT, 5000, 5000),
+        ((0, 0), BELOW_THRESHOLD, 12, 3),
+        ((1, 1), INCONSISTENT, 5000, 5000),
     ], 2)
     path = tmp_path / "drops.csv"
     write_drops_csv(drops, path)
@@ -546,13 +545,13 @@ def _csv_writer_bytes(header, rows):
 def test_label_and_drop_writers_match_csv_writer(tmp_path):
     wide = [(1,) * 60, (0,) * 6 + (1,) * 54, (1,) + (0,) * 52 + (1,) * 7]
     labels = [
-        LabeledCell(_cell(wide[0]), -0.0, 0.1 + 0.2, 1300, 2**40),
-        LabeledCell(_cell(wide[1]), -1 / 3, 123456.789012345678, 1301, 1302),
-        LabeledCell(_cell(wide[2]), 1e-20, 0.0, 2000, 1500),
+        (wide[0], -0.0, 0.1 + 0.2, 1300, 2**40),
+        (wide[1], -1 / 3, 123456.789012345678, 1301, 1302),
+        (wide[2], 1e-20, 0.0, 2000, 1500),
     ]
     drops = [
-        DroppedCell(_cell(wide[1]), BELOW_THRESHOLD, 12, 0),
-        DroppedCell(_cell(wide[0]), INCONSISTENT, 5000, 2**40),
+        (wide[1], BELOW_THRESHOLD, 12, 0),
+        (wide[0], INCONSISTENT, 5000, 2**40),
     ]
     header = ["cell_id", *(f"z{i + 1}" for i in range(60)),
               "lower_label", "upper_label", "n_exp", "n_obs"]
@@ -560,9 +559,8 @@ def test_label_and_drop_writers_match_csv_writer(tmp_path):
     for rows in (labels, []):
         write_labels_csv(_table(LabelTable, rows, 60), path)
         expect = [
-            [lab.cell.id, *lab.cell.bits, format(lab.lower_label, ".12g"),
-             format(lab.upper_label, ".12g"), lab.n_exp, lab.n_obs]
-            for lab in rows
+            [_cell(bits).id, *bits, format(lower, ".12g"), format(upper, ".12g"), n_exp, n_obs]
+            for bits, lower, upper, n_exp, n_obs in rows
         ]
         assert path.read_bytes() == _csv_writer_bytes(header, expect)
         if rows:  # -0.0 keeps its sign, 0.1 + 0.2 rounds to 12 digits
@@ -570,7 +568,7 @@ def test_label_and_drop_writers_match_csv_writer(tmp_path):
     assert path.read_bytes().endswith(b"n_obs\r\n")
     for rows in (drops, []):
         write_drops_csv(_table(DropTable, rows, 60), path)
-        expect = [[d.cell.id, d.reason, d.n_exp, d.n_obs] for d in rows]
+        expect = [[_cell(bits).id, *rest] for bits, *rest in rows]
         header = ["cell_id", "reason", "n_exp", "n_obs"]
         assert path.read_bytes() == _csv_writer_bytes(header, expect)
 

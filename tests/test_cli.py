@@ -326,7 +326,9 @@ def test_predict_width_mismatch(ws, tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("edit", [{"hidden_width": 3}, {"epochs": True, "hidden_width": 2.5}])
+@pytest.mark.parametrize(
+    "edit", [{"hidden_width": 3}, {"epochs": True, "hidden_width": 2.5}, {"learning_rate": True}]
+)
 def test_predict_refuses_a_model_file_that_contradicts_itself(ws, tmp_path, capsys, edit):
     doc = json.loads((ws["models"] / "model_lower.json").read_text())
     doc["hyperparams"].update(edit)  # the weights are 8 wide
@@ -537,11 +539,15 @@ def test_non_finite_or_unordered_informer_exits_2(ws, tmp_path, field, value):
                "--sample-n", 16, "--seed", 0) == 2
 
 
-def test_bad_vector_rejected(ws, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run("informer", "--config", ws["config"], "--vector", "1,-1,-1",
-            "--out", tmp_path / "x.csv")
-    assert exc.value.code == 2
+def test_bad_vector_rejected(ws, tmp_path, capsys):
+    for vector, rule in (("1,-1,-1", "benefit vector needs 4 comma-separated payoffs"),
+                         ("1,-1,-1,x", "could not convert string")):
+        with pytest.raises(SystemExit) as exc:
+            run("informer", "--config", ws["config"], "--vector", vector,
+                "--out", tmp_path / "x.csv")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --vector: {rule}" in err and "_parse_" not in err
 
 
 def test_simulate_bad_arguments_exit_2(ws, tmp_path):
@@ -564,6 +570,10 @@ def test_malformed_config_exits_2(tmp_path, capsys, desk4):
     bad.write_text(json.dumps(dict(dataclasses.asdict(desk4), n_observed=True, n_unobserved=5)))
     assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
     assert "n_observed must be an integer, got True" in capsys.readouterr().err
+    # float() would load this as a noise probability of 1.0
+    bad.write_text(json.dumps(dict(dataclasses.asdict(desk4), bern_ux=True)))
+    assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
+    assert "bern_ux must hold numbers, got True" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -618,7 +628,8 @@ def test_seed_outside_the_key_range_exits_2_before_reading(tmp_path, capsys, com
     with pytest.raises(SystemExit) as exc:
         run(command, *args, "--seed", seed)
     assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --seed: seed must lie in [0, 2**64)" in err and "_parse_" not in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -707,11 +718,12 @@ def test_console_script_on_path(ws, tmp_path):
 
 def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
     """Counting, table building, CSV I/O, evaluation and the
-    train/select/evaluate/report commands work on columns: they construct no
-    row or key object."""
+    train/select/evaluate/report commands work on columns: they iterate no
+    table and construct no key object."""
     from unitselect import cells, informer, learner
     from unitselect.datagen import generate_array
     from unitselect.model import CellKey
+    from unitselect.tables import CellTable
 
     exp_rows = generate_array(desk8, "experimental", 60_000, 5)
     obs_rows = generate_array(desk8, "observational", 60_000, 6)
@@ -726,10 +738,15 @@ def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
 
         monkeypatch.setattr(cls, "__init__", wrapped)
 
-    row_types = (informer.InformerRecord, learner.PredictionRow, cells.LabeledCell,
-                 cells.DroppedCell, CellKey)
-    for cls in row_types:
-        counting(cls)
+    counting(CellKey)
+    iterate = CellTable.__iter__
+
+    def counting_rows(table):
+        for row in iterate(table):
+            built[type(table).__name__] = built.get(type(table).__name__, 0) + 1
+            yield row
+
+    monkeypatch.setattr(CellTable, "__iter__", counting_rows)
 
     v = unitselect.DEFAULT_BENEFIT_VECTOR
     exp_map = cells.aggregate(exp_rows, "experimental")
@@ -758,7 +775,9 @@ def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
     assert run("evaluate", *files) == 0
     assert run("report", *files, "--out", tmp_path / "r.csv") == 0
     assert built == {}
-    # the counters do count: each row asked for is built once, with a key for
-    # the three row types that carry a CellKey
-    truth[3], preds[3], labels[3], drops[3]
-    assert built == {cls.__name__: 1 for cls in row_types} | {"CellKey": 3}
+    # the counters do count: each row asked for is built once, with a key in
+    # the three tables that have a width
+    tables = (truth, preds, labels, drops)
+    for table in tables:
+        next(iter(table))
+    assert built == {type(t).__name__: 1 for t in tables} | {"CellKey": 3}

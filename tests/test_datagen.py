@@ -300,19 +300,30 @@ def _pool_threads():
 
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("width", [4, 16])
-def test_pool_and_serial_paths_give_the_same_blocks(monkeypatch, desk4, width, regime):
+def test_blocks_do_not_depend_on_the_cpu_count(monkeypatch, desk4, width, regime):
     config = desk4 if width == 4 else random_config(16, 2, seed=16)
     n = 3 * SHARD_SIZE + 1234
-    runs = {}
-    for n_cpus in (1, 2):
+    runs = []
+    for n_cpus in (1, 2, 3):
         _use_cpus(monkeypatch, n_cpus)
         it = iter_blocks(config, regime, n, seed=62)
         first = next(it)
-        runs[n_cpus] = (len(_pool_threads()), [first, *it])
-    (serial_threads, serial), (pool_threads, pooled) = runs[1], runs[2]
-    assert serial_threads == 0 and pool_threads > 0
-    assert [len(b) for b in pooled] == [SHARD_SIZE] * 3 + [1234]
-    assert [b.tobytes() for b in pooled] == [b.tobytes() for b in serial]
+        # pool threads run at every affinity, at most one per CPU, and are
+        # gone once the blocks are used up
+        assert 0 < len(_pool_threads()) <= n_cpus
+        blocks = [first, *it]
+        assert _pool_threads() == []
+        assert [len(b) for b in blocks] == [SHARD_SIZE] * 3 + [1234]
+        runs.append([b.tobytes() for b in blocks])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_no_samples_start_no_thread(monkeypatch, desk4):
+    _use_cpus(monkeypatch, 2)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+    assert list(iter_blocks(desk4, "observational", 0, seed=1)) == []
+    assert started == []
 
 
 def _whole_shard(config, regime, shard, m, seed):

@@ -1,6 +1,5 @@
 import dataclasses
 import struct
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -8,12 +7,13 @@ import pytest
 from unitselect.bounds import (
     DEFAULT_BENEFIT_VECTOR,
     BenefitVector,
+    ExperimentalDistribution,
+    ObservationalJoint,
     benefit_bounds,
     exact_benefit,
 )
 from unitselect.informer import (
     INFORMER_HEADER,
-    InformerRecord,
     InformerTable,
     completion_weights,
     exact_experimental,
@@ -24,7 +24,14 @@ from unitselect.informer import (
     true_benefit_profile,
     write_informer_csv,
 )
-from unitselect.model import CellKey, CellSpaceTooLarge, ConfigError, FullProfile, random_config
+from unitselect.model import (
+    CellKey,
+    CellSpaceTooLarge,
+    ConfigError,
+    FullProfile,
+    cell_bits,
+    random_config,
+)
 
 V = DEFAULT_BENEFIT_VECTOR
 
@@ -151,11 +158,11 @@ def test_cell_truth_degenerate_mixture(desk8):
     for v in (V, BenefitVector(2.0, -1.0, 0.0, -2.0)):
         table = informer_table(cfg, v)
         assert len(table) == 2048
-        for rec in table:
-            profile = FullProfile(rec.cell.bits)
-            assert rec.exp == exact_experimental(profile, cfg)
-            assert rec.obs == exact_observational(profile, cfg)
-            assert rec.true_f == true_benefit_profile(profile, cfg, v)
+        for i, bits in enumerate(cell_bits(table.cell_id, table.n_observed).tolist()):
+            profile = FullProfile(bits)
+            assert ExperimentalDistribution(*table.exp[i]) == exact_experimental(profile, cfg)
+            assert ObservationalJoint(*table.obs[i]) == exact_observational(profile, cfg)
+            assert table.true_f[i] == true_benefit_profile(profile, cfg, v)
 
 
 def test_cell_truth_mixture_linearity(desk8):
@@ -164,12 +171,11 @@ def test_cell_truth_mixture_linearity(desk8):
     w = completion_weights(desk8)
     for cid in (0, 100, 255):
         cell = CellKey.from_id(cid, 8)
-        rec = table[cell.id]
         mixed = 0.0
         for j in range(len(w)):
             latent = tuple((j >> i) & 1 for i in range(desk8.n_unobserved))
             mixed += w[j] * true_benefit_profile(cell.complete(latent), desk8, v)
-        assert abs(mixed - rec.true_f) < 1e-12
+        assert abs(mixed - table.true_f[cell.id]) < 1e-12
 
 
 def test_cell_truth_mixes_distributions_not_bounds(desk4):
@@ -183,7 +189,6 @@ def test_cell_truth_mixes_distributions_not_bounds(desk4):
     w = completion_weights(desk4)
     for cid in range(16):
         cell = CellKey.from_id(cid, 4)
-        rec = table[cell.id]
         mixed_lower = 0.0
         for j in range(len(w)):
             latent = tuple((j >> i) & 1 for i in range(desk4.n_unobserved))
@@ -194,9 +199,9 @@ def test_cell_truth_mixes_distributions_not_bounds(desk4):
                 exact_observational(profile, desk4),
             )
             mixed_lower += w[j] * b.lower
-        diffs.append(abs(mixed_lower - rec.true_lower))
+        diffs.append(abs(mixed_lower - table.true_lower[cid]))
         # containment holds regardless
-        assert rec.true_lower - 1e-9 <= rec.true_f <= rec.true_upper + 1e-9
+        assert table.true_lower[cid] - 1e-9 <= table.true_f[cid] <= table.true_upper[cid] + 1e-9
     assert max(diffs) > 1e-6
 
 
@@ -209,9 +214,11 @@ def test_cell_truth_mixes_distributions_not_bounds(desk4):
     ],
 )
 def test_informer_bounds_match_scalar_bounds(desk8, v):
-    for rec in informer_table(desk8, v):
-        b = benefit_bounds(v, rec.exp, rec.obs)
-        assert struct.pack("<2d", rec.true_lower, rec.true_upper) == struct.pack(
+    table = informer_table(desk8, v)
+    for i in range(len(table)):
+        exp, obs = ExperimentalDistribution(*table.exp[i]), ObservationalJoint(*table.obs[i])
+        b = benefit_bounds(v, exp, obs)
+        assert struct.pack("<2d", table.true_lower[i], table.true_upper[i]) == struct.pack(
             "<2d", b.lower, b.upper
         )
 
@@ -219,11 +226,9 @@ def test_informer_bounds_match_scalar_bounds(desk8, v):
 def test_informer_table_shape_and_order(desk8):
     table = informer_table(desk8, V)
     assert len(table) == 256
-    assert [r.cell.id for r in table] == list(range(256))
+    assert table.cell_id.tolist() == list(range(256))
     again = informer_table(desk8, V)
-    assert all(
-        a.true_f == b.true_f and a.true_lower == b.true_lower for a, b in zip(table, again)
-    )
+    assert (again.true_f == table.true_f).all() and (again.true_lower == table.true_lower).all()
 
 
 def test_informer_table_size_guard():
@@ -243,12 +248,11 @@ def test_informer_csv_roundtrip(tmp_path, desk4):
     write_informer_csv(table, path)
     again = read_informer_csv(path)
     assert len(again) == len(table)
-    for a, b in zip(table, again):
-        assert a.cell == b.cell
-        assert b.true_f == pytest.approx(a.true_f, abs=1e-10)
-        assert b.true_lower == pytest.approx(a.true_lower, abs=1e-10)
-        assert b.exp.p_y_do_x == pytest.approx(a.exp.p_y_do_x, abs=1e-10)
-    assert [r.cell.id for r in again] == [r.cell.id for r in table]
+    assert again.n_observed == table.n_observed
+    assert again.cell_id.tolist() == table.cell_id.tolist()
+    assert again.true_f == pytest.approx(table.true_f, abs=1e-10)
+    assert again.true_lower == pytest.approx(table.true_lower, abs=1e-10)
+    assert again.exp[:, 0] == pytest.approx(table.exp[:, 0], abs=1e-10)
     # rewriting produces identical bytes
     path2 = tmp_path / "informer2.csv"
     write_informer_csv(table, path2)
@@ -263,25 +267,16 @@ def test_informer_csv_rejects_partial_table_without_width(tmp_path, desk4):
         read_informer_csv(path)
 
 
-def test_informer_table_is_a_sequence_of_records(desk4):
+def test_informer_table_is_columns(desk4):
     table = informer_table(desk4, V)
-    assert isinstance(table, InformerTable) and isinstance(table, Sequence)
-    rows = list(table)
-    assert len(rows) == len(table) == 16
-    assert all(isinstance(r, InformerRecord) for r in rows)
-    assert [r.cell for r in rows] == [CellKey.from_id(i, 4) for i in range(16)]
-    assert table[3] == rows[3] and table[-1] == rows[15]
-    assert list(table[2:9:3]) == rows[2:9:3]
-    assert isinstance(table[2:5], InformerTable)
-    with pytest.raises(IndexError):
-        table[16]
-    for r in rows:
-        for value in (r.true_f, r.true_lower, r.true_upper, r.exp.p_y_do_x, r.obs.p_xpyp):
-            assert type(value) is float
-        assert all(type(b) is int for b in r.cell.bits)
-        assert struct.pack("<d", r.true_lower) == struct.pack(
-            "<d", table.true_lower[r.cell.id]
-        )
+    assert isinstance(table, InformerTable) and len(table) == 16
+    picked = table[2:9:3]
+    assert isinstance(picked, InformerTable) and picked.n_observed == 4
+    assert picked.cell_id.tolist() == [2, 5, 8]
+    assert picked.exp.tolist() == table.exp[[2, 5, 8]].tolist()
+    assert table[np.array([1, 7])].cell_id.tolist() == [1, 7]
+    with pytest.raises(TypeError):
+        table[3]
     assert table.exp.shape == (16, 2) and table.obs.shape == (16, 4)
     with pytest.raises(ValueError):
         table.true_f[0] = 1.0

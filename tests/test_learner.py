@@ -14,7 +14,6 @@ from unitselect.informer import informer_table
 from unitselect.learner import (
     Hyperparams,
     Model,
-    PredictionRow,
     PredictionTable,
     evaluate,
     load_model,
@@ -57,6 +56,10 @@ def test_hyperparams_defaults_and_validation():
         Hyperparams(epochs=0)
     with pytest.raises(ValueError):
         Hyperparams(learning_rate=0.0)
+    for value in (True, False, "0.1", None, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="learning_rate must be"):
+            Hyperparams(learning_rate=value)
+    assert Hyperparams(learning_rate=1).learning_rate == 1
     for field in ("hidden_width", "epochs", "seed"):
         for value in (2.5, 4.0, True, "4"):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -408,21 +411,15 @@ def test_predictions_csv_keeps_wide_cell_ids(tmp_path):
     assert read_predictions_csv(path) == rows
 
 
-def test_prediction_table_is_a_sequence_of_rows():
+def test_prediction_table_is_columns():
     table = predict_all(_const_model(3, 0.4), _const_model(3, 0.1), 3, DEFAULT_BENEFIT_VECTOR)
     assert isinstance(table, PredictionTable) and len(table) == 8
-    rows = list(table)
-    assert rows == [PredictionRow(i, 0.25, 0.25, True) for i in range(8)]
-    assert all(
-        (type(r.cell_id), type(r.pred_lower), type(r.pred_upper), type(r.repaired))
-        == (int, float, float, bool)
-        for r in rows
-    )
-    assert table[5] == rows[5] and table[-2] == rows[6]
-    assert list(table[1:7:2]) == rows[1:7:2]
-    assert isinstance(table[:3], PredictionTable)
-    with pytest.raises(IndexError):
-        table[8]
+    assert table == PredictionTable(range(8), [0.25] * 8, [0.25] * 8, [True] * 8)
+    picked = table[1:7:2]
+    assert isinstance(picked, PredictionTable) and picked.cell_id.tolist() == [1, 3, 5]
+    assert table[np.array([0, 6])] == PredictionTable([0, 6], [0.25] * 2, [0.25] * 2, [True] * 2)
+    with pytest.raises(TypeError):
+        table[5]
     with pytest.raises(ValueError):
         table.pred_lower[0] = 0.0
     assert table == table[:]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,8 +76,16 @@ def test_config_validation():
         lambda d: dict(d, n_observed=None),
         lambda d: dict(d, n_observed=15.7),  # int() would load a 15-bit model
         lambda d: dict(d, n_observed=True, n_unobserved=19),  # int() would load 1
+        # float() would load true as 1.0
+        lambda d: dict(d, bern_ux=True),
+        lambda d: dict(d, constant_c=False),
+        lambda d: dict(d, experiment_assign_prob=True),
+        lambda d: dict(d, bern_z=[True] + [0.5] * 19),
+        lambda d: dict(d, weights_y=[0.0] * 19 + [False]),
     ],
-    ids=["not-an-object", "scalar-weights", "null-width", "fractional-width", "boolean-width"],
+    ids=["not-an-object", "scalar-weights", "null-width", "fractional-width", "boolean-width",
+         "boolean-probability", "boolean-constant", "boolean-assign-rate",
+         "boolean-bern-z-entry", "boolean-weight"],
 )
 def test_config_of_the_wrong_type_is_a_config_error(change):
     with pytest.raises(ConfigError):
@@ -84,10 +93,17 @@ def test_config_of_the_wrong_type_is_a_config_error(change):
 
 
 def test_config_bytes_are_pinned(tmp_path, appendix):
-    # The appendix fingerprint that benchmarks/pipeline.py records, and the
-    # bytes of the README's desk model file.
+    # The fingerprints that benchmarks/pipeline.py records for its three
+    # models, and the bytes of the README's desk model file.
     assert appendix.fingerprint == (
         "28dcb1a794e060f1bb046d11421ea1fdd0debcb877fea8e5e6c7cc270bd2fd5f"
+    )
+    configs = Path(__file__).resolve().parents[1] / "benchmarks" / "configs"
+    assert ScmConfig.load(configs / "wide-cells.json").fingerprint == (
+        "e9957ee43b6c9cc0eceff797f0179ae4306ac31bcf02e5eab4fb8adba79838c9"
+    )
+    assert ScmConfig.load(configs / "narrow-rows.json").fingerprint == (
+        "131b34acaa1de35f9da53be4b29b13f31766500344c33a867251d14129450044"
     )
     path = tmp_path / "desk.json"
     random_config(4, 2, seed=370).dump(path)
