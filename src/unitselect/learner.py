@@ -5,6 +5,10 @@ input -> tanh hidden -> tanh hidden -> linear output, fit by full-batch
 gradient descent on mean-squared error from a seeded initialisation.  Nothing
 here is stochastic beyond the named seed: identical inputs give bit-identical
 weights, predictions and files.
+
+The passes write into buffers allocated once per ``train`` call and once per
+``predict_all`` call: every epoch, and every block of cells, reuses one set of
+them, so no pass allocates an (n, hidden) array.
 """
 
 from __future__ import annotations
@@ -105,37 +109,60 @@ class Model:
         return [getattr(self, name) for name in _PARAMS]
 
 
+class _Buffers:
+    """Every array a pass over up to ``rows`` inputs writes, for a network
+    shaped like ``params``: the hidden activations ``a1`` and ``a2`` and the
+    output ``out``; with ``backward``, also the ``(rows, hidden)`` delta
+    ``d``, the squared residuals ``sq`` and one gradient per weight."""
+
+    def __init__(self, rows: int, params: Sequence[np.ndarray], backward: bool) -> None:
+        h = params[0].shape[1]
+        self.a1, self.a2 = np.empty((rows, h)), np.empty((rows, h))
+        self.out = np.empty((rows, 1))
+        if backward:
+            self.d, self.sq = np.empty((rows, h)), np.empty((rows, 1))
+            self.grads = [np.empty_like(p) for p in params]
+
+
 def _forward(
-    params: Sequence[np.ndarray], x: np.ndarray
+    params: Sequence[np.ndarray], x: np.ndarray, buf: _Buffers
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The activations of both hidden layers and the output for x, written
+    into the first len(x) rows of buf's ``a1``, ``a2`` and ``out``."""
     w1, b1, w2, b2, w3, b3 = params
-    # Bias and tanh in place, so a layer holds one (n, hidden) buffer, not three.
-    a1 = x @ w1
-    np.tanh(np.add(a1, b1, out=a1), out=a1)
-    a2 = a1 @ w2
-    np.tanh(np.add(a2, b2, out=a2), out=a2)
-    return a1, a2, a2 @ w3 + b3
+    a1, a2, out = buf.a1[: len(x)], buf.a2[: len(x)], buf.out[: len(x)]
+    np.tanh(np.add(np.matmul(x, w1, out=a1), b1, out=a1), out=a1)
+    np.tanh(np.add(np.matmul(a1, w2, out=a2), b2, out=a2), out=a2)
+    np.add(np.matmul(a2, w3, out=out), b3, out=out)
+    return a1, a2, out
 
 
 def _loss_and_grads(
-    params: Sequence[np.ndarray], x: np.ndarray, t: np.ndarray
-) -> tuple[float, list[np.ndarray]]:
+    params: Sequence[np.ndarray], x: np.ndarray, t: np.ndarray, buf: _Buffers
+) -> float:
+    """The mean-squared-error loss at params, with its gradients written
+    into ``buf.grads``; buf must hold exactly len(x) rows.  Each step is an
+    out-of-place formula of the reference trainer in ``tests/oracles.py``,
+    done in place in the same order, so every bit is the same.  The
+    activations are overwritten once the backward pass is done with them."""
     w1, b1, w2, b2, w3, b3 = params
-    a1, a2, out = _forward(params, x)
-    resid = out - t
-    loss = float(np.mean(resid**2))
-    d_out = 2.0 * resid / len(x)
-    g_w3 = a2.T @ d_out
-    g_b3 = d_out.sum(axis=0)
-    d_a2 = d_out @ w3.T
-    d_z2 = d_a2 * (1.0 - a2**2)
-    g_w2 = a1.T @ d_z2
-    g_b2 = d_z2.sum(axis=0)
-    d_a1 = d_z2 @ w2.T
-    d_z1 = d_a1 * (1.0 - a1**2)
-    g_w1 = x.T @ d_z1
-    g_b1 = d_z1.sum(axis=0)
-    return loss, [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3]
+    g_w1, g_b1, g_w2, g_b2, g_w3, g_b3 = buf.grads
+    a1, a2, resid = _forward(params, x, buf)
+    resid -= t
+    loss = float(np.mean(np.square(resid, out=buf.sq)))
+    d_out = np.divide(np.multiply(2.0, resid, out=resid), len(x), out=resid)
+    np.matmul(a2.T, d_out, out=g_w3)
+    np.sum(d_out, axis=0, out=g_b3)
+    # d_out @ w3.T is an outer product: one rounded multiply per entry.
+    d_z2 = np.multiply(d_out, w3.T, out=buf.d)
+    d_z2 *= np.subtract(1.0, np.square(a2, out=a2), out=a2)
+    np.matmul(a1.T, d_z2, out=g_w2)
+    np.sum(d_z2, axis=0, out=g_b2)
+    d_z1 = np.matmul(d_z2, w2.T, out=a2)
+    d_z1 *= np.subtract(1.0, np.square(a1, out=a1), out=a1)
+    np.matmul(x.T, d_z1, out=g_w1)
+    np.sum(d_z1, axis=0, out=g_b1)
+    return loss
 
 
 def _init_params(n_in: int, hp: Hyperparams) -> list[np.ndarray]:
@@ -180,15 +207,14 @@ def train(
         raise ValueError("non-finite training target")
 
     params = _init_params(x.shape[1], hp)
+    buf = _Buffers(len(x), params, backward=True)
     # One full pass per epoch: its loss is the history entry after that
     # epoch, and its gradients are the next step.
-    loss, grads = _loss_and_grads(params, x, t)
-    history = [loss]
+    history = [_loss_and_grads(params, x, t, buf)]
     for _ in range(hp.epochs):
-        for p, g in zip(params, grads):
-            p -= hp.learning_rate * g
-        loss, grads = _loss_and_grads(params, x, t)
-        history.append(loss)
+        for p, g in zip(params, buf.grads):
+            p -= np.multiply(hp.learning_rate, g, out=g)
+        history.append(_loss_and_grads(params, x, t, buf))
 
     return Model(*params, hp, tuple(history))
 
@@ -201,12 +227,27 @@ def loss_and_gradients(
     differences."""
     x = _as_features(features)
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
-    loss, grads = _loss_and_grads(model.params, x, t)
-    return loss, dict(zip(_PARAMS, grads))
+    buf = _Buffers(len(x), model.params, backward=True)
+    loss = _loss_and_grads(model.params, x, t, buf)
+    return loss, dict(zip(_PARAMS, buf.grads))
 
 
-def _raw_outputs(model: Model, x: np.ndarray) -> np.ndarray:
-    return _forward(model.params, x)[2][:, 0]
+def _raw_outputs(models: Sequence[Model], ids: np.ndarray, n_observed: int) -> np.ndarray:
+    """Each model's output for each cell id, one row per model, in blocks of
+    cells through one set of forward buffers per hidden width, so the
+    hidden activations stay small; the buffers are freed on return."""
+    raw = np.empty((len(models), len(ids)))
+    rows = min(len(ids), _PREDICT_BLOCK)
+    bufs = {}
+    for m in models:
+        if m.w1.shape[1] not in bufs:
+            bufs[m.w1.shape[1]] = _Buffers(rows, m.params, backward=False)
+    for start in range(0, len(ids), _PREDICT_BLOCK):
+        block = slice(start, start + _PREDICT_BLOCK)
+        bits = cell_bits(ids[block], n_observed).astype(np.float64)
+        for row, m in zip(raw, models):
+            row[block] = _forward(m.params, bits, bufs[m.w1.shape[1]])[2][:, 0]
+    return raw
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,13 +270,7 @@ def predict_all(
     if model_lower.n_inputs != n_observed or model_upper.n_inputs != n_observed:
         raise ValueError("model input width does not match n_observed")
     ids = np.arange(check_cell_space(n_observed))
-    raw = np.empty((2, len(ids)))
-    # In blocks of cells, so the hidden activations stay small.
-    for start in range(0, len(ids), _PREDICT_BLOCK):
-        block = slice(start, start + _PREDICT_BLOCK)
-        bits = cell_bits(ids[block], n_observed).astype(np.float64)
-        raw[0, block] = _raw_outputs(model_lower, bits)
-        raw[1, block] = _raw_outputs(model_upper, bits)
+    raw = _raw_outputs((model_lower, model_upper), ids, n_observed)
     lower, upper = np.clip(raw, *value_range(v))
     crossed = lower > upper
     mid = 0.5 * (lower + upper)

@@ -131,7 +131,8 @@ class ScmConfig:
     def from_dict(cls, data: dict) -> "ScmConfig":
         """Build a config from parsed JSON: one key per field, where only
         fields with a default may be left out and unknown keys are ignored.
-        Both widths must be JSON integers, and no field may hold a boolean."""
+        Both widths must be JSON integers, and every other field a JSON
+        number or a list of them: no string, boolean or null."""
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         try:
@@ -145,7 +146,8 @@ class ScmConfig:
                     raise ConfigError(f"{name} must be an integer, got {kwargs[name]!r}")
             for name, value in kwargs.items():
                 items = value if isinstance(value, (list, tuple)) else [value]
-                if any(isinstance(x, bool) for x in items):  # true would load as 1.0
+                # float() would load true as 1.0 and "0.5" as 0.5.
+                if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in items):
                     raise ConfigError(f"{name} must hold numbers, got {value!r}")
             return cls(**kwargs)
         except KeyError as exc:

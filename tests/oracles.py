@@ -91,3 +91,49 @@ def random_latent_joint(rng):
         q[2, 0] + q[0, 0],  # P(x', y')
     )
     return (pc, pa, pn, pd), e, o
+
+
+# The network of ``unitselect.learner`` written out of place, one new array
+# per step.  The learner runs the same float operations in the same order
+# into reused buffers, so its weights and losses must match these bit for bit.
+
+
+def reference_forward(params, x):
+    """Hidden activations and output of the two-tanh-layer network."""
+    w1, b1, w2, b2, w3, b3 = params
+    a1 = np.tanh(x @ w1 + b1)
+    a2 = np.tanh(a1 @ w2 + b2)
+    return a1, a2, a2 @ w3 + b3
+
+
+def reference_loss_and_grads(params, x, t):
+    """Mean-squared-error loss and its gradients, in ``params`` order."""
+    w1, b1, w2, b2, w3, b3 = params
+    a1, a2, out = reference_forward(params, x)
+    resid = out - t
+    loss = float(np.mean(resid**2))
+    d_out = 2.0 * resid / len(x)
+    g_w3 = a2.T @ d_out
+    g_b3 = d_out.sum(axis=0)
+    d_a2 = d_out @ w3.T
+    d_z2 = d_a2 * (1.0 - a2**2)
+    g_w2 = a1.T @ d_z2
+    g_b2 = d_z2.sum(axis=0)
+    d_a1 = d_z2 @ w2.T
+    d_z1 = d_a1 * (1.0 - a1**2)
+    g_w1 = x.T @ d_z1
+    g_b1 = d_z1.sum(axis=0)
+    return loss, [g_w1, g_b1, g_w2, g_b2, g_w3, g_b3]
+
+
+def reference_train(params, x, t, epochs, learning_rate):
+    """Full-batch gradient descent from ``params`` (updated in place):
+    the loss history, one entry before any step and one per epoch."""
+    loss, grads = reference_loss_and_grads(params, x, t)
+    history = [loss]
+    for _ in range(epochs):
+        for p, g in zip(params, grads):
+            p -= learning_rate * g
+        loss, grads = reference_loss_and_grads(params, x, t)
+        history.append(loss)
+    return tuple(history)

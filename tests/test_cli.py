@@ -574,6 +574,16 @@ def test_malformed_config_exits_2(tmp_path, capsys, desk4):
     bad.write_text(json.dumps(dict(dataclasses.asdict(desk4), bern_ux=True)))
     assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
     assert "bern_ux must hold numbers, got True" in capsys.readouterr().err
+    # float() would load these strings as 0.5 and 1.0
+    bern_ux = dict(dataclasses.asdict(desk4), bern_ux="0.5")
+    bad.write_text(json.dumps(bern_ux))
+    assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
+    assert "bern_ux must hold numbers, got '0.5'" in capsys.readouterr().err
+    weights = dict(dataclasses.asdict(desk4))
+    weights["weights_x"] = ["1e0", *weights["weights_x"][1:]]
+    bad.write_text(json.dumps(weights))
+    assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
+    assert "weights_x must hold numbers" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

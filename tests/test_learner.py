@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import reference_forward, reference_train
 
 from unitselect import learner
 from unitselect.bounds import DEFAULT_BENEFIT_VECTOR, value_range
@@ -96,13 +97,13 @@ def test_model_shape_validation():
 
 def test_forward_matches_the_out_of_place_layers():
     rng = np.random.default_rng(4)
-    x = rng.random((11, 5))
     params = [rng.normal(size=shape) for shape in [(5, 7), (7,), (7, 7), (7,), (7, 1), (1,)]]
-    w1, b1, w2, b2, w3, b3 = params
-    a1 = np.tanh(x @ w1 + b1)
-    a2 = np.tanh(a1 @ w2 + b2)
-    for got, want in zip(learner._forward(params, x), (a1, a2, a2 @ w3 + b3)):
-        assert np.array_equal(got, want)
+    buf = learner._Buffers(11, params, backward=False)
+    for n in (11, 6):  # a whole buffer, then a short last block in its leading rows
+        x = rng.random((n, 5))
+        for got, want in zip(learner._forward(params, x, buf), reference_forward(params, x)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 def test_gradients_match_finite_differences():
@@ -182,12 +183,13 @@ def _two_pass_train(features, targets, hp):
     x = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
     params = learner._init_params(x.shape[1], hp)
-    history = [learner._loss_and_grads(params, x, t)[0]]
+    buf = learner._Buffers(len(x), params, backward=True)
+    history = [learner._loss_and_grads(params, x, t, buf)]
     for _ in range(hp.epochs):
-        _, grads = learner._loss_and_grads(params, x, t)
-        for p, g in zip(params, grads):
+        learner._loss_and_grads(params, x, t, buf)
+        for p, g in zip(params, buf.grads):
             p -= hp.learning_rate * g
-        history.append(learner._loss_and_grads(params, x, t)[0])
+        history.append(learner._loss_and_grads(params, x, t, buf))
     return params, tuple(history)
 
 
@@ -204,13 +206,46 @@ def test_train_matches_two_pass_reference(seed):
     assert len(history) == hp.epochs + 1
 
 
+@pytest.mark.parametrize(
+    "n_cells, n_bits, hidden, epochs",
+    [(514, 15, 128, 4), (5, 3, 4, 6)],  # BLAS's blocked path, and a tiny shape
+    ids=["514x15-h128", "5x3-h4"],
+)
+def test_train_matches_the_out_of_place_reference(n_cells, n_bits, hidden, epochs):
+    rng = np.random.default_rng(n_cells)
+    x = rng.integers(0, 2, size=(n_cells, n_bits)).astype(np.float64)
+    t = rng.uniform(-1.5, 1.0, size=n_cells)
+    hp = Hyperparams(hidden_width=hidden, epochs=epochs, learning_rate=0.05, seed=5)
+    model = train(x, t, hp)
+    params = learner._init_params(n_bits, hp)
+    history = reference_train(params, x, t.reshape(-1, 1), epochs, hp.learning_rate)
+    for name, ref in zip(("w1", "b1", "w2", "b2", "w3", "b3"), params):
+        assert getattr(model, name).tobytes() == ref.tobytes(), name
+    assert model.loss_history == history
+    assert history[-1] != history[0]
+
+
+def test_loss_and_gradients_returns_fresh_arrays():
+    rng = np.random.default_rng(2)
+    x = rng.integers(0, 2, size=(20, 4)).astype(np.float64)
+    model = _random_model(4, 8, 3)
+    loss_a, grads_a = loss_and_gradients(model, x, rng.uniform(size=20))
+    kept = {name: g.copy() for name, g in grads_a.items()}
+    loss_b, grads_b = loss_and_gradients(model, x, rng.uniform(size=20))
+    assert loss_a != loss_b
+    for name, g in grads_a.items():
+        assert not np.shares_memory(g, grads_b[name]), name
+        assert np.array_equal(g, kept[name]), name
+        assert not np.array_equal(g, grads_b[name]), name
+
+
 def test_full_batch_train_makes_one_pass_per_epoch(monkeypatch):
     calls = []
     real = learner._loss_and_grads
 
-    def counting(params, x, t):
+    def counting(params, x, t, buf):
         calls.append(len(x))
-        return real(params, x, t)
+        return real(params, x, t, buf)
 
     monkeypatch.setattr(learner, "_loss_and_grads", counting)
     feats = _all_bits(4)
@@ -271,8 +306,8 @@ def test_predict_all_in_blocks_matches_one_batch():
     model_lower, model_upper = _random_model(n, 32, 1), _random_model(n, 32, 2)
     table = predict_all(model_lower, model_upper, n, v)
     bits = cell_bits(np.arange(1 << n), n).astype(np.float64)
-    lower = np.clip(learner._raw_outputs(model_lower, bits), *value_range(v))
-    upper = np.clip(learner._raw_outputs(model_upper, bits), *value_range(v))
+    lower = np.clip(reference_forward(model_lower.params, bits)[2][:, 0], *value_range(v))
+    upper = np.clip(reference_forward(model_upper.params, bits)[2][:, 0], *value_range(v))
     crossed = lower > upper
     mid = 0.5 * (lower + upper)
     assert 0 < crossed.sum() < len(crossed)

@@ -82,10 +82,17 @@ def test_config_validation():
         lambda d: dict(d, experiment_assign_prob=True),
         lambda d: dict(d, bern_z=[True] + [0.5] * 19),
         lambda d: dict(d, weights_y=[0.0] * 19 + [False]),
+        # float() would load a numeric string as its number
+        lambda d: dict(d, bern_ux="0.5"),
+        lambda d: dict(d, constant_c="-1"),
+        lambda d: dict(d, weights_x=["1e0"] + [0.5] * 19),
+        lambda d: dict(d, bern_z=[0.5] * 19 + [[0.5]]),
+        lambda d: dict(d, bern_uy=None),
     ],
     ids=["not-an-object", "scalar-weights", "null-width", "fractional-width", "boolean-width",
          "boolean-probability", "boolean-constant", "boolean-assign-rate",
-         "boolean-bern-z-entry", "boolean-weight"],
+         "boolean-bern-z-entry", "boolean-weight", "string-probability", "string-constant",
+         "string-weight", "nested-list-entry", "null-probability"],
 )
 def test_config_of_the_wrong_type_is_a_config_error(change):
     with pytest.raises(ConfigError):
