@@ -33,6 +33,7 @@ from .cells import (
 from .datagen import (
     DatasetMeta,
     generate_array,
+    iter_codes,
     read_dataset,
     write_dataset,
 )
@@ -109,6 +110,7 @@ __all__ = [
     "exact_observational",
     "generate_array",
     "informer_table",
+    "iter_codes",
     "m_value",
     "pns_bounds",
     "predict_all",

@@ -119,24 +119,36 @@ def aggregate(
     samples: np.ndarray,
     regime: str,
     into: dict[int, np.ndarray] | None = None,
+    *,
+    n_observed: int | None = None,
 ) -> dict[int, np.ndarray]:
     """Count one regime's samples per cell.
 
-    ``samples`` is a (n, n_observed+2) array of 0/1 values as produced by
-    datagen; any other value raises ValueError, and more than ``MAX_CELLS``
-    cells raise CellSpaceTooLarge.  The result maps the id of each cell seen
-    to its row of one (2**n_observed, 4) int64 table, whose column
-    ``x*2 + y`` counts the rows with that x and y.  Pass a returned map as
-    ``into`` to merge across shards: its table is added to, and a key is
-    inserted only for a cell seen for the first time.  An ``into`` of another
-    width, or whose rows are not views of such a table, raises ValueError;
-    a refused call changes nothing.
+    ``samples`` is either a (n, n_observed+2) array of 0/1 values as produced
+    by datagen, where any other value raises ValueError, or a 1-D integer
+    array of row codes ``cell_id*4 + x*2 + y`` as ``datagen.iter_codes``
+    yields them, whose width the keyword ``n_observed`` gives and where a
+    code outside [0, 4 * 2**n_observed) raises ValueError.  More than
+    ``MAX_CELLS`` cells raise CellSpaceTooLarge.  The result maps the id of
+    each cell seen to its row of one (2**n_observed, 4) int64 table, whose
+    column ``x*2 + y`` counts the rows with that x and y.  Pass a returned
+    map as ``into`` to merge across shards: its table is added to, and a key
+    is inserted only for a cell seen for the first time.  An ``into`` of
+    another width, or whose rows are not views of such a table, raises
+    ValueError; a refused call changes nothing.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    if not isinstance(samples, np.ndarray) or samples.ndim != 2 or samples.shape[1] < 3:
-        raise ValueError("samples must be a (n, n_observed+2) array")
-    n_observed = samples.shape[1] - 2
+    if not isinstance(samples, np.ndarray) or samples.ndim not in (1, 2):
+        raise ValueError("samples must be a (n, n_observed+2) array or a 1-D array of codes")
+    if samples.ndim == 2:
+        if samples.shape[1] < 3:
+            raise ValueError("samples must be a (n, n_observed+2) array")
+        if n_observed not in (None, samples.shape[1] - 2):
+            raise ValueError(f"samples hold {samples.shape[1] - 2} observed bits, not {n_observed}")
+        n_observed = samples.shape[1] - 2
+    elif samples.dtype.kind not in "iu" or type(n_observed) is not int or n_observed < 1:
+        raise ValueError("row codes must be an integer array, with n_observed >= 1 given")
     n_cells = check_cell_space(n_observed)
     out = {} if into is None else into
     table = _table_of(out)
@@ -147,17 +159,23 @@ def aggregate(
     # In chunks, so the temporaries stay small; all are checked before any is
     # counted.  For integers the range decides, about 10 times faster.
     chunks = [samples[start : start + SHARD_SIZE] for start in range(0, len(samples), SHARD_SIZE)]
-    if samples.dtype.kind in "biu":
-        binary = all(chunk.min() >= 0 and chunk.max() <= 1 for chunk in chunks)
+    if samples.ndim == 1:
+        if not all(chunk.min() >= 0 and chunk.max() < 4 * n_cells for chunk in chunks):
+            raise ValueError(f"row codes must lie in [0, 4 * 2**{n_observed})")
+        codes = (chunk.astype(np.intp, copy=False) for chunk in chunks)
     else:
-        binary = all(((chunk == 0) | (chunk == 1)).all() for chunk in chunks)
-    if not binary:
-        raise ValueError("samples must hold only 0/1 values")
+        if samples.dtype.kind in "biu":
+            binary = all(chunk.min() >= 0 and chunk.max() <= 1 for chunk in chunks)
+        else:
+            binary = all(((chunk == 0) | (chunk == 1)).all() for chunk in chunks)
+        if not binary:
+            raise ValueError("samples must hold only 0/1 values")
+        # y is bit 0 of a row's code, x bit 1 and the cell id the bits above.
+        code_bits = [n_observed + 1, n_observed, *range(n_observed)]
+        codes = (cell_ids(chunk[:, code_bits]) for chunk in chunks)
     unseen = ~table.any(axis=1)
-    # y is bit 0 of a row's code, x bit 1 and the cell id the bits above.
-    code_bits = [n_observed + 1, n_observed, *range(n_observed)]
-    for chunk in chunks:
-        table += np.bincount(cell_ids(chunk[:, code_bits]), minlength=4 * n_cells).reshape(-1, 4)
+    for chunk in codes:
+        table += np.bincount(chunk, minlength=4 * n_cells).reshape(-1, 4)
     new = np.flatnonzero(unseen & table.any(axis=1)).tolist()
     out.update(zip(new, map(table.__getitem__, new)))
     return out

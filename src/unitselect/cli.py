@@ -57,6 +57,11 @@ def _check_dataset(path: str, config: ScmConfig, regime: str) -> None:
         )
     if meta.kind != regime:
         raise ValueError(f"{path} holds {meta.kind} data, expected {regime}")
+    if meta.n_observed != config.n_observed:
+        raise ValueError(
+            f"{path} holds rows of {meta.n_observed} observed bits, "
+            f"the configuration has {config.n_observed}"
+        )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -82,8 +87,8 @@ def _cmd_label(args: argparse.Namespace) -> int:
     _check_dataset(args.obs, config, "observational")
     maps = {"experimental": {}, "observational": {}}
     for path, regime in ((args.exp, "experimental"), (args.obs, "observational")):
-        for block in datagen.iter_dataset(path):  # a shard at a time
-            cells.aggregate(block, regime, into=maps[regime])
+        for codes in datagen.iter_codes(path):  # a shard at a time
+            cells.aggregate(codes, regime, into=maps[regime], n_observed=config.n_observed)
     labels, drops = cells.build_labels(*maps.values(), args.vector, args.threshold)
     if labels:
         train_set, test_set = cells.split(labels, spec)

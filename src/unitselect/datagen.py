@@ -11,8 +11,13 @@ Per sample the uniform stream is consumed in a fixed order: one uniform per
 characteristic (observed first, then unobserved), one for the treatment noise,
 one for the outcome noise, and, in the experimental regime only, one for the
 randomized treatment assignment.  A bit is 1 when its uniform is strictly
-below the corresponding probability.  Treatment (when not assigned) and
-outcome are ``model.eval_x`` and ``eval_y`` run on a chunk of rows at once.
+below the corresponding probability.  The uniforms are never formed: each is
+a raw 64-bit Philox word ``w``, the uniform ``Generator.random`` would make of
+it is ``(w >> 11) * 2**-53``, and that lies below ``p`` exactly when ``w``
+lies below the integer threshold ``ceil(p * 2**53) << 11``, so the bits are
+the ones the float comparison gives (a bit of probability 1 is always 1).
+Treatment (when not assigned) and outcome are ``model.eval_x`` and
+``eval_y`` run on a chunk of rows at once.
 
 Rows expose only what a study would record: the observed characteristics,
 treatment and outcome.  Latent characteristics and noise are drawn but never
@@ -20,8 +25,10 @@ written.  A dataset is a (n, n_observed+2) uint8 array of 0/1 columns
 ``z1..zn, x, y``, produced whole (``generate_array``) or shard by shard
 (``iter_blocks``), and stored as CSV or as packed uint32 words: fixed-width
 records after a header (CSV) or none (packed), with a JSON sidecar naming the
-format.  ``iter_dataset`` reads a stored dataset back shard by shard, so a
-reader holds one shard at a time; ``read_dataset`` reads it whole.
+format.  ``iter_codes`` reads a stored dataset back shard by shard, checked,
+as int64 row codes ``cell_id*4 + x*2 + y``, the form ``cells.aggregate``
+counts, so a reader holds one shard at a time; ``iter_dataset`` unpacks those
+codes into blocks of 0/1 columns, and ``read_dataset`` reads them whole.
 
 Because each shard has its own stream, shards can be made in any order and
 on any thread.  ``iter_blocks`` generates shards ahead of its consumer on
@@ -34,11 +41,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +63,7 @@ __all__ = [
     "iter_blocks",
     "generate_array",
     "write_dataset",
+    "iter_codes",
     "iter_dataset",
     "read_dataset",
     "read_meta",
@@ -71,6 +80,12 @@ REGIMES = ("experimental", "observational")
 # y at bit 31.
 _PACKED_X_BIT = 30
 _MAX_PACKED_OBSERVED = 30
+_SWAP_XY = np.array([0, 2, 1, 3], dtype=np.uint32)
+# The bytes "0," read as a little-endian uint16.
+_DIGIT_COMMA = np.uint16(ord("0") | ord(",") << 8)
+_NEWLINE_SHIFT = np.uint16((ord(",") - ord("\n")) << 8)  # "0\n" + this is "0,"
+# A row code, cell_id*4 + x*2 + y, must fit an int64.
+_MAX_CSV_OBSERVED = 61
 
 
 class DatasetFormatError(ValueError):
@@ -130,7 +145,28 @@ def check_seed(seed: int) -> int:
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
+    """The generator of shard ``shard``: the one place its stream is keyed."""
     return np.random.Generator(np.random.Philox(key=seed ^ shard))
+
+
+def _bit_rule(probs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The map from a (rows, len(probs)) uint64 array of raw Philox words to
+    0/1 uint8 bits: bit j is 1 when the uniform ``Generator.random`` makes of
+    its word lies strictly below ``probs[j]``.
+
+    That uniform is ``k * 2**-53`` with ``k = w >> 11``, and ``k * 2**-53 < p``
+    iff ``k < ceil(p * 2**53)`` iff ``w < ceil(p * 2**53) << 11``.  For p = 1
+    that threshold is 2**64, which no uint64 holds, so its bit is set to 1."""
+    steps = [math.ceil(math.ldexp(p, 53)) for p in probs]
+    limits = np.array([c << 11 if c < 1 << 53 else 0 for c in steps], dtype=np.uint64)
+    always = np.flatnonzero(np.array(steps) == 1 << 53)
+
+    def bits(raw: np.ndarray) -> np.ndarray:
+        out = (raw < limits).view(np.uint8)
+        out[:, always] = 1
+        return out
+
+    return bits
 
 
 def _gen_shard(
@@ -138,22 +174,22 @@ def _gen_shard(
 ) -> np.ndarray:
     """Rows [shard*SHARD_SIZE, shard*SHARD_SIZE + m) as a (m, n_observed+2) 0/1 array.
 
-    The shard is drawn ``_CHUNK_ROWS`` rows at a time from its one generator,
-    which continues its stream across calls, so the rows do not depend on the
-    chunk size and each chunk's temporaries stay in cache."""
+    The shard is drawn ``_CHUNK_ROWS`` rows at a time from its one bit
+    generator, which continues its stream across calls, so the rows do not
+    depend on the chunk size and each chunk's temporaries stay in cache."""
     experimental = regime == "experimental"
     n, n_obs = config.n_total, config.n_observed
-    # One probability per uniform column, in stream order.
-    probs = np.array(
-        [*config.bern_z, config.bern_ux, config.bern_uy]
-        + ([config.experiment_assign_prob] if experimental else [])
-    )
+    # One probability per raw word of a row, in stream order.
+    probs = [*config.bern_z, config.bern_ux, config.bern_uy]
+    if experimental:
+        probs.append(config.experiment_assign_prob)
+    to_bits = _bit_rule(probs)
     weights_x = np.asarray(config.weights_x)
     weights_y = np.asarray(config.weights_y)
-    rng = _shard_rng(seed, shard)
+    stream = _shard_rng(seed, shard).bit_generator
     out = np.empty((m, n_obs + 2), dtype=np.uint8)
     for start in range(0, m, _CHUNK_ROWS):
-        bits = rng.random((min(_CHUNK_ROWS, m - start), len(probs))) < probs
+        bits = to_bits(stream.random_raw((min(_CHUNK_ROWS, m - start), len(probs))))
         zf = bits[:, :n].astype(np.float64)
         x = bits[:, n + 2] if experimental else eval_x(zf @ weights_x, bits[:, n])
         rows = out[start : start + len(bits)]
@@ -233,13 +269,15 @@ def _block_to_csv_bytes(block: np.ndarray) -> np.ndarray:
 def _layout(path: Path, n_observed: int) -> tuple[str, bytes, int]:
     """(format, header, bytes per row) of a dataset file: CSV for the suffix
     ".csv", packed uint32 words for any other."""
-    if path.suffix == ".csv":
+    csv = path.suffix == ".csv"
+    most = _MAX_CSV_OBSERVED if csv else _MAX_PACKED_OBSERVED
+    if n_observed > most:
+        raise DatasetFormatError(
+            f"{'CSV' if csv else 'packed'} format holds at most {most} observed bits"
+        )
+    if csv:
         cols = [f"z{i + 1}" for i in range(n_observed)] + ["x", "y"]
         return "csv", (",".join(cols) + "\n").encode("ascii"), 2 * (n_observed + 2)
-    if n_observed > _MAX_PACKED_OBSERVED:
-        raise DatasetFormatError(
-            f"packed format holds at most {_MAX_PACKED_OBSERVED} observed bits"
-        )
     return "packed", b"", 4
 
 
@@ -294,13 +332,13 @@ def read_meta(path: str | Path) -> DatasetMeta:
         raise DatasetFormatError(f"bad dataset sidecar {mp}: {exc}") from None
 
 
-def iter_dataset(path: str | Path) -> Iterator[np.ndarray]:
-    """Yield a stored dataset ``SHARD_SIZE`` rows at a time, as uint8 blocks
-    of (m, n_observed+2) 0/1 values in file order.
+def iter_codes(path: str | Path) -> Iterator[np.ndarray]:
+    """Yield a stored dataset ``SHARD_SIZE`` rows at a time, as int64 row
+    codes ``cell_id*4 + x*2 + y`` in file order.
 
     The sidecar, the header, the body's size and its row count are checked
-    before any row is decoded, and each block before it is yielded; a failed
-    check raises DatasetFormatError.
+    before any row is decoded, and each shard's separators, digits or stray
+    bits before it is yielded; a failed check raises DatasetFormatError.
     """
     path = Path(path)
     meta = read_meta(path)
@@ -308,7 +346,8 @@ def iter_dataset(path: str | Path) -> Iterator[np.ndarray]:
     fmt, header, row_bytes = _layout(path, n_obs)
     if meta.format not in (None, fmt):
         raise DatasetFormatError(f"{meta_path(path)} describes a {meta.format} file, not {path}")
-    allowed = np.uint32((1 << n_obs) - 1 | 3 << _PACKED_X_BIT)
+    # Packed words hold nothing but the id, x and y.
+    stray = None if header else ~np.uint32((1 << n_obs) - 1 | 3 << _PACKED_X_BIT)
     with open(path, "rb") as fh:
         if fh.read(len(header)) != header:
             raise DatasetFormatError(f"unexpected CSV header in {path}")
@@ -323,21 +362,53 @@ def iter_dataset(path: str | Path) -> Iterator[np.ndarray]:
         for start in range(0, meta.n, SHARD_SIZE):
             m = min(SHARD_SIZE, meta.n - start)
             if header:
-                rows = np.fromfile(fh, np.uint8, m * row_bytes).reshape(m, row_bytes)
-                seps = rows[:, 1::2]
-                if not ((seps[:, :-1] == ord(",")).all() and (seps[:, -1] == ord("\n")).all()):
-                    raise DatasetFormatError(f"malformed CSV rows in {path}")
-                # uint8 arithmetic: a byte below "0" wraps past 1, so <= 1 means 0 or 1.
-                block = rows[:, 0::2] - np.uint8(ord("0"))
-                if not (block <= 1).all():
-                    raise DatasetFormatError(f"non-binary values in {path}")
+                yield _codes(_csv_words(fh, m, n_obs, path), n_obs)
             else:
                 words = np.fromfile(fh, "<u4", m)
-                if (words & ~allowed).any():
+                if (words & stray).any():
                     raise DatasetFormatError(f"stray bits in packed file {path}")
-                block = cell_bits(words, n_obs + 2)  # the top two columns are 0
-                block[:, n_obs:] = cell_bits(words >> np.uint32(_PACKED_X_BIT), 2)
-            yield block
+                yield _codes(words, _PACKED_X_BIT)
+
+
+def _csv_words(fh, m: int, n_obs: int, path: Path) -> np.ndarray:
+    """The next ``m`` rows of a CSV body, checked, as int64 words: the cell
+    id from bit 0, x at bit ``n_obs`` and y above it."""
+    # A row is n_obs + 2 (digit, separator) byte pairs, read as uint16s:
+    # "0," and "1," become 0 and 1, and so do "0\n" and "1\n" at its end.
+    pairs = np.fromfile(fh, "<u2", m * (n_obs + 2)).reshape(m, n_obs + 2)
+    pairs -= _DIGIT_COMMA
+    pairs[:, -1] += _NEWLINE_SHIFT
+    if pairs.max() > 1:
+        pairs += _DIGIT_COMMA  # the bytes as read, to say what is wrong
+        pairs[:, -1] -= _NEWLINE_SHIFT
+        seps = pairs >> 8
+        if (seps[:, :-1] != ord(",")).any() or (seps[:, -1] != ord("\n")).any():
+            raise DatasetFormatError(f"malformed CSV rows in {path}")
+        raise DatasetFormatError(f"non-binary values in {path}")
+    return cell_ids(pairs)
+
+
+def _codes(words: np.ndarray, x_bit: int) -> np.ndarray:
+    """Int64 row codes ``cell_id*4 + x*2 + y`` of integer words that hold the
+    cell id below bit ``x_bit``, x at that bit and y above it.  The codes
+    are made in ``words``, which is overwritten."""
+    swapped = _SWAP_XY[words >> x_bit]  # x + 2y becomes 2x + y
+    words &= (1 << x_bit) - 1
+    words <<= 2
+    words |= swapped
+    return words.astype(np.int64, copy=False)
+
+
+def iter_dataset(path: str | Path) -> Iterator[np.ndarray]:
+    """Yield a stored dataset ``SHARD_SIZE`` rows at a time, as uint8 blocks
+    of (m, n_observed+2) 0/1 values in file order: the codes of
+    ``iter_codes``, with its checks, unpacked."""
+    n_obs = read_meta(path).n_observed
+    for codes in iter_codes(path):
+        block = cell_bits(codes >> 2, n_obs + 2)  # the top two columns are 0
+        block[:, n_obs] = codes >> 1 & 1
+        block[:, n_obs + 1] = codes & 1
+        yield block
 
 
 def read_dataset(path: str | Path) -> tuple[np.ndarray, DatasetMeta]:

@@ -245,6 +245,57 @@ def test_aggregate_rejects_non_binary(rows, regime):
         aggregate(rows, regime)
 
 
+def _codes(arr):
+    """Row codes cell_id*4 + x*2 + y of a (n, n_observed+2) 0/1 array."""
+    n_obs = arr.shape[1] - 2
+    ids = arr[:, :n_obs].astype(np.int64) @ (1 << np.arange(n_obs, dtype=np.int64))
+    return ids * 4 + arr[:, n_obs].astype(np.int64) * 2 + arr[:, n_obs + 1]
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_aggregate_counts_codes_as_it_counts_bit_blocks(desk4, regime):
+    arr = generate_array(desk4, regime, 20_000, seed=37)
+    blocks = aggregate(arr, regime)
+    codes = aggregate(_codes(arr), regime, n_observed=4)
+    assert _as_lists(codes) == _as_lists(blocks) == _tally_rows(arr)
+    assert codes[next(iter(codes))].base.shape == (16, 4)
+    # the two forms merge into one map, and any integer dtype counts the same
+    mixed = aggregate(arr[:7000], regime)
+    mixed = aggregate(_codes(arr[7000:]).astype(np.uint16), regime, mixed, n_observed=4)
+    assert _as_lists(mixed) == _as_lists(blocks)
+
+
+@pytest.mark.parametrize(
+    "codes, n_observed, problem",
+    [
+        (np.array([0, 64]), 4, r"\[0, 4 \* 2\*\*4\)"),  # past the last cell
+        (np.array([3, -1]), 4, r"\[0, 4 \* 2\*\*4\)"),
+        (np.array([0.0, 1.0]), 4, "integer array"),
+        (np.array([0, 1]), None, "n_observed >= 1"),
+        (np.array([0, 1]), 4.0, "n_observed >= 1"),
+        (np.array([0, 1]), 0, "n_observed >= 1"),
+    ],
+)
+def test_aggregate_refuses_bad_codes_and_changes_nothing(desk4, codes, n_observed, problem):
+    made = aggregate(generate_array(desk4, "experimental", 100, seed=1), "experimental")
+    before = _as_lists(made)
+    with pytest.raises(ValueError, match=problem):
+        aggregate(codes, "experimental", into=made, n_observed=n_observed)
+    assert _as_lists(made) == before
+
+
+def test_aggregate_codes_of_another_width(desk4):
+    arr = generate_array(desk4, "experimental", 100, seed=1)
+    made = aggregate(arr, "experimental")
+    with pytest.raises(ValueError, match="another width"):
+        aggregate(_codes(arr), "experimental", into=made, n_observed=5)
+    with pytest.raises(ValueError, match="hold 4 observed bits, not 5"):
+        aggregate(arr, "experimental", n_observed=5)
+    assert _as_lists(aggregate(arr, "experimental", n_observed=4)) == _as_lists(made)
+    with pytest.raises(CellSpaceTooLarge):
+        aggregate(_codes(arr), "experimental", n_observed=25)
+
+
 def test_aggregate_memory_stays_per_chunk():
     # 4M 4-bit rows (24 MB): counted a shard at a time, the temporaries stay
     # near one shard's; whole-array counting needs several times the input.

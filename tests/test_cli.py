@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -241,6 +242,49 @@ def test_label_refuses_a_sidecar_field_of_the_wrong_type(ws, tmp_path, capsys):
     assert "n_observed must be an integer, got '4'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+def test_label_refuses_a_sidecar_width_that_contradicts_the_config(
+    ws, tmp_path, monkeypatch, capsys, suffix
+):
+    # Both sidecars claim 5 observed bits for data of the 4-bit model.
+    data = {}
+    for kind, seed in (("experimental", 1), ("observational", 2)):
+        data[kind] = tmp_path / f"{kind}{suffix}"
+        assert run("simulate", "--config", ws["config"], "--kind", kind, "--n", 1000,
+                   "--seed", seed, "--out", data[kind]) == 0
+        meta = datagen.meta_path(data[kind])
+        meta.write_text(json.dumps(dict(json.loads(meta.read_text()), n_observed=5)))
+    reads = []
+    monkeypatch.setattr(datagen, "iter_codes", lambda *a: reads.append(a))
+    monkeypatch.setattr(datagen, "iter_dataset", lambda *a: reads.append(a))
+    rc = run("label", "--exp", data["experimental"], "--obs", data["observational"],
+             "--config", ws["config"], "--seed", 7, "--out-dir", tmp_path / "labels")
+    assert rc == 2
+    assert "5 observed bits, the configuration has 4" in capsys.readouterr().err
+    assert reads == []
+    assert not (tmp_path / "labels").exists()
+
+
+# sha256 of `simulate` output for the README's desk model (seeds 41 and 42):
+# the bytes a change to the draw or the writers must not alter unnoticed.
+PINNED_SIMULATE = {
+    ("experimental", ".csv"): "e5e688f406dd432a7e2590826c7a025172483e8997abf172740acbd26a653171",
+    ("experimental", ".bin"): "54fc57b71a106088320a50938f8a825c6cbaf949923cddefa2cc2f40df2ec55f",
+    ("observational", ".csv"): "b9fa4620788b58bc04fb5522f73630a7c15b4469d3869b56fb23007fd50dadf4",
+    ("observational", ".bin"): "1cc7e9b06c60c92f419682db77b6eb9204f23404c2a605571b297cffb95e5da9",
+}
+
+
+@pytest.mark.parametrize("kind, suffix", list(PINNED_SIMULATE))
+def test_simulate_bytes_are_pinned(ws, tmp_path, kind, suffix):
+    # past one shard, so the second shard's stream and a chunk tail are in it
+    out = tmp_path / f"d{suffix}"
+    seed = 41 if kind == "experimental" else 42
+    assert run("simulate", "--config", ws["config"], "--kind", kind,
+               "--n", datagen.SHARD_SIZE + 1234, "--seed", seed, "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SIMULATE[kind, suffix]
+
+
 @pytest.fixture(scope="module")
 def shards(tmp_path_factory, ws):
     """Both regimes of the desk model in four whole shards and a partial
@@ -275,6 +319,15 @@ def test_label_memory_follows_the_shard_not_the_file(ws, shards, tmp_path, suffi
         tracemalloc.stop()
     assert rc == 0
     assert peak < 48 * datagen.SHARD_SIZE
+
+
+def test_label_writes_the_same_labels_from_csv_and_packed_files(ws, shards, tmp_path):
+    outs = [tmp_path / "from_csv", tmp_path / "from_bin"]
+    for suffix, out in zip((".csv", ".bin"), outs):
+        assert _label_shards(ws, shards["experimental", suffix],
+                             shards["observational", suffix], out) == 0
+    for name in ("train_labels.csv", "test_labels.csv", "drops.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
@@ -597,6 +650,7 @@ def test_label_refuses_a_cell_space_past_the_guard_before_reading(tmp_path, caps
     reads = []
     monkeypatch.setattr(datagen, "read_dataset", lambda *a: reads.append(a))
     monkeypatch.setattr(datagen, "iter_dataset", lambda *a: reads.append(a))
+    monkeypatch.setattr(datagen, "iter_codes", lambda *a: reads.append(a))
     monkeypatch.setattr(datagen, "read_meta", lambda *a: reads.append(a))
     assert run("label", "--exp", tmp_path / "experimental.bin",
                "--obs", tmp_path / "observational.bin", "--config", config,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import threading
 
 import numpy as np
@@ -14,6 +15,7 @@ from unitselect.datagen import (
     draw_exogenous,
     generate_array,
     iter_blocks,
+    iter_codes,
     iter_dataset,
     meta_path,
     read_dataset,
@@ -21,7 +23,7 @@ from unitselect.datagen import (
     write_dataset,
     _shard_rng,
 )
-from unitselect.model import FullProfile, eval_x, eval_y, m_value
+from unitselect.model import FullProfile, cell_ids, eval_x, eval_y, m_value
 
 
 def test_draw_exogenous_thresholds(desk4):
@@ -182,6 +184,9 @@ def test_write_dataset_checks_before_opening(tmp_path, desk4):
     for n in (0, 10):
         with pytest.raises(DatasetFormatError, match="at most 30 observed bits"):
             write_dataset(tmp_path / "d.bin", wide, "experimental", n, seed=1)
+    # a 62-bit row code would not fit an int64
+    with pytest.raises(DatasetFormatError, match="at most 61 observed bits"):
+        write_dataset(tmp_path / "d.csv", random_config(62, 0, seed=1), "experimental", 10, seed=1)
     with pytest.raises(ValueError):
         write_dataset(tmp_path / "d.csv", desk4, "interventional", 10, seed=1)
     with pytest.raises(ValueError):
@@ -437,3 +442,122 @@ def test_sidecar_of_the_other_format_is_refused(tmp_path, desk4):
     del meta["format"]
     meta_path(tmp_path / "exp.bin").write_text(json.dumps(meta))
     assert read_dataset(tmp_path / "exp.bin")[1].format is None
+
+
+# Probabilities at the edges of the raw-word comparison: never, always, a
+# half, the smallest step of a uniform and the largest uniform below 1.
+EDGE_PROBS = (0.0, 1.0, 0.5, 2.0**-53, 1 - 2.0**-53)
+
+
+@pytest.mark.parametrize("p", [*EDGE_PROBS, 0.3, 1e-300, 0.1 + 2.0**-60])
+def test_raw_word_bit_is_the_float_comparison(p):
+    # A raw word w gives the uniform (w >> 11) * 2**-53; the bit is that
+    # uniform < p.  Check the words on both sides of the threshold.
+    c = math.ceil(math.ldexp(p, 53))
+    words = {0, 1, 2**11 - 1, 2**11, 2**63, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1}
+    words |= {w for w in ((c << 11) - 1, c << 11, (c << 11) + 1) if 0 <= w < 2**64}
+    raw = np.array(sorted(words), dtype=np.uint64)
+    bits = datagen._bit_rule([0.5, p])(np.stack([raw, raw], axis=1))
+    assert bits.dtype == np.uint8
+    assert bits[:, 1].tolist() == [int((w >> 11) * 2.0**-53 < p) for w in raw.tolist()]
+
+
+def _edge_config(drawn):
+    """A 6-observed-bit model whose characteristics have the edge
+    probabilities and ``drawn``; the noise and the assignment too."""
+    base = random_config(6, 1, seed=6)
+    return dataclasses.replace(
+        base, bern_z=(*EDGE_PROBS, drawn, 0.4), bern_ux=1.0, bern_uy=2.0**-53,
+        experiment_assign_prob=1 - 2.0**-53,
+    )
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_raw_draw_is_exact_at_edge_probabilities(regime):
+    m = datagen._CHUNK_ROWS + 100  # a whole chunk and a tail
+    width = 7 + 2 + (regime == "experimental")
+    u = _shard_rng(61, 2).random((m, width))
+    row = datagen._CHUNK_ROWS + 50
+    drawn = u[row, 5]  # z6 of a row in the tail: a uniform the stream draws
+    for p, bit in ((drawn, 0), (np.nextafter(drawn, 2.0), 1)):
+        config = _edge_config(float(p))
+        got = datagen._gen_shard(config, regime, 2, m, 61)
+        assert got[row, 5] == bit
+        # every observed bit is the float comparison, and x and y are the
+        # one-piece reference draw's
+        assert np.array_equal(got[:, :6], u[:, :6] < np.asarray(config.bern_z[:6]))
+        assert got[:, 0].sum() == 0 and got[:, 1].all()
+        assert np.array_equal(got, _whole_shard(config, regime, 2, m, 61))
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+def test_iter_codes_are_the_rows_codes(tmp_path, desk4, suffix):
+    n = SHARD_SIZE + 77
+    path = tmp_path / f"exp{suffix}"
+    write_dataset(path, desk4, "experimental", n, seed=5)
+    codes = list(iter_codes(path))
+    assert [len(c) for c in codes] == [SHARD_SIZE, 77]
+    assert all(c.dtype == np.int64 for c in codes)
+    rows = generate_array(desk4, "experimental", n, seed=5)
+    expect = (cell_ids(rows[:, :4]) * 4 + rows[:, 4] * 2 + rows[:, 5]).astype(np.int64)
+    assert np.array_equal(np.concatenate(codes), expect)
+
+
+def test_csv_and_packed_copies_give_the_same_codes(tmp_path, desk4):
+    n = 2 * SHARD_SIZE + 5
+    write_dataset(tmp_path / "a.csv", desk4, "observational", n, seed=8)
+    write_dataset(tmp_path / "b.bin", desk4, "observational", n, seed=8)
+    a, b = list(iter_codes(tmp_path / "a.csv")), list(iter_codes(tmp_path / "b.bin"))
+    assert len(a) == len(b) == 3
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_iter_dataset_unpacks_iter_codes(tmp_path, monkeypatch, desk4):
+    # one reader: iter_dataset's blocks are whatever iter_codes yields
+    path = tmp_path / "obs.bin"
+    write_dataset(path, desk4, "observational", 3, seed=1)
+    fake = np.array([0b101110, 0b000001, 0b111111], dtype=np.int64)  # id*4 + x*2 + y
+    monkeypatch.setattr(datagen, "iter_codes", lambda p: iter([fake]))
+    (block,) = iter_dataset(path)
+    assert block.tolist() == [[1, 1, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1]]
+
+
+def test_wide_csv_rows_read_as_codes(tmp_path):
+    # 61 observed bits: the widest code an int64 holds
+    config = random_config(61, 0, seed=2)
+    path = tmp_path / "wide.csv"
+    write_dataset(path, config, "observational", 50, seed=3)
+    (codes,) = iter_codes(path)
+    rows = generate_array(config, "observational", 50, seed=3)
+    expect = [sum(int(b) << i for i, b in enumerate(r[:61])) * 4 + int(r[61]) * 2 + int(r[62])
+              for r in rows]
+    assert codes.tolist() == expect
+    assert np.array_equal(read_dataset(path)[0], rows)
+
+
+_DESK_HEADER = len(b"z1,z2,z3,z4,x,y\n")
+_SECOND_SHARD = _DESK_HEADER + 12 * SHARD_SIZE  # the first byte of row SHARD_SIZE
+
+
+@pytest.mark.parametrize(
+    "pos, byte, problem",
+    [
+        (_DESK_HEADER + 1, b";", "malformed CSV rows"),  # the separator after z1 of row 0
+        (_DESK_HEADER + 11, b",", "malformed CSV rows"),  # the newline of row 0
+        (-1, b"\r", "malformed CSV rows"),  # the newline of the last row
+        (_SECOND_SHARD + 3, b"0", "malformed CSV rows"),  # a digit for a separator
+        (_DESK_HEADER, b"2", "non-binary values"),
+        (_SECOND_SHARD + 10, b"/", "non-binary values"),  # y, one below "0"
+        (_SECOND_SHARD + 8, b"\n", "non-binary values"),  # x, a newline
+        (_DESK_HEADER - 2, b"Y", "unexpected CSV header"),
+    ],
+)
+def test_csv_corruption_is_refused_by_the_one_reader(tmp_path, desk4, pos, byte, problem):
+    path = tmp_path / "exp.csv"
+    write_dataset(path, desk4, "experimental", SHARD_SIZE + 10, seed=1)
+    raw = bytearray(path.read_bytes())
+    raw[pos if pos >= 0 else len(raw) + pos] = byte[0]
+    path.write_bytes(bytes(raw))
+    for reader in (iter_codes, iter_dataset):
+        with pytest.raises(DatasetFormatError, match=problem):
+            list(reader(path))
