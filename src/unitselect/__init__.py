@@ -32,7 +32,6 @@ from .cells import (
 )
 from .datagen import (
     DatasetMeta,
-    generate_array,
     iter_codes,
     read_dataset,
     write_dataset,
@@ -108,7 +107,6 @@ __all__ = [
     "exact_benefit",
     "exact_experimental",
     "exact_observational",
-    "generate_array",
     "informer_table",
     "iter_codes",
     "m_value",

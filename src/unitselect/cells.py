@@ -27,8 +27,8 @@ from .bounds import (
     benefit_bounds_array,
     value_range,
 )
-from .datagen import REGIMES, SHARD_SIZE
-from .model import cell_bits, cell_ids, check_cell_space
+from .datagen import REGIMES, SHARD_SIZE, row_codes
+from .model import cell_bits, cell_ids, check_cell_space, random_stream
 from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -170,9 +170,7 @@ def aggregate(
             binary = all(((chunk == 0) | (chunk == 1)).all() for chunk in chunks)
         if not binary:
             raise ValueError("samples must hold only 0/1 values")
-        # y is bit 0 of a row's code, x bit 1 and the cell id the bits above.
-        code_bits = [n_observed + 1, n_observed, *range(n_observed)]
-        codes = (cell_ids(chunk[:, code_bits]) for chunk in chunks)
+        codes = map(row_codes, chunks)
     unseen = ~table.any(axis=1)
     for chunk in codes:
         table += np.bincount(chunk, minlength=4 * n_cells).reshape(-1, 4)
@@ -260,7 +258,7 @@ def split(labeled: LabelTable, spec: SplitSpec) -> tuple[LabelTable, LabelTable]
     test set.  Returns (train, test), each in shuffled order."""
     if not labeled:
         raise ValueError("cannot split an empty label table")
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    rng = random_stream(spec.seed)
     order = rng.permutation(len(labeled))
     n_test = math.ceil(spec.test_fraction * len(labeled))
     return labeled[order[n_test:]], labeled[order[:n_test]]
@@ -282,8 +280,8 @@ def read_labels_csv(path: str | Path) -> LabelTable:
     """Load written labels in file order, with ``read_cell_csv``'s checks;
     the bits must be 0/1 and spell each row's id, and counts must be
     integers."""
-    with open(path, encoding="ascii") as fh:
-        n_observed = len(fh.readline().split(",")) - 5
+    with open(path, "rb") as fh:  # read_cell_csv refuses a byte that is not ASCII
+        n_observed = fh.readline().count(b",") - 4
     ids, vals = read_cell_csv(path, _labels_header(max(n_observed, 1)))
     bits, counts = vals[:, :n_observed], vals[:, -2:]
     if not ((bits == 0) | (bits == 1)).all() or (cell_ids(bits) != ids).any():

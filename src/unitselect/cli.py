@@ -227,16 +227,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     add_vector(p)
     p.add_argument("--threshold", type=int, default=cells.DEFAULT_THRESHOLD)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    p.add_argument("--test-fraction", type=float, default=cells.SplitSpec.test_fraction)
     p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser("train", help="fit lower and upper bound models")
     p.add_argument("--labels", required=True)
-    p.add_argument("--hidden-width", type=int, default=128)
-    p.add_argument("--epochs", type=int, default=600)
-    p.add_argument("--learning-rate", type=float, default=0.01)
+    p.add_argument("--hidden-width", type=int, default=learner.Hyperparams.hidden_width)
+    p.add_argument("--epochs", type=int, default=learner.Hyperparams.epochs)
+    p.add_argument("--learning-rate", type=float, default=learner.Hyperparams.learning_rate)
     p.add_argument("--seed", type=_parse_seed, required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--predictions", required=True)
         p.add_argument("--informer", required=True)
-        p.add_argument("--sample-n", type=int, default=200)
+        p.add_argument("--sample-n", type=int, default=learner.DEFAULT_SAMPLE_N)
         p.add_argument("--seed", type=_parse_seed, required=True)
         p.add_argument("--out", required=func is _cmd_report)
         p.set_defaults(func=func)

@@ -21,14 +21,16 @@ Treatment (when not assigned) and outcome are ``model.eval_x`` and
 
 Rows expose only what a study would record: the observed characteristics,
 treatment and outcome.  Latent characteristics and noise are drawn but never
-written.  A dataset is a (n, n_observed+2) uint8 array of 0/1 columns
-``z1..zn, x, y``, produced whole (``generate_array``) or shard by shard
-(``iter_blocks``), and stored as CSV or as packed uint32 words: fixed-width
+written.  ``iter_blocks`` is the one generator: it yields a dataset shard by
+shard as (m, n_observed+2) uint8 blocks of 0/1 columns ``z1..zn, x, y``.
+``write_dataset`` stores them as CSV or as packed uint32 words: fixed-width
 records after a header (CSV) or none (packed), with a JSON sidecar naming the
-format.  ``iter_codes`` reads a stored dataset back shard by shard, checked,
-as int64 row codes ``cell_id*4 + x*2 + y``, the form ``cells.aggregate``
-counts, so a reader holds one shard at a time; ``iter_dataset`` unpacks those
-codes into blocks of 0/1 columns, and ``read_dataset`` reads them whole.
+format.  ``iter_codes`` is the one reader: it yields a stored dataset shard
+by shard, checked, as int64 row codes ``cell_id*4 + x*2 + y``, the form
+``cells.aggregate`` counts, so a reader holds one shard at a time;
+``read_dataset`` unpacks those codes into one whole block.  ``row_codes``
+folds a block into the same codes, so this module alone knows the row
+layouts.
 
 Because each shard has its own stream, shards can be made in any order and
 on any thread.  ``iter_blocks`` generates shards ahead of its consumer on
@@ -50,7 +52,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import ExogenousAssignment, ScmConfig, cell_bits, cell_ids, eval_x, eval_y
+from .model import (
+    ExogenousAssignment, ScmConfig, cell_bits, cell_ids, eval_x, eval_y, random_stream,
+)
 from .tables import atomic_write
 
 __all__ = [
@@ -61,10 +65,9 @@ __all__ = [
     "check_seed",
     "draw_exogenous",
     "iter_blocks",
-    "generate_array",
+    "row_codes",
     "write_dataset",
     "iter_codes",
-    "iter_dataset",
     "read_dataset",
     "read_meta",
     "meta_path",
@@ -146,7 +149,7 @@ def check_seed(seed: int) -> int:
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     """The generator of shard ``shard``: the one place its stream is keyed."""
-    return np.random.Generator(np.random.Philox(key=seed ^ shard))
+    return random_stream(seed ^ shard)
 
 
 def _bit_rule(probs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
@@ -242,16 +245,6 @@ def iter_blocks(
         pool.shutdown(cancel_futures=True)
 
 
-def generate_array(
-    config: ScmConfig, regime: str, n_samples: int, seed: int
-) -> np.ndarray:
-    """Whole dataset as a (n_samples, n_observed+2) uint8 array."""
-    blocks = list(iter_blocks(config, regime, n_samples, seed))
-    if not blocks:
-        return np.empty((0, config.n_observed + 2), dtype=np.uint8)
-    return np.concatenate(blocks, axis=0)
-
-
 def meta_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".meta.json")
 
@@ -286,7 +279,7 @@ def write_dataset(
 ) -> DatasetMeta:
     """Generate a dataset and stream it to ``path``; returns the sidecar meta.
 
-    The format follows the suffix, as in ``iter_dataset``: CSV for ".csv",
+    The format follows the suffix, as in ``iter_codes``: CSV for ".csv",
     packed for anything else.  A JSON sidecar is written next to the file.
     Arguments are checked before anything is written, and both files are
     written through ``tables.atomic_write``, so a failed run leaves an old
@@ -399,21 +392,21 @@ def _codes(words: np.ndarray, x_bit: int) -> np.ndarray:
     return words.astype(np.int64, copy=False)
 
 
-def iter_dataset(path: str | Path) -> Iterator[np.ndarray]:
-    """Yield a stored dataset ``SHARD_SIZE`` rows at a time, as uint8 blocks
-    of (m, n_observed+2) 0/1 values in file order: the codes of
-    ``iter_codes``, with its checks, unpacked."""
-    n_obs = read_meta(path).n_observed
-    for codes in iter_codes(path):
-        block = cell_bits(codes >> 2, n_obs + 2)  # the top two columns are 0
-        block[:, n_obs] = codes >> 1 & 1
-        block[:, n_obs + 1] = codes & 1
-        yield block
+def row_codes(block: np.ndarray) -> np.ndarray:
+    """Int64 row codes ``cell_id*4 + x*2 + y`` of a (m, n_observed+2) block of
+    0/1 columns ``z1..zn, x, y`` of any dtype, read in place; not checked."""
+    n_obs = block.shape[1] - 2
+    codes = cell_ids(block[:, :n_obs])
+    codes <<= 2
+    codes |= cell_ids(block[:, : n_obs - 1 : -1])  # y, then x
+    return codes
 
 
 def read_dataset(path: str | Path) -> tuple[np.ndarray, DatasetMeta]:
     """Load a whole dataset and its sidecar; returns ((n, n_observed+2) uint8,
-    meta).  The data are the blocks of ``iter_dataset``, concatenated."""
+    meta): the codes of ``iter_codes``, with its checks, unpacked."""
     meta = read_meta(path)
-    blocks = [np.empty((0, meta.n_observed + 2), np.uint8), *iter_dataset(path)]
-    return np.concatenate(blocks), meta
+    # Bit 0 of a code is y, bit 1 is x and the bits above are the cell id.
+    order = [*range(2, meta.n_observed + 2), 1, 0]
+    blocks = [cell_bits(codes, meta.n_observed + 2)[:, order] for codes in iter_codes(path)]
+    return np.concatenate([np.empty((0, meta.n_observed + 2), np.uint8), *blocks]), meta

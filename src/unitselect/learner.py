@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BenefitVector, value_range
 from .informer import InformerTable
-from .model import cell_bits, check_cell_space
+from .model import cell_bits, check_cell_space, random_stream
 from .tables import CellTable, atomic_write, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -48,6 +48,8 @@ _PARAMS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 # Cells per forward pass in ``predict_all``.
 _PREDICT_BLOCK = 1 << 11
+
+DEFAULT_SAMPLE_N = 200  # cells in the seeded evaluation sample, as in the paper
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def _loss_and_grads(
 
 
 def _init_params(n_in: int, hp: Hyperparams) -> list[np.ndarray]:
-    rng = np.random.Generator(np.random.Philox(key=hp.seed))
+    rng = random_stream(hp.seed)
     h = hp.hidden_width
 
     def glorot(fan_in: int, fan_out: int) -> np.ndarray:
@@ -283,7 +285,7 @@ def sample_cell_ids(n_cells: int, sample_n: int, seed: int) -> np.ndarray:
     """The seeded evaluation sample: sample_n distinct cell ids."""
     if not 1 <= sample_n <= n_cells:
         raise ValueError(f"cannot sample {sample_n} of {n_cells} cells")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = random_stream(seed)
     return np.sort(rng.choice(n_cells, size=sample_n, replace=False))
 
 
@@ -308,7 +310,7 @@ def evaluation_sample(
 
 
 def evaluate(
-    preds: PredictionTable, truth: InformerTable, sample_n: int = 200, seed: int = 0
+    preds: PredictionTable, truth: InformerTable, sample_n: int = DEFAULT_SAMPLE_N, seed: int = 0
 ) -> dict[str, float | int]:
     """Mean absolute error of each bound over ``evaluation_sample``."""
     _, true_lower, pred_lower, true_upper, pred_upper = evaluation_sample(
@@ -336,9 +338,10 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+    """A saved model; any other file raises ValueError naming ``path``."""
     try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
         n_in = doc["arch"]["n_inputs"]
         h = doc["arch"]["hidden_width"]
         shapes = [(n_in, h), (h,), (h, h), (h,), (h, 1), (1,)]

@@ -35,6 +35,7 @@ __all__ = [
     "CellKey",
     "cell_ids",
     "cell_bits",
+    "random_stream",
     "ExogenousAssignment",
     "default_config",
     "random_config",
@@ -237,10 +238,6 @@ class CellKey:
             )
         return cls(tuple((cell_id >> i) & 1 for i in range(n_observed)))
 
-    def complete(self, latent_bits: Sequence[int]) -> FullProfile:
-        """Append latent characteristic bits to form a full profile."""
-        return FullProfile(self.bits + tuple(latent_bits))
-
 
 def cell_ids(bits: np.ndarray) -> np.ndarray:
     """Int64 ids of the rows of a (k, n) 0/1 array, encoded as ``CellKey.id``:
@@ -260,6 +257,11 @@ def cell_bits(ids: np.ndarray, n_bits: int) -> np.ndarray:
     for i in range(n_bits):
         out[:, i] = (ids >> i) & 1
     return out
+
+
+def random_stream(key: int) -> np.random.Generator:
+    """The generator of the random stream keyed ``key``; every stream is built here."""
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -290,7 +292,7 @@ def random_config(n_observed: int, n_unobserved: int, seed: int) -> ScmConfig:
     parameter is uniform on [0, 1]; the assignment rate keeps its default.
     Useful for desk-scale models where the full cell space can be enumerated.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = random_stream(seed)
     n = n_observed + n_unobserved
     return ScmConfig(
         n_observed=n_observed,

@@ -83,19 +83,22 @@ class CellTable:
 
 def read_cell_csv(path: str | Path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Cell ids (int64) and the other columns (float64) of a table CSV, in
-    file order.  Raises ValueError for another header, a short, long or
-    non-numeric row, an id that is not an integer, a non-finite value, or a
-    negative or repeated id."""
-    with open(path, encoding="ascii") as fh:
-        found = fh.readline().rstrip("\r\n").split(",")
-        if found != header:
-            raise ValueError(f"unexpected header in {path}: {found}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a file with no rows
-            data = np.loadtxt(
-                fh, delimiter=",", comments=None, ndmin=1,
-                dtype=[("id", "i8"), ("values", "f8", (len(header) - 1,))],
-            )
+    file order.  Raises ValueError, naming the file, for a byte that is not
+    ASCII, another header, a short, long or non-numeric row, an id that is
+    not an integer, a non-finite value, or a negative or repeated id."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            found = fh.readline().rstrip("\r\n").split(",")
+            if found != header:
+                raise ValueError(f"unexpected header {found}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a file with no rows
+                data = np.loadtxt(
+                    fh, delimiter=",", comments=None, ndmin=1,
+                    dtype=[("id", "i8"), ("values", "f8", (len(header) - 1,))],
+                )
+    except ValueError as exc:  # a UnicodeDecodeError too
+        raise ValueError(f"{path}: {exc}") from None
     ids, values = data["id"], data["values"]
     if not np.isfinite(values).all():
         raise ValueError(f"{path} holds a non-finite value")

@@ -22,7 +22,7 @@ from unitselect.bounds import (
 )
 from unitselect.cells import SplitSpec, aggregate, build_labels, split
 from unitselect.cli import main as cli_main
-from unitselect.datagen import generate_array, iter_blocks
+from unitselect.datagen import iter_blocks
 from unitselect.informer import (
     completion_weights,
     exact_experimental,
@@ -116,10 +116,18 @@ def test_criterion_3_sigma_branches(desk8):
     )
 
 
+def _counts(config, regime, n, seed):
+    """A regime's counts, its rows streamed shard by shard into one map."""
+    counts = {}
+    for block in iter_blocks(config, regime, n, seed):
+        aggregate(block, regime, into=counts)
+    return counts
+
+
 def test_criterion_4_monte_carlo_convergence(desk4):
     n = 1_000_000
-    exp_map = aggregate(generate_array(desk4, "experimental", n, seed=41), "experimental")
-    obs_map = aggregate(generate_array(desk4, "observational", n, seed=42), "observational")
+    exp_map = _counts(desk4, "experimental", n, seed=41)
+    obs_map = _counts(desk4, "observational", n, seed=42)
     checks = 0
     hits = 0
     truth = informer_table(desk4, V)
@@ -149,12 +157,8 @@ def test_criterion_4_monte_carlo_convergence(desk4):
 
 
 def _median_label_error(config, n, seed_exp, seed_obs, threshold, truth):
-    exp_map = aggregate(
-        generate_array(config, "experimental", n, seed_exp), "experimental"
-    )
-    obs_map = aggregate(
-        generate_array(config, "observational", n, seed_obs), "observational"
-    )
+    exp_map = _counts(config, "experimental", n, seed_exp)
+    obs_map = _counts(config, "observational", n, seed_obs)
     labels, _ = build_labels(exp_map, obs_map, V, threshold)
     # the truth table is full, so a cell's id is its row
     errs = [
@@ -183,12 +187,8 @@ def test_criterion_5_label_convergence(desk4):
 def test_criterion_6_full_scale_end_to_end(appendix):
     n = 5_000_000
     start = time.perf_counter()
-    exp_map = {}
-    for block in iter_blocks(appendix, "experimental", n, seed=61):
-        aggregate(block, "experimental", into=exp_map)
-    obs_map = {}
-    for block in iter_blocks(appendix, "observational", n, seed=62):
-        aggregate(block, "observational", into=obs_map)
+    exp_map = _counts(appendix, "experimental", n, seed=61)
+    obs_map = _counts(appendix, "observational", n, seed=62)
     labels, _ = build_labels(exp_map, obs_map, V, threshold=1300)
     t_label = time.perf_counter() - start
     assert 150 <= len(labels) <= 800

@@ -31,7 +31,7 @@ from unitselect.cells import (
     write_drops_csv,
     write_labels_csv,
 )
-from unitselect.datagen import REGIMES, generate_array
+from unitselect.datagen import REGIMES, iter_blocks
 from unitselect.informer import informer_table
 from unitselect.model import CellKey, CellSpaceTooLarge
 
@@ -118,13 +118,13 @@ def test_aggregate_observational_quadrants():
 
 
 def test_aggregate_array_matches_row_tally(desk4):
-    arr = generate_array(desk4, "observational", 20_000, seed=31)
+    (arr,) = iter_blocks(desk4, "observational", 20_000, seed=31)
     fast = aggregate(arr, "observational")
     assert _as_lists(fast) == _tally_rows(arr)
     # conservation: tallies account for every sample
     assert sum(row.sum() for row in fast.values()) == 20_000
 
-    arr = generate_array(desk4, "experimental", 20_000, seed=32)
+    (arr,) = iter_blocks(desk4, "experimental", 20_000, seed=32)
     fast = aggregate(arr, "experimental")
     assert _as_lists(fast) == _tally_rows(arr)
     assert sum(row.sum() for row in fast.values()) == 20_000
@@ -134,7 +134,7 @@ def test_aggregate_array_matches_row_tally(desk4):
 
 
 def test_aggregate_merges_blocks(desk4):
-    arr = generate_array(desk4, "experimental", 5000, seed=33)
+    (arr,) = iter_blocks(desk4, "experimental", 5000, seed=33)
     whole = aggregate(arr, "experimental")
     merged = aggregate(arr[:2000], "experimental")
     merged = aggregate(arr[2000:], "experimental", into=merged)
@@ -177,7 +177,7 @@ def test_aggregate_into_map_of_another_width(desk4):
     # different cells: counting one width into the other's map is refused,
     # and the refused call counts nothing.
     narrow = (np.random.default_rng(3).random((400, 5)) < 0.5).astype(np.uint8)
-    wide = generate_array(desk4, "experimental", 3000, seed=36)
+    (wide,) = iter_blocks(desk4, "experimental", 3000, seed=36)
     narrow_map = aggregate(narrow, "experimental")
     before = _as_lists(narrow_map)
     with pytest.raises(ValueError, match="another width"):
@@ -254,7 +254,7 @@ def _codes(arr):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_aggregate_counts_codes_as_it_counts_bit_blocks(desk4, regime):
-    arr = generate_array(desk4, regime, 20_000, seed=37)
+    (arr,) = iter_blocks(desk4, regime, 20_000, seed=37)
     blocks = aggregate(arr, regime)
     codes = aggregate(_codes(arr), regime, n_observed=4)
     assert _as_lists(codes) == _as_lists(blocks) == _tally_rows(arr)
@@ -277,7 +277,8 @@ def test_aggregate_counts_codes_as_it_counts_bit_blocks(desk4, regime):
     ],
 )
 def test_aggregate_refuses_bad_codes_and_changes_nothing(desk4, codes, n_observed, problem):
-    made = aggregate(generate_array(desk4, "experimental", 100, seed=1), "experimental")
+    (arr,) = iter_blocks(desk4, "experimental", 100, seed=1)
+    made = aggregate(arr, "experimental")
     before = _as_lists(made)
     with pytest.raises(ValueError, match=problem):
         aggregate(codes, "experimental", into=made, n_observed=n_observed)
@@ -285,7 +286,7 @@ def test_aggregate_refuses_bad_codes_and_changes_nothing(desk4, codes, n_observe
 
 
 def test_aggregate_codes_of_another_width(desk4):
-    arr = generate_array(desk4, "experimental", 100, seed=1)
+    (arr,) = iter_blocks(desk4, "experimental", 100, seed=1)
     made = aggregate(arr, "experimental")
     with pytest.raises(ValueError, match="another width"):
         aggregate(_codes(arr), "experimental", into=made, n_observed=5)

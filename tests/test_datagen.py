@@ -13,17 +13,22 @@ from unitselect.datagen import (
     DatasetFormatError,
     DatasetMeta,
     draw_exogenous,
-    generate_array,
     iter_blocks,
     iter_codes,
-    iter_dataset,
     meta_path,
     read_dataset,
     read_meta,
+    row_codes,
     write_dataset,
     _shard_rng,
 )
 from unitselect.model import FullProfile, cell_ids, eval_x, eval_y, m_value
+
+
+def _rows(config, regime, n, seed):
+    """The whole dataset: the blocks of ``iter_blocks``, concatenated."""
+    blocks = iter_blocks(config, regime, n, seed)
+    return np.concatenate([np.empty((0, config.n_observed + 2), np.uint8), *blocks])
 
 
 def test_draw_exogenous_thresholds(desk4):
@@ -48,7 +53,7 @@ def test_scalar_stream_matches_vectorized_rows(desk4):
     # the documented draw order: characteristics, u_x, u_y, then the
     # experimental assignment uniform
     n = desk4.n_total
-    arr = generate_array(desk4, "experimental", 64, seed=123)
+    arr = _rows(desk4, "experimental", 64, seed=123)
     u = _shard_rng(123, 0).random((64, n + 3))
     for i in range(64):
         ex = draw_exogenous(u[i, : n + 2], desk4)
@@ -57,7 +62,7 @@ def test_scalar_stream_matches_vectorized_rows(desk4):
         y = eval_y(x, m_value(profile, desk4.weights_y), ex.u_y, desk4.constant_c)
         assert tuple(int(b) for b in arr[i]) == ex.z[: desk4.n_observed] + (x, y)
 
-    arr_obs = generate_array(desk4, "observational", 64, seed=123)
+    arr_obs = _rows(desk4, "observational", 64, seed=123)
     u = _shard_rng(123, 0).random((64, n + 2))
     for i in range(64):
         ex = draw_exogenous(u[i], desk4)
@@ -68,12 +73,12 @@ def test_scalar_stream_matches_vectorized_rows(desk4):
 
 
 def test_determinism_and_prefix(desk4):
-    a = generate_array(desk4, "observational", 2000, seed=9)
-    b = generate_array(desk4, "observational", 2000, seed=9)
+    a = _rows(desk4, "observational", 2000, seed=9)
+    b = _rows(desk4, "observational", 2000, seed=9)
     assert np.array_equal(a, b)
-    c = generate_array(desk4, "observational", 700, seed=9)
+    c = _rows(desk4, "observational", 700, seed=9)
     assert np.array_equal(a[:700], c)
-    d = generate_array(desk4, "observational", 2000, seed=10)
+    d = _rows(desk4, "observational", 2000, seed=10)
     assert not np.array_equal(a, d)
 
 
@@ -83,16 +88,16 @@ def test_sharding_is_transparent(desk4):
     blocks = list(iter_blocks(desk4, "experimental", n, seed=3))
     assert len(blocks) == 2
     assert len(blocks[0]) == SHARD_SIZE and len(blocks[1]) == 1234
-    whole = generate_array(desk4, "experimental", n, seed=3)
+    whole = _rows(desk4, "experimental", n, seed=3)
     assert np.array_equal(np.concatenate(blocks), whole)
     # a shard's content does not depend on how much of it is requested
-    small = generate_array(desk4, "experimental", SHARD_SIZE + 10, seed=3)
+    small = _rows(desk4, "experimental", SHARD_SIZE + 10, seed=3)
     assert np.array_equal(whole[: SHARD_SIZE + 10], small)
 
 
 def test_empirical_rates_appendix(appendix):
     n = 1_000_000
-    arr = generate_array(appendix, "experimental", n, seed=77)
+    arr = _rows(appendix, "experimental", n, seed=77)
     # z1 frequency within 5 sigma of its Bernoulli parameter
     p = appendix.bern_z[0]
     assert abs(arr[:, 0].mean() - p) < 5 * np.sqrt(p * (1 - p) / n)
@@ -102,8 +107,8 @@ def test_empirical_rates_appendix(appendix):
 
 def test_regime_difference(desk4):
     n = 200_000
-    exp = generate_array(desk4, "experimental", n, seed=21)
-    obs = generate_array(desk4, "observational", n, seed=21)
+    exp = _rows(desk4, "experimental", n, seed=21)
+    obs = _rows(desk4, "observational", n, seed=21)
     # experimental: treatment independent of every observed characteristic
     for j in range(4):
         on = exp[exp[:, j] == 1, 4].mean()
@@ -128,7 +133,7 @@ def test_csv_dataset_roundtrip(tmp_path, desk4):
     assert header == b"z1,z2,z3,z4,x,y"
     data, meta2 = read_dataset(path)
     assert meta2 == meta
-    assert np.array_equal(data, generate_array(desk4, "experimental", 500, seed=4))
+    assert np.array_equal(data, _rows(desk4, "experimental", 500, seed=4))
     # regeneration is byte-identical, sidecar included
     path2 = tmp_path / "exp2.csv"
     write_dataset(path2, desk4, "experimental", 500, seed=4)
@@ -143,7 +148,7 @@ def test_packed_dataset_roundtrip(tmp_path, desk4):
     write_dataset(path, desk4, "observational", 500, seed=4)
     data, meta = read_dataset(path)
     assert meta.kind == "observational"
-    assert np.array_equal(data, generate_array(desk4, "observational", 500, seed=4))
+    assert np.array_equal(data, _rows(desk4, "observational", 500, seed=4))
     # 4 bytes per sample
     assert path.stat().st_size == 500 * 4
     # bit layout: observed bits from bit 0, x at bit 30, y at bit 31
@@ -162,7 +167,7 @@ def test_format_follows_the_suffix(tmp_path, desk4, suffix):
     else:
         assert path.stat().st_size == 300 * 4
     data, _ = read_dataset(path)
-    assert np.array_equal(data, generate_array(desk4, "observational", 300, seed=5))
+    assert np.array_equal(data, _rows(desk4, "observational", 300, seed=5))
 
 
 def test_empty_dataset(tmp_path, desk4):
@@ -256,14 +261,14 @@ def test_meta_validation():
 def test_seed_outside_the_key_range_is_refused(desk4, seed):
     with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
         list(iter_blocks(desk4, "experimental", 5, seed=seed))
-    assert generate_array(desk4, "experimental", 5, seed=2**64 - 1).shape == (5, 6)
+    assert _rows(desk4, "experimental", 5, seed=2**64 - 1).shape == (5, 6)
 
 
 def test_unknown_regime_rejected(desk4):
     with pytest.raises(ValueError):
         list(iter_blocks(desk4, "interventional", 5, seed=1))
     with pytest.raises(ValueError):
-        generate_array(desk4, "experimental", -1, seed=1)
+        _rows(desk4, "experimental", -1, seed=1)
 
 
 def test_read_meta_reports_bad_sidecar(tmp_path, desk4):
@@ -404,15 +409,19 @@ def test_failed_write_dataset_leaves_the_old_files_whole(
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
 @pytest.mark.parametrize("n", [0, 100, SHARD_SIZE, 2 * SHARD_SIZE + 77])
 def test_iter_dataset_yields_shards_of_the_generated_rows(tmp_path, desk4, suffix, n):
+    # iterating a stored dataset gives, shard for shard, the codes of the
+    # generated blocks, and read_dataset unpacks them into the blocks
     path = tmp_path / f"obs{suffix}"
     write_dataset(path, desk4, "observational", n, seed=3)
-    blocks = list(iter_dataset(path))
+    shards = list(iter_codes(path))
     sizes = [SHARD_SIZE] * (n // SHARD_SIZE) + [n % SHARD_SIZE] * (n % SHARD_SIZE > 0)
-    assert [len(b) for b in blocks] == sizes
-    assert all(b.dtype == np.uint8 and b.shape[1] == 6 for b in blocks)
-    whole = np.concatenate([np.empty((0, 6), np.uint8), *blocks])
-    assert np.array_equal(whole, generate_array(desk4, "observational", n, seed=3))
-    assert np.array_equal(read_dataset(path)[0], whole)
+    assert [len(c) for c in shards] == sizes
+    blocks = list(iter_blocks(desk4, "observational", n, seed=3))
+    assert len(blocks) == len(shards)
+    assert all(np.array_equal(c, row_codes(b)) for c, b in zip(shards, blocks))
+    data, _ = read_dataset(path)
+    assert data.dtype == np.uint8 and data.shape == (n, 6)
+    assert np.array_equal(data, _rows(desk4, "observational", n, seed=3))
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
@@ -423,7 +432,7 @@ def test_truncated_file_is_refused_before_any_block(tmp_path, desk4, suffix, cut
     row_bytes = 12 if suffix == ".csv" else 4
     with open(path, "r+b") as fh:
         fh.truncate(path.stat().st_size - (row_bytes if cut == "row" else 1))
-    blocks = iter_dataset(path)
+    blocks = iter_codes(path)
     match = "sidecar says" if cut == "row" else "ragged CSV body|whole number of words"
     with pytest.raises(DatasetFormatError, match=match):
         next(blocks)
@@ -498,7 +507,7 @@ def test_iter_codes_are_the_rows_codes(tmp_path, desk4, suffix):
     codes = list(iter_codes(path))
     assert [len(c) for c in codes] == [SHARD_SIZE, 77]
     assert all(c.dtype == np.int64 for c in codes)
-    rows = generate_array(desk4, "experimental", n, seed=5)
+    rows = _rows(desk4, "experimental", n, seed=5)
     expect = (cell_ids(rows[:, :4]) * 4 + rows[:, 4] * 2 + rows[:, 5]).astype(np.int64)
     assert np.array_equal(np.concatenate(codes), expect)
 
@@ -512,14 +521,26 @@ def test_csv_and_packed_copies_give_the_same_codes(tmp_path, desk4):
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def test_iter_dataset_unpacks_iter_codes(tmp_path, monkeypatch, desk4):
-    # one reader: iter_dataset's blocks are whatever iter_codes yields
+def test_read_dataset_unpacks_iter_codes(tmp_path, monkeypatch, desk4):
+    # one reader: read_dataset's rows are whatever iter_codes yields
     path = tmp_path / "obs.bin"
     write_dataset(path, desk4, "observational", 3, seed=1)
     fake = np.array([0b101110, 0b000001, 0b111111], dtype=np.int64)  # id*4 + x*2 + y
     monkeypatch.setattr(datagen, "iter_codes", lambda p: iter([fake]))
-    (block,) = iter_dataset(path)
-    assert block.tolist() == [[1, 1, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1]]
+    data, _ = read_dataset(path)
+    assert data.dtype == np.uint8
+    assert data.tolist() == [[1, 1, 0, 1, 1, 0], [0, 0, 0, 0, 0, 1], [1, 1, 1, 1, 1, 1]]
+    assert row_codes(data).tolist() == fake.tolist()
+
+
+@pytest.mark.parametrize("n_obs", [1, 4, 24])
+def test_row_codes_fold_blocks_of_any_dtype(n_obs):
+    block = np.random.default_rng(n_obs).integers(0, 2, (5000, n_obs + 2), dtype=np.uint8)
+    expect = [int("".join(map(str, [*r[:n_obs][::-1], r[n_obs], r[n_obs + 1]])), 2)
+              for r in block.tolist()]
+    for dtype in (np.uint8, bool, np.int8, np.float64):
+        codes = row_codes(block.astype(dtype))
+        assert codes.dtype == np.int64 and codes.tolist() == expect
 
 
 def test_wide_csv_rows_read_as_codes(tmp_path):
@@ -528,7 +549,7 @@ def test_wide_csv_rows_read_as_codes(tmp_path):
     path = tmp_path / "wide.csv"
     write_dataset(path, config, "observational", 50, seed=3)
     (codes,) = iter_codes(path)
-    rows = generate_array(config, "observational", 50, seed=3)
+    rows = _rows(config, "observational", 50, seed=3)
     expect = [sum(int(b) << i for i, b in enumerate(r[:61])) * 4 + int(r[61]) * 2 + int(r[62])
               for r in rows]
     assert codes.tolist() == expect
@@ -558,6 +579,7 @@ def test_csv_corruption_is_refused_by_the_one_reader(tmp_path, desk4, pos, byte,
     raw = bytearray(path.read_bytes())
     raw[pos if pos >= 0 else len(raw) + pos] = byte[0]
     path.write_bytes(bytes(raw))
-    for reader in (iter_codes, iter_dataset):
-        with pytest.raises(DatasetFormatError, match=problem):
-            list(reader(path))
+    with pytest.raises(DatasetFormatError, match=problem):
+        list(iter_codes(path))
+    with pytest.raises(DatasetFormatError, match=problem):
+        read_dataset(path)

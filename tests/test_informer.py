@@ -174,7 +174,7 @@ def test_cell_truth_mixture_linearity(desk8):
         mixed = 0.0
         for j in range(len(w)):
             latent = tuple((j >> i) & 1 for i in range(desk8.n_unobserved))
-            mixed += w[j] * true_benefit_profile(cell.complete(latent), desk8, v)
+            mixed += w[j] * true_benefit_profile(FullProfile(cell.bits + latent), desk8, v)
         assert abs(mixed - table.true_f[cell.id]) < 1e-12
 
 
@@ -192,7 +192,7 @@ def test_cell_truth_mixes_distributions_not_bounds(desk4):
         mixed_lower = 0.0
         for j in range(len(w)):
             latent = tuple((j >> i) & 1 for i in range(desk4.n_unobserved))
-            profile = cell.complete(latent)
+            profile = FullProfile(cell.bits + latent)
             b = benefit_bounds(
                 V,
                 exact_experimental(profile, desk4),

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -413,12 +414,10 @@ def test_failed_save_model_leaves_the_old_file_whole(tmp_path, monkeypatch):
 
 def test_load_model_rejects_garbage(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text("{}")
-    with pytest.raises(ValueError):
-        load_model(path)
-    path.write_text("not json")
-    with pytest.raises(ValueError):
-        load_model(path)
+    for content in (b"{}", b"not json", b'{"arch": "\xff"}'):
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"malformed model file {re.escape(str(path))}"):
+            load_model(path)
 
 
 def test_predictions_csv_roundtrip(tmp_path):

@@ -199,13 +199,6 @@ def test_check_bits_accepts_bool_and_numpy_ints():
     assert FullProfile((np.uint8(1), True)).bits == (1, 1)
 
 
-def test_cell_complete():
-    cell = CellKey((1, 0))
-    profile = cell.complete((1, 1, 0))
-    assert isinstance(profile, FullProfile)
-    assert profile.bits == (1, 0, 1, 1, 0)
-
-
 def test_eval_x_strict_threshold():
     assert eval_x(0.6, 0) == 1
     assert eval_x(0.5, 0) == 0

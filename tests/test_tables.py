@@ -6,7 +6,7 @@ import pytest
 from unitselect import tables
 from unitselect.bounds import DEFAULT_BENEFIT_VECTOR
 from unitselect.cells import DropTable, LabelTable, SplitSpec, aggregate, build_labels, split
-from unitselect.datagen import generate_array
+from unitselect.datagen import iter_blocks
 from unitselect.informer import InformerTable, informer_table
 from unitselect.learner import PredictionTable
 from unitselect.model import CellKey
@@ -97,8 +97,10 @@ ROW_FIELDS = {
 
 def test_rows_are_the_columns_as_python_values(desk4):
     v = DEFAULT_BENEFIT_VECTOR
-    exp_map = aggregate(generate_array(desk4, "experimental", 20_000, 1), "experimental")
-    obs_map = aggregate(generate_array(desk4, "observational", 20_000, 2), "observational")
+    exp_map, obs_map = {}, {}
+    for counts, regime, seed in ((exp_map, "experimental", 1), (obs_map, "observational", 2)):
+        for block in iter_blocks(desk4, regime, 20_000, seed):
+            aggregate(block, regime, into=counts)
     labels, drops = build_labels(exp_map, obs_map, v, threshold=1300)
     train_set, _ = split(labels, SplitSpec(0.2, seed=3))  # not in id order
     truth = informer_table(desk4, v)
