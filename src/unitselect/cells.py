@@ -28,7 +28,7 @@ from .bounds import (
     value_range,
 )
 from .datagen import REGIMES, SHARD_SIZE, row_codes
-from .model import cell_bits, cell_ids, check_cell_space, random_stream
+from .model import cell_bits, cell_ids, check_cell_space, check_seed, random_stream
 from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -99,10 +99,13 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in (0, 1)")
+        check_seed(self.seed)
 
 
 def _table_of(counts: Mapping[int, np.ndarray]) -> np.ndarray | None:
-    """The (2**k, 4) int64 table whose rows a count map holds; None if empty."""
+    """The (2**k, 4) int64 table whose rows a count map holds, which must be
+    the base of every row: a map merged from two maps is refused, since
+    only one table's counts would be read.  None if the map is empty."""
     if not counts:
         return None
     table = getattr(next(iter(counts.values())), "base", None)
@@ -110,6 +113,7 @@ def _table_of(counts: Mapping[int, np.ndarray]) -> np.ndarray | None:
         isinstance(table, np.ndarray)
         and table.dtype == np.int64
         and table.shape == (1 << (table.size // 4 - 1).bit_length(), 4)
+        and all(getattr(row, "base", None) is table for row in counts.values())
     ):
         raise ValueError("a count map's rows must be views of the table aggregate made")
     return table
@@ -134,8 +138,9 @@ def aggregate(
     column ``x*2 + y`` counts the rows with that x and y.  Pass a returned
     map as ``into`` to merge across shards: its table is added to, and a key
     is inserted only for a cell seen for the first time.  An ``into`` of
-    another width, or whose rows are not views of such a table, raises
-    ValueError; a refused call changes nothing.
+    another width, or whose rows are not all views of one such table (say,
+    two maps merged into one dict), raises ValueError; a refused call
+    changes nothing.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
@@ -216,12 +221,13 @@ def build_labels(
 ) -> tuple[LabelTable, DropTable]:
     """Bound labels for every eligible cell, plus the drop log.
 
-    The maps are ``aggregate``'s, one per regime; the width is that of
-    their tables, which must agree.  A cell is eligible when it was seen at
-    least ``threshold`` times in each regime.  Cells seen in neither map
-    appear in neither table, and both tables are in ascending id order.  The
-    estimates and bounds are those of ``estimate`` and ``benefit_bounds``,
-    computed for all cells at once.
+    The maps are ``aggregate``'s, one per regime, each with its rows in one
+    table, else ValueError; the width is that of their tables, which must
+    agree.  A cell is eligible when it was seen at least ``threshold`` times
+    in each regime.  Cells seen in neither map appear in neither table, and
+    both tables are in ascending id order.  The estimates and bounds are
+    those of ``estimate`` and ``benefit_bounds``, computed for all cells at
+    once.
     """
     tables = [_table_of(m) for m in (exp_map, obs_map)]
     widths = {len(t) for t in tables if t is not None}

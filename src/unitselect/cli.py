@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cells, datagen, informer, learner
 from .bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector
-from .model import ScmConfig, cell_bits, check_cell_space
+from .model import ScmConfig, cell_bits, check_cell_space, check_seed
 from .tables import atomic_write, write_cell_csv
 
 __all__ = ["main"]
@@ -42,7 +42,7 @@ def _parse_vector(text: str) -> BenefitVector:
 
 def _parse_seed(text: str) -> int:
     try:
-        return datagen.check_seed(int(text))
+        return check_seed(int(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

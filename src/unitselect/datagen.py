@@ -3,7 +3,7 @@
 Sampling is deterministic given (config, regime, n_samples, seed) and is
 organized in fixed-size shards so that the output does not depend on how many
 samples are requested at a time: shard ``s`` is generated from a counter-based
-Philox stream keyed by ``seed ^ s`` (``check_seed`` keeps seeds in
+Philox stream keyed by ``seed ^ s`` (``model.check_seed`` keeps seeds in
 [0, 2**64)), and the first k samples of any run are byte-identical to a run
 asked for only k samples.
 
@@ -53,7 +53,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .model import (
-    ExogenousAssignment, ScmConfig, cell_bits, cell_ids, eval_x, eval_y, random_stream,
+    ExogenousAssignment, ScmConfig, cell_bits, cell_ids, check_seed, eval_x, eval_y, random_stream,
 )
 from .tables import atomic_write
 
@@ -62,7 +62,6 @@ __all__ = [
     "REGIMES",
     "DatasetMeta",
     "DatasetFormatError",
-    "check_seed",
     "draw_exogenous",
     "iter_blocks",
     "row_codes",
@@ -138,13 +137,6 @@ def draw_exogenous(uniforms: Sequence[float], config: ScmConfig) -> ExogenousAss
         u_x=int(uniforms[n] < config.bern_ux),
         u_y=int(uniforms[n + 1] < config.bern_uy),
     )
-
-
-def check_seed(seed: int) -> int:
-    """``seed`` itself, if it can key a stream: 0 <= seed < 2**64."""
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return seed
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:

@@ -29,7 +29,6 @@ from .bounds import (
     ResponseProfile,
     benefit_bounds_array,
     check_distributions,
-    exact_benefit,
 )
 from .model import (
     ConfigError,
@@ -49,7 +48,6 @@ __all__ = [
     "exact_experimental",
     "exact_observational",
     "response_profile",
-    "true_benefit_profile",
     "completion_weights",
     "informer_table",
     "write_informer_csv",
@@ -149,13 +147,6 @@ def response_profile(profile: FullProfile, config: ScmConfig) -> ResponseProfile
         p_never=masses[(0, 0)],
         p_defier=masses[(1, 0)],
     )
-
-
-def true_benefit_profile(
-    profile: FullProfile, config: ScmConfig, v: BenefitVector
-) -> float:
-    """Exact benefit of a full profile."""
-    return exact_benefit(v, response_profile(profile, config))
 
 
 def completion_weights(config: ScmConfig) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import BenefitVector, value_range
 from .informer import InformerTable
-from .model import cell_bits, check_cell_space, random_stream
+from .model import cell_bits, check_cell_space, check_seed, random_stream
 from .tables import CellTable, atomic_write, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -65,6 +65,7 @@ class Hyperparams:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.hidden_width < 1 or self.epochs < 1:
             raise ValueError("hidden_width and epochs must be positive")
+        check_seed(self.seed)
         rate = self.learning_rate
         if isinstance(rate, bool) or not isinstance(rate, (int, float)):  # refuses true, "0.1"
             raise ValueError(f"learning_rate must be a number, got {rate!r}")

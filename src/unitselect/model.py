@@ -35,6 +35,7 @@ __all__ = [
     "CellKey",
     "cell_ids",
     "cell_bits",
+    "check_seed",
     "random_stream",
     "ExogenousAssignment",
     "default_config",
@@ -259,9 +260,17 @@ def cell_bits(ids: np.ndarray, n_bits: int) -> np.ndarray:
     return out
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` itself, if it can key a stream: 0 <= seed < 2**64."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def random_stream(key: int) -> np.random.Generator:
-    """The generator of the random stream keyed ``key``; every stream is built here."""
-    return np.random.Generator(np.random.Philox(key=key))
+    """The generator of the random stream keyed ``key``, which ``check_seed``
+    must accept; every stream is built here."""
+    return np.random.Generator(np.random.Philox(key=check_seed(key)))
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,36 @@ def test_aggregate_refuses_a_map_built_by_hand(by_hand):
     assert aggregate(arr, "experimental", into=made)[10].tolist() == [0, 0, 2, 0]
 
 
+def test_a_map_with_rows_of_two_tables_is_refused(desk8):
+    # Two halves of one shard counted into two maps, then merged as dicts:
+    # its rows come from two tables, and reading either table alone would
+    # miscount, so both entry points refuse it and the refused call
+    # changes nothing.
+    (exp_rows,) = iter_blocks(desk8, "experimental", 2000, seed=41)
+    (obs_rows,) = iter_blocks(desk8, "observational", 2000, seed=42)
+    a = aggregate(exp_rows[:1000], "experimental")
+    b = aggregate(exp_rows[1000:], "experimental")
+    obs = aggregate(obs_rows, "observational")
+    assert a.keys() - b.keys() and b.keys() - a.keys()  # else a merge is one map
+    key = next(iter(a))
+    other_table = np.zeros_like(a[key].base)
+    mixed = [
+        {**a, **b},
+        {**b, **a},
+        {**a, key: a[key].copy()},  # a row that owns its data
+        {**a, key: other_table[key]},  # a row of another table of this width
+    ]
+    for counts in mixed:
+        before = _as_lists(counts)
+        with pytest.raises(ValueError, match="views of the table"):
+            aggregate(exp_rows, "experimental", into=counts)
+        assert _as_lists(counts) == before
+        with pytest.raises(ValueError, match="views of the table"):
+            build_labels(counts, obs, DEFAULT_BENEFIT_VECTOR, 1)
+        with pytest.raises(ValueError, match="views of the table"):
+            build_labels(obs, counts, DEFAULT_BENEFIT_VECTOR, 1)
+
+
 def test_aggregate_wide_rows(monkeypatch):
     # past model.MAX_CELLS cells the table is refused before it is made
     for n_observed in (25, 61, 62):

@@ -29,7 +29,7 @@ from unitselect.learner import (
     train,
     write_predictions_csv,
 )
-from unitselect.model import random_config
+from unitselect.model import ScmConfig, random_config
 
 
 def run(*args):
@@ -718,6 +718,32 @@ def test_readme_commands_use_real_flags():
     assert len(seen) == len(commands)
 
 
+def test_readme_python_runs(tmp_path, monkeypatch, appendix):
+    # The README's Python: the two heredocs that write model configurations
+    # and the "Library use" block, run in order in a fresh directory, with
+    # the facts the README states about their results.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    heredocs = re.findall(r"^python3 - <<'EOF'\n(.*?)^EOF$", readme, re.S | re.M)
+    library = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(heredocs) == 2 and len(library) == 1
+    monkeypatch.chdir(tmp_path)
+    for code in [*heredocs, *library]:
+        ns = {}
+        exec(compile(code, "README.md", "exec"), ns)
+
+    assert ScmConfig.load("desk.json") == random_config(4, 2, seed=370)
+    assert ScmConfig.load("appendix.json") == appendix
+    truth, labels, drops, exp = ns["truth"], ns["labels"], ns["drops"], ns["exp"]
+    assert truth.true_lower.dtype == np.float64 and len(truth.true_lower) == 32768
+    assert truth.exp.shape == (32768, 2)
+    assert type(truth[70:80]) is type(truth)
+    assert truth[70:80].cell_id.tolist() == list(range(70, 80))
+    assert labels.lower_label.dtype == np.float64 and len(labels) > 0
+    assert set(drops.reason) <= {"BELOW_THRESHOLD", "ZERO_ARM", "INCONSISTENT"}
+    table = exp[7].base
+    assert table.shape == (32768, 4) and all(row.base is table for row in exp.values())
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64])
 @pytest.mark.parametrize("command", ["simulate", "label", "train", "evaluate", "report"])
 def test_seed_outside_the_key_range_exits_2_before_reading(tmp_path, capsys, command, seed):
@@ -858,6 +884,36 @@ def test_every_export_resolves():
     for module in exporting:
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.__all__ names {name}"
+
+    # Each public name is stated once, in its module's __all__: the package
+    # exports their concatenation, and a name in two lists would be shadowed
+    # silently by the later star import.
+    library = [unitselect.bounds, unitselect.cells, unitselect.datagen,
+               unitselect.informer, unitselect.learner, unitselect.model]
+    assert unitselect.__all__ == [name for m in library for name in m.__all__]
+    assert len(set(unitselect.__all__)) == len(unitselect.__all__)
+    for name in unitselect.__all__:
+        owner = next(m for m in library if name in m.__all__)
+        assert getattr(unitselect, name) is getattr(owner, name), name
+    # The names the package listed by hand before, all still exported but
+    # true_benefit_profile, deleted for having no caller.
+    for name in _HAND_LISTED_EXPORTS:
+        assert (name in unitselect.__all__) == (name != "true_benefit_profile"), name
+    assert len(_HAND_LISTED_EXPORTS) == 50
+
+
+_HAND_LISTED_EXPORTS = """
+    BenefitVector BoundsBreakdown CellKey CellSpaceTooLarge ConfigError
+    DEFAULT_BENEFIT_VECTOR DatasetMeta DropTable ExogenousAssignment
+    ExperimentalDistribution FullProfile Hyperparams IneligibleCellError
+    InformerTable LabelTable MAX_CELLS Model ObservationalJoint PredictionTable
+    ResponseProfile ScmConfig SplitSpec aggregate benefit_bounds build_labels
+    completion_weights counterfactual_pair default_config estimate eval_x eval_y
+    evaluate exact_benefit exact_experimental exact_observational informer_table
+    iter_codes m_value pns_bounds predict_all random_config read_dataset
+    response_profile sigma split train true_benefit_profile value_range w_term
+    write_dataset
+""".split()
 
 
 def test_importing_the_cli_loads_no_thread_pool():

@@ -21,7 +21,6 @@ from unitselect.informer import (
     informer_table,
     read_informer_csv,
     response_profile,
-    true_benefit_profile,
     write_informer_csv,
 )
 from unitselect.model import (
@@ -111,20 +110,8 @@ def test_response_profile_reference_value(appendix):
     assert r.p_defier == 0.0
     assert r.p_complier + r.p_always + r.p_never + r.p_defier == pytest.approx(1.0)
     # with payoffs (1, -1, -1, -2): f = p_complier - p_always
-    f = true_benefit_profile(profile, cfg, V)
+    f = exact_benefit(V, r)
     assert f == pytest.approx(1.0 - 2 * 0.9226108109253, abs=1e-12)
-
-
-def test_true_benefit_matches_composition(desk8):
-    rng = np.random.Generator(np.random.Philox(key=5))
-    worst = 0.0
-    for _ in range(1000):
-        bits = tuple(int(b) for b in rng.integers(0, 2, desk8.n_total))
-        profile = FullProfile(bits)
-        a = true_benefit_profile(profile, desk8, V)
-        b = exact_benefit(V, response_profile(profile, desk8))
-        worst = max(worst, abs(a - b))
-    assert worst < 1e-12
 
 
 def test_completion_weights(appendix):
@@ -162,7 +149,7 @@ def test_cell_truth_degenerate_mixture(desk8):
             profile = FullProfile(bits)
             assert ExperimentalDistribution(*table.exp[i]) == exact_experimental(profile, cfg)
             assert ObservationalJoint(*table.obs[i]) == exact_observational(profile, cfg)
-            assert table.true_f[i] == true_benefit_profile(profile, cfg, v)
+            assert table.true_f[i] == exact_benefit(v, response_profile(profile, cfg))
 
 
 def test_cell_truth_mixture_linearity(desk8):
@@ -174,7 +161,8 @@ def test_cell_truth_mixture_linearity(desk8):
         mixed = 0.0
         for j in range(len(w)):
             latent = tuple((j >> i) & 1 for i in range(desk8.n_unobserved))
-            mixed += w[j] * true_benefit_profile(FullProfile(cell.bits + latent), desk8, v)
+            profile = FullProfile(cell.bits + latent)
+            mixed += w[j] * exact_benefit(v, response_profile(profile, desk8))
         assert abs(mixed - table.true_f[cell.id]) < 1e-12
 
 

@@ -420,6 +420,17 @@ def test_load_model_rejects_garbage(tmp_path):
             load_model(path)
 
 
+def test_load_model_refuses_a_seed_outside_the_key_range(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(_const_model(4, 0.0), path)
+    doc = json.loads(path.read_text())
+    doc["hyperparams"]["seed"] = 2**64
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    message = f"malformed model file {path}: seed must lie in [0, 2**64), got {2**64}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+
+
 def test_predictions_csv_roundtrip(tmp_path):
     rows = PredictionTable(
         cell_id=[0, 1], pred_lower=[-0.25, 0.125], pred_upper=[0.5, 0.125],

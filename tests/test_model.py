@@ -18,12 +18,14 @@ from unitselect.model import (
     ScmConfig,
     cell_bits,
     cell_ids,
+    check_seed,
     counterfactual_pair,
     default_config,
     eval_x,
     eval_y,
     m_value,
     random_config,
+    random_stream,
 )
 
 
@@ -314,3 +316,32 @@ def test_exogenous_assignment_holds_bits():
     ex = ExogenousAssignment(z=(1, 0, 1), u_x=0, u_y=1)
     assert ex.z == (1, 0, 1)
     assert (ex.u_x, ex.u_y) == (0, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_every_seed_entry_point_refuses_a_seed_outside_the_key_range(seed):
+    # check_seed states the rule once; every object or call that keys a
+    # stream applies it, with its message, before any stream is drawn.
+    # iter_blocks and the CLI's --seed are checked in their own tests.
+    from unitselect.cells import SplitSpec
+    from unitselect.learner import Hyperparams, sample_cell_ids
+
+    entry_points = [
+        check_seed,
+        random_stream,
+        lambda s: Hyperparams(seed=s),
+        lambda s: SplitSpec(seed=s),
+        lambda s: random_config(2, 1, seed=s),
+        lambda s: sample_cell_ids(10, 3, s),
+    ]
+    message = re.escape(f"seed must lie in [0, 2**64), got {seed}")
+    for call in entry_points:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+def test_seeds_in_the_key_range_key_philox_as_before(seed):
+    assert check_seed(seed) == seed
+    want = np.random.Generator(np.random.Philox(key=seed)).bit_generator.random_raw(4)
+    assert np.array_equal(random_stream(seed).bit_generator.random_raw(4), want)
