@@ -114,6 +114,10 @@ class DatasetMeta:
                 raise DatasetFormatError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 0:
             raise DatasetFormatError("n must be nonnegative")
+        try:
+            check_seed(self.seed)
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc)) from None
         if self.n_observed < 1:
             raise DatasetFormatError("n_observed must be at least 1")
         if not isinstance(self.config_fingerprint, str):
@@ -313,7 +317,7 @@ def read_meta(path: str | Path) -> DatasetMeta:
     except FileNotFoundError:
         # the dataset exists, so this is a broken pair rather than a bad path
         raise DatasetFormatError(f"missing dataset sidecar {mp}") from None
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:  # bad JSON, or a field DatasetMeta refuses
         raise DatasetFormatError(f"bad dataset sidecar {mp}: {exc}") from None
 
 

@@ -61,9 +61,14 @@ INFORMER_HEADER = (
     + ["true_f", "true_lower", "true_upper"]
 )
 
-# Cells per _cell_block call.  The mixing matmul may sum in an order that
-# depends on the block's shape, so the table's bits are those of this size.
-_CHUNK_CELLS = 2048
+# (cell, completion) profiles per _cell_block call, so up to 12 latents the
+# informer's working set does not grow with the latent count: blocks of
+# max(4, _BLOCK_PROFILES >> n_unobserved) cells.  The mixing gemv sums a
+# block's rows in the same order when the block is a power of two of at least
+# 4 cells; 1 or 3 cells take another kernel path for the leftover rows and
+# change bits.  test_informer_table_bits_do_not_depend_on_the_block_size pins
+# the rule against 2048-cell blocks.
+_BLOCK_PROFILES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,10 +220,8 @@ def _cell_block(
 def informer_table(config: ScmConfig, v: BenefitVector) -> InformerTable:
     """Exact truth for every cell, in ascending cell-id order."""
     ids = np.arange(check_cell_space(config.n_observed))
-    blocks = [
-        _cell_block(ids[start : start + _CHUNK_CELLS], config, v)
-        for start in range(0, len(ids), _CHUNK_CELLS)
-    ]
+    step = max(4, _BLOCK_PROFILES >> config.n_unobserved)
+    blocks = [_cell_block(ids[i : i + step], config, v) for i in range(0, len(ids), step)]
     return InformerTable(ids, config.n_observed, *map(np.concatenate, zip(*blocks)))
 
 

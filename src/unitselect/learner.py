@@ -333,9 +333,9 @@ def save_model(model: Model, path: str | Path) -> None:
         "weights": {name: p.ravel().tolist() for name, p in zip(_PARAMS, model.params)},
         "loss_history": list(model.loss_history),
     }
+    # dumps runs the C encoder; dump to a file runs the pure-Python one.
     with atomic_write(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_model(path: str | Path) -> Model:

@@ -246,6 +246,20 @@ def test_label_refuses_a_sidecar_field_of_the_wrong_type(ws, tmp_path, capsys):
     assert "n_observed must be an integer, got '4'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [2**64, -5])
+def test_label_refuses_a_sidecar_seed_that_cannot_key_a_stream(ws, tmp_path, capsys, seed):
+    exp = tmp_path / "exp.csv"
+    shutil.copy(ws["exp"], exp)
+    meta = json.loads(datagen.meta_path(ws["exp"]).read_text())
+    datagen.meta_path(exp).write_text(json.dumps(dict(meta, seed=seed)))
+    rc = run("label", "--exp", exp, "--obs", ws["obs"],
+             "--config", ws["config"], "--seed", 7, "--out-dir", tmp_path / "labels")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"bad dataset sidecar {datagen.meta_path(exp)}: seed must lie in [0, 2**64)" in err
+    assert not (tmp_path / "labels").exists()
+
+
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
 def test_label_refuses_a_sidecar_width_that_contradicts_the_config(
     ws, tmp_path, monkeypatch, capsys, suffix
@@ -830,11 +844,13 @@ def test_console_script_installed(ws, tmp_path):
 
 
 # Generates the desk8 datasets, labels them and trains both bounds at the
-# default width on the ~36 training cells, as the CLI chain does; prints one
-# digest of every array made on the way.
+# default width on the ~36 training cells, as the CLI chain does, then builds
+# the appendix informer table; prints one digest of every array made on the way.
 _CHAIN_DIGEST = """
 import hashlib
-from unitselect import DEFAULT_BENEFIT_VECTOR, cells, datagen, learner, random_config
+from unitselect import (
+    DEFAULT_BENEFIT_VECTOR, cells, datagen, default_config, informer_table, learner, random_config,
+)
 from unitselect.model import cell_bits
 
 config = random_config(8, 3, seed=8)
@@ -852,14 +868,18 @@ for targets in (train_set.lower_label, train_set.upper_label):
     model = learner.train(features, targets, learner.Hyperparams(seed=3))
     for array in (targets, *model.params):
         digest.update(array.tobytes())
+table = informer_table(default_config(), DEFAULT_BENEFIT_VECTOR)
+for name in table._columns:
+    digest.update(getattr(table, name).tobytes())
 print(len(train_set), digest.hexdigest())
 """
 
 
 def test_cli_chain_bits_do_not_depend_on_the_blas_thread_count():
     # The contract README states: datasets, labels and models at CLI-chain
-    # size are the same at any BLAS thread count.  (At appendix scale the
-    # training bits hold only at one thread; that is not asserted here.)
+    # size, and informer tables, are the same at any BLAS thread count.  (At
+    # appendix scale the training bits hold only at one thread; that is not
+    # asserted here.)
     runs = []
     for threads in ("1", "2"):
         env = dict(_env_with_package(), OPENBLAS_NUM_THREADS=threads)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import threading
 
 import numpy as np
@@ -283,8 +284,19 @@ def test_read_meta_reports_bad_sidecar(tmp_path, desk4):
                          ("n_observed", 0), ("n", "5"), ("n", False), ("seed", 1.5),
                          ("seed", None), ("config_fingerprint", 5), ("format", "json")]:
         meta_path(path).write_text(json.dumps(dict(good, **{field: value})))
-        with pytest.raises(DatasetFormatError, match=f"^{field} must"):
+        with pytest.raises(DatasetFormatError, match=f"^bad dataset sidecar .*: {field} must"):
             read_meta(path)
+
+
+@pytest.mark.parametrize("seed", [2**64, -5])
+def test_read_meta_refuses_a_seed_that_cannot_key_a_stream(tmp_path, desk4, seed):
+    path = tmp_path / "d.csv"
+    write_dataset(path, desk4, "experimental", 5, seed=1)
+    good = json.loads(meta_path(path).read_text())
+    meta_path(path).write_text(json.dumps(dict(good, seed=seed)))
+    message = f"bad dataset sidecar {meta_path(path)}: seed must lie in [0, 2**64), got {seed}"
+    with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+        read_meta(path)
 
 
 def _use_cpus(monkeypatch, n_cpus):

@@ -1,9 +1,11 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from unitselect import informer
 from unitselect.bounds import (
     DEFAULT_BENEFIT_VECTOR,
     BenefitVector,
@@ -29,6 +31,7 @@ from unitselect.model import (
     ConfigError,
     FullProfile,
     cell_bits,
+    default_config,
     random_config,
 )
 
@@ -217,6 +220,45 @@ def test_informer_table_shape_and_order(desk8):
     assert table.cell_id.tolist() == list(range(256))
     again = informer_table(desk8, V)
     assert (again.true_f == table.true_f).all() and (again.true_lower == table.true_lower).all()
+
+
+def _table_bytes(table):
+    return b"".join(getattr(table, n).tobytes() for n in table._columns)
+
+
+@pytest.mark.parametrize("n_unobserved", [0, 1, 3, 8])
+@pytest.mark.parametrize("n_observed", [1, 2, 5, 11])
+def test_informer_table_bits_do_not_depend_on_the_block_size(
+    n_observed, n_unobserved, monkeypatch
+):
+    # Blocks of the budget's power-of-two cell count, smaller than, equal to
+    # and larger than the cell space, and blocks of the 4-cell floor, give
+    # the bits of 2048-cell blocks.
+    config = random_config(n_observed, n_unobserved, seed=n_observed * 16 + n_unobserved)
+    tables = [informer_table(config, V)]
+    for budget in (2048 << n_unobserved, 1):
+        monkeypatch.setattr(informer, "_BLOCK_PROFILES", budget)
+        tables.append(informer_table(config, V))
+    assert len({_table_bytes(t) for t in tables}) == 1
+
+
+@pytest.mark.parametrize(
+    "config, bound_mib",
+    [
+        (default_config(), 10),  # 2048-cell blocks peaked at 19.9 MiB
+        (random_config(12, 8, 1), 16),  # 140.2 MiB
+        (random_config(11, 10, 1), 16),  # 576.1 MiB
+    ],
+    ids=["appendix", "12+8", "11+10"],
+)
+def test_informer_memory_follows_the_budget_not_the_latent_count(config, bound_mib):
+    tracemalloc.start()
+    try:
+        informer_table(config, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib << 20
 
 
 def test_informer_table_size_guard():

@@ -1,5 +1,6 @@
 """Training, prediction, and evaluation behavior of the bound regressor."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -401,11 +402,23 @@ def test_failed_save_model_leaves_the_old_file_whole(tmp_path, monkeypatch):
     path = tmp_path / "model.json"
     path.write_text("old model\n")
 
-    def fail_midway(doc, fh, **kwargs):
-        fh.write('{"arch": ')
-        raise OSError("disk full")
+    real_atomic_write = learner.atomic_write
 
-    monkeypatch.setattr(learner.json, "dump", fail_midway)
+    class HalfWritten:
+        # the handle's write, which takes the document's first bytes and fails
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[:9])
+            raise OSError("disk full")
+
+    @contextlib.contextmanager
+    def fail_midway(*args, **kwargs):
+        with real_atomic_write(*args, **kwargs) as fh:
+            yield HalfWritten(fh)
+
+    monkeypatch.setattr(learner, "atomic_write", fail_midway)
     with pytest.raises(OSError, match="disk full"):
         save_model(_const_model(4, 0.0), path)
     assert path.read_text() == "old model\n"
