@@ -146,7 +146,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    if args.mode != "lower_positive" and (args.k is None or args.k < 1):
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
+    if args.k is None and args.mode != "lower_positive":
         raise ValueError(f"mode {args.mode} needs --k >= 1")
     table = learner.read_predictions_csv(args.predictions)
     ids, lower, upper = table.cell_id, table.pred_lower, table.pred_upper

@@ -52,9 +52,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import (
-    ExogenousAssignment, ScmConfig, cell_bits, cell_ids, check_seed, eval_x, eval_y, random_stream,
-)
+from .model import ScmConfig, cell_bits, cell_ids, check_seed, eval_x, eval_y, random_stream
 from .tables import atomic_write
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "REGIMES",
     "DatasetMeta",
     "DatasetFormatError",
-    "draw_exogenous",
     "iter_blocks",
     "row_codes",
     "write_dataset",
@@ -109,7 +106,7 @@ class DatasetMeta:
     def __post_init__(self) -> None:
         if self.kind not in REGIMES:
             raise DatasetFormatError(f"unknown regime {self.kind!r}")
-        for name in ("n", "seed", "n_observed"):
+        for name in ("n", "n_observed"):
             if type(getattr(self, name)) is not int:  # refuses 4.0, true and "4"
                 raise DatasetFormatError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 0:
@@ -124,23 +121,6 @@ class DatasetMeta:
             raise DatasetFormatError("config_fingerprint must be a string")
         if self.format not in (None, "csv", "packed"):
             raise DatasetFormatError(f"format must be 'csv' or 'packed', got {self.format!r}")
-
-
-def draw_exogenous(uniforms: Sequence[float], config: ScmConfig) -> ExogenousAssignment:
-    """Map one sample's exogenous uniforms to bits.
-
-    Expects exactly n_total + 2 uniforms in stream order: characteristics,
-    treatment noise, outcome noise.
-    """
-    n = config.n_total
-    if len(uniforms) != n + 2:
-        raise ValueError(f"expected {n + 2} uniforms, got {len(uniforms)}")
-    z = tuple(int(uniforms[i] < config.bern_z[i]) for i in range(n))
-    return ExogenousAssignment(
-        z=z,
-        u_x=int(uniforms[n] < config.bern_ux),
-        u_y=int(uniforms[n + 1] < config.bern_uy),
-    )
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:

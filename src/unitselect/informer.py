@@ -31,6 +31,7 @@ from .bounds import (
     check_distributions,
 )
 from .model import (
+    CellSpaceTooLarge,
     ConfigError,
     FullProfile,
     ScmConfig,
@@ -61,14 +62,17 @@ INFORMER_HEADER = (
     + ["true_f", "true_lower", "true_upper"]
 )
 
-# (cell, completion) profiles per _cell_block call, so up to 12 latents the
-# informer's working set does not grow with the latent count: blocks of
+# (cell, completion) profiles per _cell_block call, so the informer's working
+# set does not grow with the latent count: blocks of
 # max(4, _BLOCK_PROFILES >> n_unobserved) cells.  The mixing gemv sums a
 # block's rows in the same order when the block is a power of two of at least
 # 4 cells; 1 or 3 cells take another kernel path for the leftover rows and
 # change bits.  test_informer_table_bits_do_not_depend_on_the_block_size pins
 # the rule against 2048-cell blocks.
 _BLOCK_PROFILES = 1 << 14
+# The most latents whose 4-cell blocks fit _BLOCK_PROFILES; past it the working
+# set doubles per latent (3.9 MiB traced at 12, 8.5 MiB at 13, 36.3 MiB at 15).
+_MAX_UNOBSERVED = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,20 +164,23 @@ def completion_weights(config: ScmConfig) -> np.ndarray:
 
     Characteristics are mutually independent, so every cell has the same
     weights.  Completion index j encodes the latent bits with the first
-    unobserved characteristic as the least-significant bit.
+    unobserved characteristic as the least-significant bit.  A config of
+    more than ``_MAX_UNOBSERVED`` latents raises CellSpaceTooLarge.
     """
     n_u = config.n_unobserved
+    if n_u > _MAX_UNOBSERVED:
+        raise CellSpaceTooLarge(f"{n_u} latents exceed the guard of {_MAX_UNOBSERVED}")
     bits = cell_bits(np.arange(1 << n_u), n_u)
     p = np.asarray(config.bern_z[config.n_observed :])
     return np.prod(np.where(bits == 1, p, 1.0 - p), axis=1)
 
 
 def _cell_block(
-    ids: np.ndarray, config: ScmConfig, v: BenefitVector
+    ids: np.ndarray, config: ScmConfig, v: BenefitVector, weights: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Exact truth for a batch of cell ids, as the ``InformerTable`` columns
     after ``cell_id``: the scalar functions above, run on every
-    (cell, completion) profile at once and mixed per cell."""
+    (cell, completion) profile at once and mixed per cell by ``weights``."""
     n_obs = config.n_observed
     n_u = config.n_unobserved
     n_comp = 1 << n_u
@@ -206,8 +213,6 @@ def _cell_block(
     do = np.stack([types[0] + types[1], types[1] + types[3]])
     f = v.beta * types[0] + v.gamma * types[1] + v.theta * types[2] + v.delta * types[3]
 
-    weights = completion_weights(config)
-
     def mix(rows: np.ndarray) -> np.ndarray:
         # One contiguous matmul per row; a batched one may sum in another order.
         return np.stack([row.reshape(k, n_comp) @ weights for row in rows], axis=1)
@@ -218,10 +223,12 @@ def _cell_block(
 
 
 def informer_table(config: ScmConfig, v: BenefitVector) -> InformerTable:
-    """Exact truth for every cell, in ascending cell-id order."""
+    """Exact truth for every cell, in ascending cell-id order; CellSpaceTooLarge
+    past ``MAX_CELLS`` cells or ``_MAX_UNOBSERVED`` latents."""
+    weights = completion_weights(config)
     ids = np.arange(check_cell_space(config.n_observed))
     step = max(4, _BLOCK_PROFILES >> config.n_unobserved)
-    blocks = [_cell_block(ids[i : i + step], config, v) for i in range(0, len(ids), step)]
+    blocks = [_cell_block(ids[i : i + step], config, v, weights) for i in range(0, len(ids), step)]
     return InformerTable(ids, config.n_observed, *map(np.concatenate, zip(*blocks)))
 
 

@@ -60,7 +60,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("hidden_width", "epochs", "seed"):
+        for name in ("hidden_width", "epochs"):
             if type(getattr(self, name)) is not int:  # refuses 2.5, true and "4"
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.hidden_width < 1 or self.epochs < 1:
@@ -77,8 +77,8 @@ class Hyperparams:
 class Model:
     """Trained network weights plus the training-loss trajectory.
 
-    loss_history has epochs + 1 entries: the loss before any update, then one
-    entry per epoch.
+    The network has at least one input, and loss_history has epochs + 1
+    entries: the loss before any update, then one entry per epoch.
     """
 
     w1: np.ndarray
@@ -96,8 +96,12 @@ class Model:
             raise ValueError("inconsistent layer shapes")
         if self.b1.shape != (h,) or self.b2.shape != (h,) or self.b3.shape != (1,):
             raise ValueError("inconsistent bias shapes")
+        if n_in < 1:
+            raise ValueError("a model needs at least one input")
         if self.hyperparams.hidden_width != h:
             raise ValueError(f"hyperparams hidden_width differs from the weights' {h}")
+        if len(self.loss_history) != self.hyperparams.epochs + 1:
+            raise ValueError(f"loss_history has {len(self.loss_history)} entries, not epochs + 1")
         for arr in self.params:
             if not np.isfinite(arr).all():
                 raise ValueError("non-finite weights")

@@ -37,7 +37,6 @@ __all__ = [
     "cell_bits",
     "check_seed",
     "random_stream",
-    "ExogenousAssignment",
     "default_config",
     "random_config",
     "m_value",
@@ -83,7 +82,8 @@ class ScmConfig:
     ``weights_y`` are the linear score columns for the treatment and outcome
     mechanisms, ``bern_z`` holds one Bernoulli parameter per characteristic,
     and ``experiment_assign_prob`` is the treatment assignment rate under
-    randomized experiments.
+    randomized experiments.  Widths are ints, and every other field a number
+    or a list of numbers: never a bool, a string or None.
     """
 
     n_observed: int
@@ -97,6 +97,17 @@ class ScmConfig:
     experiment_assign_prob: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("n_observed", "n_unobserved"):
+            if type(getattr(self, name)) is not int:  # refuses 15.7, True and "15"
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for f in fields(self)[2:]:
+            value = getattr(self, f.name)
+            items = value if f.name in ("weights_x", "weights_y", "bern_z") else [value]
+            # float() would take True as 1.0 and "0.5" as 0.5.
+            if not isinstance(items, (list, tuple)) or any(
+                isinstance(x, bool) or not isinstance(x, (int, float)) for x in items
+            ):
+                raise ConfigError(f"{f.name} must hold numbers, got {value!r}")
         if self.n_observed < 1:
             raise ConfigError(f"n_observed must be >= 1, got {self.n_observed}")
         if self.n_unobserved < 0:
@@ -132,30 +143,13 @@ class ScmConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScmConfig":
         """Build a config from parsed JSON: one key per field, where only
-        fields with a default may be left out and unknown keys are ignored.
-        Both widths must be JSON integers, and every other field a JSON
-        number or a list of them: no string, boolean or null."""
+        fields with a default may be left out and unknown keys are ignored."""
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        try:
-            kwargs = {
-                f.name: data[f.name]
-                for f in fields(cls)
-                if f.default is MISSING or f.name in data
-            }
-            for name in ("n_observed", "n_unobserved"):
-                if type(kwargs[name]) is not int:  # refuses 15.7, true and "15"
-                    raise ConfigError(f"{name} must be an integer, got {kwargs[name]!r}")
-            for name, value in kwargs.items():
-                items = value if isinstance(value, (list, tuple)) else [value]
-                # float() would load true as 1.0 and "0.5" as 0.5.
-                if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in items):
-                    raise ConfigError(f"{name} must hold numbers, got {value!r}")
-            return cls(**kwargs)
-        except KeyError as exc:
-            raise ConfigError(f"config is missing key {exc.args[0]!r}") from exc
-        except TypeError as exc:
-            raise ConfigError(f"config has a value of the wrong type: {exc}") from exc
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ConfigError(f"config is missing key {missing[0]!r}")
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
     @classmethod
     def load(cls, path: str | Path) -> "ScmConfig":
@@ -261,7 +255,9 @@ def cell_bits(ids: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def check_seed(seed: int) -> int:
-    """``seed`` itself, if it can key a stream: 0 <= seed < 2**64."""
+    """``seed`` itself, if it can key a stream: an int with 0 <= seed < 2**64."""
+    if type(seed) is not int:  # refuses 1.5, True and "1"
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return seed
@@ -271,20 +267,6 @@ def random_stream(key: int) -> np.random.Generator:
     """The generator of the random stream keyed ``key``, which ``check_seed``
     must accept; every stream is built here."""
     return np.random.Generator(np.random.Philox(key=check_seed(key)))
-
-
-@dataclass(frozen=True)
-class ExogenousAssignment:
-    """One realization of all exogenous noise bits."""
-
-    z: tuple[int, ...]
-    u_x: int
-    u_y: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", _check_bits(self.z))
-        object.__setattr__(self, "u_x", int(self.u_x))
-        object.__setattr__(self, "u_y", int(self.u_y))
 
 
 @cache

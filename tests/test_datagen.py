@@ -13,7 +13,6 @@ from unitselect.datagen import (
     SHARD_SIZE,
     DatasetFormatError,
     DatasetMeta,
-    draw_exogenous,
     iter_blocks,
     iter_codes,
     meta_path,
@@ -32,45 +31,29 @@ def _rows(config, regime, n, seed):
     return np.concatenate([np.empty((0, config.n_observed + 2), np.uint8), *blocks])
 
 
-def test_draw_exogenous_thresholds(desk4):
-    n = desk4.n_total
-    ex = draw_exogenous([0.0] * (n + 2), desk4)
-    assert ex.z == (1,) * n  # uniform 0 is below every positive parameter
-    all_ones = dataclasses.replace(
-        desk4, bern_z=(1.0,) * n, bern_ux=1.0, bern_uy=1.0
-    )
-    ex = draw_exogenous([0.999999] * (n + 2), all_ones)
-    assert ex.z == (1,) * n and ex.u_x == 1 and ex.u_y == 1
-    all_zero = dataclasses.replace(
-        desk4, bern_z=(0.0,) * n, bern_ux=0.0, bern_uy=0.0
-    )
-    ex = draw_exogenous([0.0] * (n + 2), all_zero)
-    assert ex.z == (0,) * n and ex.u_x == 0 and ex.u_y == 0
-    with pytest.raises(ValueError):
-        draw_exogenous([0.5] * (n + 1), desk4)
-
-
 def test_scalar_stream_matches_vectorized_rows(desk4):
     # the documented draw order: characteristics, u_x, u_y, then the
-    # experimental assignment uniform
+    # experimental assignment uniform; a bit is 1 when its uniform lies
+    # strictly below its probability
     n = desk4.n_total
+    probs = np.array([*desk4.bern_z, desk4.bern_ux, desk4.bern_uy])
     arr = _rows(desk4, "experimental", 64, seed=123)
     u = _shard_rng(123, 0).random((64, n + 3))
     for i in range(64):
-        ex = draw_exogenous(u[i, : n + 2], desk4)
+        bits = u[i, : n + 2] < probs
+        profile = FullProfile(bits[:n])
         x = int(u[i, n + 2] < desk4.experiment_assign_prob)
-        profile = FullProfile(ex.z)
-        y = eval_y(x, m_value(profile, desk4.weights_y), ex.u_y, desk4.constant_c)
-        assert tuple(int(b) for b in arr[i]) == ex.z[: desk4.n_observed] + (x, y)
+        y = eval_y(x, m_value(profile, desk4.weights_y), bits[n + 1], desk4.constant_c)
+        assert tuple(int(b) for b in arr[i]) == profile.bits[: desk4.n_observed] + (x, y)
 
     arr_obs = _rows(desk4, "observational", 64, seed=123)
     u = _shard_rng(123, 0).random((64, n + 2))
     for i in range(64):
-        ex = draw_exogenous(u[i], desk4)
-        profile = FullProfile(ex.z)
-        x = eval_x(m_value(profile, desk4.weights_x), ex.u_x)
-        y = eval_y(x, m_value(profile, desk4.weights_y), ex.u_y, desk4.constant_c)
-        assert tuple(int(b) for b in arr_obs[i]) == ex.z[: desk4.n_observed] + (x, y)
+        bits = u[i] < probs
+        profile = FullProfile(bits[:n])
+        x = eval_x(m_value(profile, desk4.weights_x), bits[n])
+        y = eval_y(x, m_value(profile, desk4.weights_y), bits[n + 1], desk4.constant_c)
+        assert tuple(int(b) for b in arr_obs[i]) == profile.bits[: desk4.n_observed] + (x, y)
 
 
 def test_determinism_and_prefix(desk4):

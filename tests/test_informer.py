@@ -265,6 +265,12 @@ def test_informer_table_size_guard():
     cfg = random_config(25, 0, seed=1)
     with pytest.raises(CellSpaceTooLarge):
         informer_table(cfg, V)
+    # 12 latents fill a 4-cell block to the profile budget; 13 are refused
+    assert len(informer_table(random_config(2, 12, seed=1), V)) == 4
+    assert len(completion_weights(random_config(2, 12, seed=1))) == 1 << 12
+    for call in (lambda c: informer_table(c, V), completion_weights):
+        with pytest.raises(CellSpaceTooLarge, match="^13 latents exceed the guard of 12$"):
+            call(random_config(2, 13, seed=1))
 
 
 def test_profile_length_checks(desk8):

@@ -44,8 +44,8 @@ def _const_model(n_in, bias, hidden=2):
         b2=np.zeros(hidden),
         w3=np.zeros((hidden, 1)),
         b3=np.array([float(bias)]),
-        hyperparams=Hyperparams(hidden_width=hidden),
-        loss_history=(0.0,),
+        hyperparams=Hyperparams(hidden_width=hidden, epochs=1),
+        loss_history=(0.0, 0.0),
     )
 
 
@@ -94,7 +94,16 @@ def test_model_shape_validation():
             loss_history=(),
         )
     with pytest.raises(ValueError, match="hidden_width differs"):
-        dataclasses.replace(m, hyperparams=Hyperparams(hidden_width=3))
+        dataclasses.replace(m, hyperparams=Hyperparams(hidden_width=3, epochs=1))
+    # loss_history holds the loss before training and one per epoch
+    for history in ((), (0.0,), (0.0,) * 3):
+        with pytest.raises(ValueError, match="^loss_history has"):
+            dataclasses.replace(m, loss_history=history)
+    # a network of no inputs, whether built or trained
+    with pytest.raises(ValueError, match="^a model needs at least one input$"):
+        dataclasses.replace(m, w1=np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="^a model needs at least one input$"):
+        train(np.zeros((3, 0)), [0.1, 0.2, 0.3], Hyperparams(hidden_width=2, epochs=1))
 
 
 def test_forward_matches_the_out_of_place_layers():
@@ -298,7 +307,8 @@ def _random_model(n_in, hidden, seed):
     rng = np.random.default_rng(seed)
     shapes = [(n_in, hidden), (hidden,), (hidden, hidden), (hidden,), (hidden, 1), (1,)]
     params = [rng.normal(scale=0.5, size=shape) for shape in shapes]
-    return Model(*params, hyperparams=Hyperparams(hidden_width=hidden), loss_history=(0.0,))
+    hp = Hyperparams(hidden_width=hidden, epochs=1)
+    return Model(*params, hyperparams=hp, loss_history=(0.0, 0.0))
 
 
 def test_predict_all_in_blocks_matches_one_batch():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from unitselect.model import (
     CellKey,
     ConfigError,
-    ExogenousAssignment,
     FullProfile,
     ScmConfig,
     cell_bits,
@@ -71,34 +70,53 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, message",
     [
-        lambda d: [],
-        lambda d: dict(d, weights_x=5),
-        lambda d: dict(d, n_observed=None),
-        lambda d: dict(d, n_observed=15.7),  # int() would load a 15-bit model
-        lambda d: dict(d, n_observed=True, n_unobserved=19),  # int() would load 1
+        (lambda d: [], "config must be a JSON object, got list"),
+        (lambda d: dict(d, weights_x=5), "weights_x must hold numbers, got 5"),
+        (lambda d: dict(d, n_observed=None), "n_observed must be an integer, got None"),
+        # int() would load a 15-bit model
+        (lambda d: dict(d, n_observed=15.7), "n_observed must be an integer, got 15.7"),
+        # int() would load 1
+        (lambda d: dict(d, n_observed=True, n_unobserved=19),
+         "n_observed must be an integer, got True"),
         # float() would load true as 1.0
-        lambda d: dict(d, bern_ux=True),
-        lambda d: dict(d, constant_c=False),
-        lambda d: dict(d, experiment_assign_prob=True),
-        lambda d: dict(d, bern_z=[True] + [0.5] * 19),
-        lambda d: dict(d, weights_y=[0.0] * 19 + [False]),
+        (lambda d: dict(d, bern_ux=True), "bern_ux must hold numbers, got True"),
+        (lambda d: dict(d, constant_c=False), "constant_c must hold numbers, got False"),
+        (lambda d: dict(d, experiment_assign_prob=True),
+         "experiment_assign_prob must hold numbers, got True"),
+        (lambda d: dict(d, bern_z=[True] + [0.5] * 19), "bern_z must hold numbers, got [True, "),
+        (lambda d: dict(d, weights_y=[0.0] * 19 + [False]),
+         "weights_y must hold numbers, got [0.0, "),
         # float() would load a numeric string as its number
-        lambda d: dict(d, bern_ux="0.5"),
-        lambda d: dict(d, constant_c="-1"),
-        lambda d: dict(d, weights_x=["1e0"] + [0.5] * 19),
-        lambda d: dict(d, bern_z=[0.5] * 19 + [[0.5]]),
-        lambda d: dict(d, bern_uy=None),
+        (lambda d: dict(d, bern_ux="0.5"), "bern_ux must hold numbers, got '0.5'"),
+        (lambda d: dict(d, constant_c="-1"), "constant_c must hold numbers, got '-1'"),
+        (lambda d: dict(d, weights_x=["1e0"] + [0.5] * 19),
+         "weights_x must hold numbers, got ['1e0', "),
+        (lambda d: dict(d, bern_z=[0.5] * 19 + [[0.5]]), "bern_z must hold numbers, got [0.5, "),
+        (lambda d: dict(d, bern_uy=None), "bern_uy must hold numbers, got None"),
+        # a whole float is still not an int, and a fractional latent count
+        # must not reach the length arithmetic
+        (lambda d: dict(d, n_observed=15.0), "n_observed must be an integer, got 15.0"),
+        (lambda d: dict(d, n_unobserved=1.5), "n_unobserved must be an integer, got 1.5"),
+        (lambda d: dict(d, bern_uy=[0.5]), "bern_uy must hold numbers, got [0.5]"),
     ],
     ids=["not-an-object", "scalar-weights", "null-width", "fractional-width", "boolean-width",
          "boolean-probability", "boolean-constant", "boolean-assign-rate",
          "boolean-bern-z-entry", "boolean-weight", "string-probability", "string-constant",
-         "string-weight", "nested-list-entry", "null-probability"],
+         "string-weight", "nested-list-entry", "null-probability", "whole-float-width",
+         "fractional-latent-width", "listed-probability"],
 )
-def test_config_of_the_wrong_type_is_a_config_error(change):
-    with pytest.raises(ConfigError):
-        ScmConfig.from_dict(change(dataclasses.asdict(default_config())))
+def test_config_of_the_wrong_type_is_a_config_error(change, message):
+    # The constructor checks the types, so a config built in Python, by
+    # dataclasses.replace or by random_config is held to the file's rules.
+    data = change(dataclasses.asdict(default_config()))
+    builds = [ScmConfig.from_dict]
+    if isinstance(data, dict):
+        builds += [lambda d: ScmConfig(**d), lambda d: dataclasses.replace(default_config(), **d)]
+    for build in builds:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            build(data)
 
 
 def test_config_bytes_are_pinned(tmp_path, appendix):
@@ -312,18 +330,13 @@ def test_random_config_deterministic():
     assert all(-1.0 <= w <= 1.0 for w in a.weights_x)
 
 
-def test_exogenous_assignment_holds_bits():
-    ex = ExogenousAssignment(z=(1, 0, 1), u_x=0, u_y=1)
-    assert ex.z == (1, 0, 1)
-    assert (ex.u_x, ex.u_y) == (0, 1)
-
-
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_every_seed_entry_point_refuses_a_seed_outside_the_key_range(seed):
     # check_seed states the rule once; every object or call that keys a
     # stream applies it, with its message, before any stream is drawn.
-    # iter_blocks and the CLI's --seed are checked in their own tests.
+    # The CLI's --seed is checked in its own test.
     from unitselect.cells import SplitSpec
+    from unitselect.datagen import iter_blocks
     from unitselect.learner import Hyperparams, sample_cell_ids
 
     entry_points = [
@@ -333,8 +346,12 @@ def test_every_seed_entry_point_refuses_a_seed_outside_the_key_range(seed):
         lambda s: SplitSpec(seed=s),
         lambda s: random_config(2, 1, seed=s),
         lambda s: sample_cell_ids(10, 3, s),
+        lambda s: next(iter_blocks(random_config(2, 1, seed=0), "experimental", 5, s)),
     ]
-    message = re.escape(f"seed must lie in [0, 2**64), got {seed}")
+    if type(seed) is int:
+        message = re.escape(f"seed must lie in [0, 2**64), got {seed}")
+    else:
+        message = re.escape(f"seed must be an integer, got {seed!r}")
     for call in entry_points:
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(seed)
