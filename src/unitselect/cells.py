@@ -224,11 +224,14 @@ def build_labels(
     The maps are ``aggregate``'s, one per regime, each with its rows in one
     table, else ValueError; the width is that of their tables, which must
     agree.  A cell is eligible when it was seen at least ``threshold`` times
-    in each regime.  Cells seen in neither map appear in neither table, and
+    in each regime; ``threshold`` must be a nonnegative int, else
+    ValueError.  Cells seen in neither map appear in neither table, and
     both tables are in ascending id order.  The estimates and bounds are
     those of ``estimate`` and ``benefit_bounds``, computed for all cells at
     once.
     """
+    if type(threshold) is not int or threshold < 0:  # refuses -5, 1.5 and True
+        raise ValueError(f"threshold must be a nonnegative integer, got {threshold!r}")
     tables = [_table_of(m) for m in (exp_map, obs_map)]
     widths = {len(t) for t in tables if t is not None}
     if len(widths) > 1:

@@ -146,10 +146,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    if args.k is not None and args.k < 1:
-        raise ValueError(f"--k must be >= 1, got {args.k}")
-    if args.k is None and args.mode != "lower_positive":
+    if args.mode == "lower_positive":
+        if args.k is not None:
+            raise ValueError("mode lower_positive keeps every positive cell and takes no --k")
+    elif args.k is None:
         raise ValueError(f"mode {args.mode} needs --k >= 1")
+    elif args.k < 1:
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     table = learner.read_predictions_csv(args.predictions)
     ids, lower, upper = table.cell_id, table.pred_lower, table.pred_upper
     if args.mode == "lower_positive":

@@ -37,6 +37,10 @@ on any thread.  ``iter_blocks`` generates shards ahead of its consumer on
 one worker thread per CPU it may run on, one thread on one CPU (numpy
 releases the interpreter lock while it fills and compares arrays), and
 yields them in shard order; the bytes do not depend on the number of CPUs.
+The consumer allocates each shard's block and a worker fills it, drawing
+at most ``_CHUNK_WORDS`` raw words at a time, so a worker's memory stays
+near two of those budgets whatever the width, and a block is freed where
+it was allocated.
 """
 
 from __future__ import annotations
@@ -70,9 +74,9 @@ __all__ = [
 ]
 
 SHARD_SIZE = 1 << 18
-# Rows drawn at a time within a shard: measured fastest with one worker
-# thread per CPU.
-_CHUNK_ROWS = 1 << 14
+# Raw Philox words drawn at a time within a shard (1 MiB of uint64): a chunk
+# is the largest power of two of rows, at least 4, whose words fit.
+_CHUNK_WORDS = 1 << 17
 REGIMES = ("experimental", "observational")
 
 # Packed rows keep the observed bits from bit 0 of a uint32, x at bit 30 and
@@ -149,13 +153,16 @@ def _bit_rule(probs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _gen_shard(
-    config: ScmConfig, regime: str, shard: int, m: int, seed: int
+    config: ScmConfig, regime: str, shard: int, seed: int, out: np.ndarray
 ) -> np.ndarray:
-    """Rows [shard*SHARD_SIZE, shard*SHARD_SIZE + m) as a (m, n_observed+2) 0/1 array.
+    """Fill ``out``, a (m, n_observed+2) uint8 array, with rows
+    [shard*SHARD_SIZE, shard*SHARD_SIZE + m) and return it.
 
-    The shard is drawn ``_CHUNK_ROWS`` rows at a time from its one bit
-    generator, which continues its stream across calls, so the rows do not
-    depend on the chunk size and each chunk's temporaries stay in cache."""
+    The shard is drawn a chunk of rows at a time from its one bit generator,
+    which continues its stream across calls, so the rows do not depend on
+    the chunk size.  A chunk holds at most ``_CHUNK_WORDS`` raw words, so
+    the words and the float copy of a chunk's characteristics each take at
+    most 1 MiB at any width."""
     experimental = regime == "experimental"
     n, n_obs = config.n_total, config.n_observed
     # One probability per raw word of a row, in stream order.
@@ -163,15 +170,15 @@ def _gen_shard(
     if experimental:
         probs.append(config.experiment_assign_prob)
     to_bits = _bit_rule(probs)
+    chunk = 1 << max(2, (_CHUNK_WORDS // len(probs)).bit_length() - 1)
     weights_x = np.asarray(config.weights_x)
     weights_y = np.asarray(config.weights_y)
     stream = _shard_rng(seed, shard).bit_generator
-    out = np.empty((m, n_obs + 2), dtype=np.uint8)
-    for start in range(0, m, _CHUNK_ROWS):
-        bits = to_bits(stream.random_raw((min(_CHUNK_ROWS, m - start), len(probs))))
+    for start in range(0, len(out), chunk):
+        rows = out[start : start + chunk]
+        bits = to_bits(stream.random_raw((len(rows), len(probs))))
         zf = bits[:, :n].astype(np.float64)
         x = bits[:, n + 2] if experimental else eval_x(zf @ weights_x, bits[:, n])
-        rows = out[start : start + len(bits)]
         rows[:, :n_obs] = bits[:, :n_obs]
         rows[:, n_obs] = x
         rows[:, n_obs + 1] = eval_y(x, zf @ weights_y, bits[:, n + 1], config.constant_c)
@@ -192,8 +199,10 @@ def iter_blocks(
 
     Worker threads, one per CPU but no more than there are shards, generate
     up to one shard per worker ahead of the consumer; an empty dataset starts
-    no thread.  Closing the iterator waits for the shards in flight; a
-    worker's error is raised here."""
+    no thread.  Each block is allocated here, on the consuming thread, and
+    filled by a worker: a block a worker allocated would be freed into that
+    worker's malloc arena, which keeps it.  Closing the iterator waits for
+    the shards in flight; a worker's error is raised here."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if n_samples < 0:
@@ -212,7 +221,8 @@ def iter_blocks(
     try:
         ahead = deque()
         for shard, m in enumerate(sizes):
-            ahead.append(pool.submit(_gen_shard, config, regime, shard, m, seed))
+            block = np.empty((m, config.n_observed + 2), dtype=np.uint8)
+            ahead.append(pool.submit(_gen_shard, config, regime, shard, seed, block))
             if len(ahead) > workers:
                 yield ahead.popleft().result()
         while ahead:

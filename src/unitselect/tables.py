@@ -102,7 +102,11 @@ def read_cell_csv(path: str | Path, header: list[str]) -> tuple[np.ndarray, np.n
     ids, values = data["id"], data["values"]
     if not np.isfinite(values).all():
         raise ValueError(f"{path} holds a non-finite value")
-    if (ids < 0).any() or len(np.unique(ids)) < len(ids):
+    # Tables are written in ascending id order, and that check is far cheaper
+    # than np.unique; only other files are sorted to look for a repeat.
+    if (ids < 0).any() or (
+        (np.diff(ids) <= 0).any() and (np.diff(np.sort(ids)) == 0).any()
+    ):
         raise ValueError(f"{path}: cell ids must be distinct non-negative integers")
     return ids, values
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import struct
 import tracemalloc
 
@@ -383,6 +384,16 @@ def test_build_labels_threshold_boundary():
     labels, drops = build_labels(exp_map, obs_map, v, threshold=1299)
     assert labels.cell_id.tolist() == [0, 1]
     assert len(drops) == 0
+
+
+@pytest.mark.parametrize("threshold", [-5, -1, 1.5, 50.0, True, None, "50"])
+def test_build_labels_refuses_a_threshold_that_is_not_a_count(threshold):
+    # -5 would label as 0 does: every count is at least 0
+    maps = _maps({0: _counts(650, 325, 650, 65, (325, 325, 325, 325))})
+    message = f"threshold must be a nonnegative integer, got {threshold!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_labels(*maps, DEFAULT_BENEFIT_VECTOR, threshold=threshold)
+    assert len(build_labels(*maps, DEFAULT_BENEFIT_VECTOR, threshold=0)[0]) == 1
 
 
 def test_build_labels_separate_regime_maps():

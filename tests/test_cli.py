@@ -150,6 +150,18 @@ def test_label_no_eligible_cells(ws, tmp_path, capsys):
     assert len(_read_csv(out_dir / "drops.csv")) == 17
 
 
+@pytest.mark.parametrize("threshold", [-5, -1])
+def test_label_refuses_a_negative_threshold(ws, tmp_path, capsys, threshold):
+    out_dir = tmp_path / "labels"
+    assert run("label", "--exp", ws["exp"], "--obs", ws["obs"],
+               "--config", ws["config"], "--threshold", threshold,
+               "--seed", 7, "--out-dir", out_dir) == 2
+    assert capsys.readouterr().err == (
+        f"error: threshold must be a nonnegative integer, got {threshold}\n"
+    )
+    assert not out_dir.exists()
+
+
 def test_label_empty_datasets_keep_the_config_width(ws, tmp_path):
     for kind in ("experimental", "observational"):
         assert run("simulate", "--config", ws["config"], "--kind", kind, "--n", 0,
@@ -543,6 +555,7 @@ def test_selection_policy_validation(ws, tmp_path):
     modes = ("lower_positive", "top_k_lower", "top_k_midpoint")
     cases = [(mode, ["--k", k]) for mode in modes for k in (0, -5)]
     cases += [("top_k_lower", []), ("top_k_midpoint", [])]  # k missing
+    cases += [("lower_positive", ["--k", 3])]  # keeps every positive cell: no k
     for mode, k in cases:
         assert run("select", "--predictions", ws["preds"], "--mode", mode,
                    *k, "--out", out) == 2
@@ -1072,8 +1085,9 @@ def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
     preds = learner.read_predictions_csv(tmp_path / "preds.csv")
     learner.evaluate(preds, truth, sample_n=200, seed=0)
     files = ["--predictions", tmp_path / "preds.csv"]
-    for mode in ("lower_positive", "top_k_lower", "top_k_midpoint"):
-        assert run("select", *files, "--mode", mode, "--k", 9, "--out", tmp_path / "s.csv") == 0
+    for mode, k in (("lower_positive", []), ("top_k_lower", ["--k", 9]),
+                    ("top_k_midpoint", ["--k", 9])):
+        assert run("select", *files, "--mode", mode, *k, "--out", tmp_path / "s.csv") == 0
     files += ["--informer", tmp_path / "truth.csv", "--sample-n", 50, "--seed", 1]
     assert run("evaluate", *files) == 0
     assert run("report", *files, "--out", tmp_path / "r.csv") == 0

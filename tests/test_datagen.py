@@ -3,11 +3,13 @@ import json
 import math
 import re
 import threading
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from unitselect import datagen, random_config
+from unitselect import datagen, default_config, random_config
 from unitselect.datagen import (
     REGIMES,
     SHARD_SIZE,
@@ -291,10 +293,10 @@ def _use_cpus(monkeypatch, n_cpus):
 def _fail_on_shard(monkeypatch, bad_shard):
     gen_shard = datagen._gen_shard
 
-    def failing(config, regime, shard, m, seed):
+    def failing(config, regime, shard, seed, out):
         if shard == bad_shard:
             raise RuntimeError(f"shard {shard} failed")
-        return gen_shard(config, regime, shard, m, seed)
+        return gen_shard(config, regime, shard, seed, out)
 
     monkeypatch.setattr(datagen, "_gen_shard", failing)
 
@@ -350,14 +352,105 @@ def _whole_shard(config, regime, shard, m, seed):
     return np.column_stack([z[:, : config.n_observed], x, y]).astype(np.uint8)
 
 
+def _gen_shard(config, regime, shard, m, seed):
+    """``_gen_shard`` filling a new (m, n_observed+2) block."""
+    out = np.empty((m, config.n_observed + 2), np.uint8)
+    assert datagen._gen_shard(config, regime, shard, seed, out) is out
+    return out
+
+
+def _row_words(config, regime):
+    """Raw words a row draws: one per characteristic, two noises and, in
+    the experimental regime, the assignment."""
+    return config.n_total + 2 + (regime == "experimental")
+
+
+def _chunk_rows(config, regime):
+    """Rows per chunk: the largest power of two, at least 4, whose raw
+    words fit the budget."""
+    rows = 4
+    while 2 * rows * _row_words(config, regime) <= datagen._CHUNK_WORDS:
+        rows *= 2
+    return rows
+
+
+WIDE = random_config(24, 12, seed=2412)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize(
+    "config, rows",
+    [(default_config(), (4096, 4096)), (random_config(16, 3, seed=16), (4096, 4096)),
+     (random_config(4, 2, seed=4), (8192, 16384)), (WIDE, (2048, 2048))],
+    ids=["appendix", "16+3", "4+2", "24+12"],
+)
+def test_chunks_draw_the_budget_in_powers_of_two_rows(monkeypatch, config, rows, regime):
+    # the shard's stream is asked for whole chunks of the budget's row count
+    # (experimental, observational) and then for the tail
+    rows = rows[REGIMES.index(regime)]
+    asked = []
+
+    def recording_rng(seed, shard):
+        stream = _shard_rng(seed, shard).bit_generator
+
+        def random_raw(size):
+            asked.append(size)
+            return stream.random_raw(size)
+
+        return SimpleNamespace(bit_generator=SimpleNamespace(random_raw=random_raw))
+
+    monkeypatch.setattr(datagen, "_shard_rng", recording_rng)
+    words = _row_words(config, regime)
+    assert _chunk_rows(config, regime) == rows
+    _gen_shard(config, regime, 0, 3 * rows + 5, seed=1)
+    assert asked == [(rows, words)] * 3 + [(5, words)]
+
+
 @pytest.mark.parametrize("regime", REGIMES)
 @pytest.mark.parametrize("name", ["desk8", "appendix"])
 def test_gen_shard_in_chunks_matches_one_whole_draw(request, name, regime):
     config = request.getfixturevalue(name)
-    m = 2 * datagen._CHUNK_ROWS + 777  # two whole chunks and a tail
-    got = datagen._gen_shard(config, regime, 3, m, 61)
+    m = 2 * _chunk_rows(config, regime) + 777  # two whole chunks and a tail
+    got = _gen_shard(config, regime, 3, m, 61)
     assert got.shape == (m, config.n_observed + 2)
     assert np.array_equal(got, _whole_shard(config, regime, 3, m, 61))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("name", ["desk4", "appendix", "wide"])
+def test_blocks_do_not_depend_on_the_chunk_budget(request, monkeypatch, name, regime):
+    # Chunks of 64 rows, of the default budget and of more than a shard give
+    # the same bytes, and so do chunks of the 4-row floor on a prefix (on
+    # all rows they take about 5 s a case): the stream continues across
+    # chunks, and each row's mixing sums do not depend on the chunk's rows.
+    config = WIDE if name == "wide" else request.getfixturevalue(name)
+    words = _row_words(config, regime)
+    n = 3 * SHARD_SIZE + 1234
+    expect = _rows(config, regime, n, seed=62)
+    assert len(expect) == n
+    for budget, m in ((1, SHARD_SIZE // 4 + 1234), (64 * words, n), (SHARD_SIZE * words, n)):
+        monkeypatch.setattr(datagen, "_CHUNK_WORDS", budget)
+        assert np.array_equal(_rows(config, regime, m, seed=62), expect[:m])
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize(
+    "config", [default_config(), WIDE, random_config(4, 2, seed=370)],
+    ids=["appendix", "24+12", "desk4"],
+)
+def test_gen_shard_memory_follows_the_word_budget(config, regime):
+    # Filling a caller's shard block, a worker's temporaries are a chunk's
+    # raw words and its characteristics as floats, 1 MiB each at most; drawn
+    # 16,384 rows at a time they were 6.2 MiB for the appendix model and
+    # 10.7 MiB at 24+12 bits.
+    out = np.empty((SHARD_SIZE, config.n_observed + 2), np.uint8)
+    tracemalloc.start()
+    try:
+        datagen._gen_shard(config, regime, 0, 7, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 @pytest.mark.parametrize("how", ["close", "drop"])
@@ -478,14 +571,15 @@ def _edge_config(drawn):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_raw_draw_is_exact_at_edge_probabilities(regime):
-    m = datagen._CHUNK_ROWS + 100  # a whole chunk and a tail
+    chunk = _chunk_rows(_edge_config(0.5), regime)
+    m = chunk + 100  # a whole chunk and a tail
     width = 7 + 2 + (regime == "experimental")
     u = _shard_rng(61, 2).random((m, width))
-    row = datagen._CHUNK_ROWS + 50
+    row = chunk + 50
     drawn = u[row, 5]  # z6 of a row in the tail: a uniform the stream draws
     for p, bit in ((drawn, 0), (np.nextafter(drawn, 2.0), 1)):
         config = _edge_config(float(p))
-        got = datagen._gen_shard(config, regime, 2, m, 61)
+        got = _gen_shard(config, regime, 2, m, 61)
         assert got[row, 5] == bit
         # every observed bit is the float comparison, and x and y are the
         # one-piece reference draw's

@@ -1,3 +1,4 @@
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -121,3 +122,22 @@ def test_rows_are_the_columns_as_python_values(desk4):
                 entries = value if col.ndim == 2 else [value]
                 assert all(type(x) is python_type[col.dtype.kind] for x in entries)
                 assert value == col[i : i + 1].tolist()[0]
+
+
+@pytest.mark.parametrize(
+    "ids, distinct",
+    [([0, 1, 5], True), ([5, 0, 1], True), ([0, 1, 1], False), ([5, 0, 5], False),
+     ([3, 3], False), ([0, -1], False), ([], True)],
+)
+def test_read_cell_csv_refuses_repeated_and_negative_ids(tmp_path, ids, distinct):
+    # ascending ids are taken as they are, and others are sorted to find a
+    # repeat: either way a repeat is refused with one message
+    path = tmp_path / "t.csv"
+    path.write_text("cell_id,value\n" + "".join(f"{i},0.5\n" for i in ids))
+    if distinct:
+        got, values = tables.read_cell_csv(path, ["cell_id", "value"])
+        assert got.tolist() == ids and values.tolist() == [[0.5]] * len(ids)
+    else:
+        message = f"{path}: cell ids must be distinct non-negative integers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tables.read_cell_csv(path, ["cell_id", "value"])
