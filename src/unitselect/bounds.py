@@ -31,6 +31,7 @@ __all__ = [
     "check_distributions",
     "exact_benefit",
     "value_range",
+    "clamp_to_range",
 ]
 
 # Slack for validating probability inputs and for the L <= U consistency flag.
@@ -276,3 +277,13 @@ def value_range(v: BenefitVector) -> tuple[float, float]:
     """Attainable range of the benefit over all response profiles."""
     payoffs = v.as_tuple()
     return min(payoffs), max(payoffs)
+
+
+def clamp_to_range(a: np.ndarray, v: BenefitVector) -> np.ndarray:
+    """``a`` clamped elementwise to ``value_range(v)`` as Python's
+    min(max(a, lo), hi) clamps it: an endpoint replaces an entry only when
+    strictly beyond it, so a zero keeps its sign.  numpy's clip does not
+    promise which tied operand it returns."""
+    lo, hi = value_range(v)
+    a = np.where(lo > a, lo, a)
+    return np.where(hi < a, hi, a)

@@ -25,7 +25,7 @@ from .bounds import (
     ExperimentalDistribution,
     ObservationalJoint,
     benefit_bounds_array,
-    value_range,
+    clamp_to_range,
 )
 from .datagen import REGIMES, SHARD_SIZE, row_codes
 from .model import cell_bits, cell_ids, check_cell_space, check_seed, random_stream
@@ -40,6 +40,7 @@ __all__ = [
     "DropTable",
     "SplitSpec",
     "IneligibleCellError",
+    "check_threshold",
     "aggregate",
     "estimate",
     "build_labels",
@@ -100,6 +101,14 @@ class SplitSpec:
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in (0, 1)")
         check_seed(self.seed)
+
+
+def check_threshold(threshold: int) -> int:
+    """``threshold`` itself, if it can bound a cell's sample counts: an int
+    with threshold >= 0."""
+    if type(threshold) is not int or threshold < 0:  # refuses -5, 1.5 and True
+        raise ValueError(f"threshold must be a nonnegative integer, got {threshold!r}")
+    return threshold
 
 
 def _table_of(counts: Mapping[int, np.ndarray]) -> np.ndarray | None:
@@ -206,13 +215,6 @@ def estimate(
     return exp, ObservationalJoint(*(obs / obs.sum()).tolist())
 
 
-def _clamp(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """min(max(a, lo), hi) elementwise, with Python's tie rule: an endpoint
-    replaces a only when strictly beyond it, so a zero keeps its sign."""
-    a = np.where(lo > a, lo, a)
-    return np.where(hi < a, hi, a)
-
-
 def build_labels(
     exp_map: Mapping[int, np.ndarray],
     obs_map: Mapping[int, np.ndarray],
@@ -224,14 +226,13 @@ def build_labels(
     The maps are ``aggregate``'s, one per regime, each with its rows in one
     table, else ValueError; the width is that of their tables, which must
     agree.  A cell is eligible when it was seen at least ``threshold`` times
-    in each regime; ``threshold`` must be a nonnegative int, else
-    ValueError.  Cells seen in neither map appear in neither table, and
-    both tables are in ascending id order.  The estimates and bounds are
-    those of ``estimate`` and ``benefit_bounds``, computed for all cells at
-    once.
+    in each regime; ``check_threshold`` must accept ``threshold``.  Cells
+    seen in neither map appear in neither table, and both tables are in
+    ascending id order.  The estimates and bounds are those of ``estimate``
+    and ``benefit_bounds``, computed for all cells at once, and the labels
+    are clamped by ``clamp_to_range``.
     """
-    if type(threshold) is not int or threshold < 0:  # refuses -5, 1.5 and True
-        raise ValueError(f"threshold must be a nonnegative integer, got {threshold!r}")
+    check_threshold(threshold)
     tables = [_table_of(m) for m in (exp_map, obs_map)]
     widths = {len(t) for t in tables if t is not None}
     if len(widths) > 1:
@@ -253,11 +254,10 @@ def build_labels(
     lower, upper, consistent = benefit_bounds_array(v, exp, obs)
     reason[est[~consistent]] = INCONSISTENT
 
-    lo, hi = value_range(v)
     ok, out = est[consistent], np.flatnonzero(reason != "")
     labels = LabelTable(
-        ids[ok], n_observed, _clamp(lower[consistent], lo, hi),
-        _clamp(upper[consistent], lo, hi), n_exp[ok], n_obs[ok],
+        ids[ok], n_observed, clamp_to_range(lower[consistent], v),
+        clamp_to_range(upper[consistent], v), n_exp[ok], n_obs[ok],
     )
     return labels, DropTable(ids[out], n_observed, reason[out], n_exp[out], n_obs[out])
 

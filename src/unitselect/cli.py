@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,11 +41,16 @@ def _parse_vector(text: str) -> BenefitVector:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_seed(text: str) -> int:
-    try:
-        return check_seed(int(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked_int(check: Callable[[int], int]) -> Callable[[str], int]:
+    """The argparse type of an integer flag whose rule is ``check``."""
+
+    def parse(text: str) -> int:
+        try:
+            return check(int(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _check_dataset(path: str, config: ScmConfig, regime: str) -> None:
@@ -216,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--kind", required=True, choices=datagen.REGIMES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_parse_seed, required=True)
+    p.add_argument("--seed", type=_checked_int(check_seed), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -231,9 +237,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True)
     p.add_argument("--config", required=True)
     add_vector(p)
-    p.add_argument("--threshold", type=int, default=cells.DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_checked_int(cells.check_threshold),
+                   default=cells.DEFAULT_THRESHOLD)
     p.add_argument("--test-fraction", type=float, default=cells.SplitSpec.test_fraction)
-    p.add_argument("--seed", type=_parse_seed, required=True)
+    p.add_argument("--seed", type=_checked_int(check_seed), required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_label)
 
@@ -242,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-width", type=int, default=learner.Hyperparams.hidden_width)
     p.add_argument("--epochs", type=int, default=learner.Hyperparams.epochs)
     p.add_argument("--learning-rate", type=float, default=learner.Hyperparams.learning_rate)
-    p.add_argument("--seed", type=_parse_seed, required=True)
+    p.add_argument("--seed", type=_checked_int(check_seed), required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_train)
 
@@ -268,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--predictions", required=True)
         p.add_argument("--informer", required=True)
         p.add_argument("--sample-n", type=int, default=learner.DEFAULT_SAMPLE_N)
-        p.add_argument("--seed", type=_parse_seed, required=True)
+        p.add_argument("--seed", type=_checked_int(check_seed), required=True)
         p.add_argument("--out", required=func is _cmd_report)
         p.set_defaults(func=func)
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import BenefitVector, value_range
+from .bounds import BenefitVector, clamp_to_range
 from .informer import InformerTable
 from .model import cell_bits, check_cell_space, check_seed, random_stream
 from .tables import CellTable, atomic_write, read_cell_csv, write_cell_csv
@@ -34,7 +34,6 @@ __all__ = [
     "predict_all",
     "evaluate",
     "evaluation_sample",
-    "loss_and_gradients",
     "save_model",
     "load_model",
     "write_predictions_csv",
@@ -190,13 +189,6 @@ def _init_params(n_in: int, hp: Hyperparams) -> list[np.ndarray]:
     ]
 
 
-def _as_features(features: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-D array of bit vectors")
-    return x
-
-
 def train(
     features: Sequence[Sequence[int]] | np.ndarray,
     targets: Sequence[float] | np.ndarray,
@@ -204,8 +196,10 @@ def train(
 ) -> Model:
     """Fit the network to (features, targets) by full-batch gradient descent.
     The model's loss_history has epochs + 1 entries, as ``Model`` says."""
-    x = _as_features(features)
+    x = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
+    if x.ndim != 2:
+        raise ValueError("features must be a 2-D array of bit vectors")
     if len(x) == 0:
         raise ValueError("no training data")
     if len(x) != len(t):
@@ -224,19 +218,6 @@ def train(
         history.append(_loss_and_grads(params, x, t, buf))
 
     return Model(*params, hp, tuple(history))
-
-
-def loss_and_gradients(
-    model: Model, features: Sequence[Sequence[int]] | np.ndarray, targets: Sequence[float]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean-squared-error loss and its analytic gradients at the model's
-    current weights.  Exists so the gradients can be checked against finite
-    differences."""
-    x = _as_features(features)
-    t = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
-    buf = _Buffers(len(x), model.params, backward=True)
-    loss = _loss_and_grads(model.params, x, t, buf)
-    return loss, dict(zip(_PARAMS, buf.grads))
 
 
 def _raw_outputs(models: Sequence[Model], ids: np.ndarray, n_observed: int) -> np.ndarray:
@@ -278,7 +259,7 @@ def predict_all(
         raise ValueError("model input width does not match n_observed")
     ids = np.arange(check_cell_space(n_observed))
     raw = _raw_outputs((model_lower, model_upper), ids, n_observed)
-    lower, upper = np.clip(raw, *value_range(v))
+    lower, upper = clamp_to_range(raw, v)
     crossed = lower > upper
     mid = 0.5 * (lower + upper)
     return PredictionTable(

@@ -21,7 +21,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "ConfigError",
     "ScmConfig",
     "FullProfile",
-    "CellKey",
     "cell_ids",
     "cell_bits",
     "check_seed",
@@ -182,16 +181,6 @@ class ScmConfig:
         return hashlib.sha256(self.canonical_json().encode("ascii")).hexdigest()
 
 
-_BINARY = frozenset((0, 1))
-
-
-def _check_bits(bits: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(map(int, bits))
-    if not _BINARY.issuperset(out):
-        raise ConfigError(f"bit vector must contain only 0/1, got {out}")
-    return out
-
-
 @dataclass(frozen=True)
 class FullProfile:
     """One complete assignment of all characteristics, observed then latent."""
@@ -199,44 +188,19 @@ class FullProfile:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _check_bits(self.bits))
+        bits = tuple(map(int, self.bits))
+        if not {0, 1}.issuperset(bits):
+            raise ConfigError(f"bit vector must contain only 0/1, got {bits}")
+        object.__setattr__(self, "bits", bits)
 
     def __len__(self) -> int:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class CellKey:
-    """An assignment of the observed characteristics only.
-
-    The integer ``id`` encodes the bits with the first observed characteristic
-    as the least-significant bit, so ids run 0 .. 2**n_observed - 1.
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bits = _check_bits(self.bits)
-        if not bits:
-            raise ConfigError("CellKey needs at least one observed bit")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def id(self) -> int:
-        return sum(b << i for i, b in enumerate(self.bits))
-
-    @classmethod
-    def from_id(cls, cell_id: int, n_observed: int) -> "CellKey":
-        if not 0 <= cell_id < (1 << n_observed):
-            raise ConfigError(
-                f"cell id {cell_id} out of range for {n_observed} observed bits"
-            )
-        return cls(tuple((cell_id >> i) & 1 for i in range(n_observed)))
-
-
 def cell_ids(bits: np.ndarray) -> np.ndarray:
-    """Int64 ids of the rows of a (k, n) 0/1 array, encoded as ``CellKey.id``:
-    column 0 is the least-significant bit.  Bits are not checked."""
+    """Int64 ids of the rows of a (k, n) 0/1 array: column 0, the first
+    observed characteristic, is the least-significant bit, so ids run
+    0 .. 2**n - 1.  Bits are not checked."""
     # Built in the narrowest unsigned type that holds them: less memory to move.
     dtype = np.min_scalar_type((1 << min(bits.shape[1], 64)) - 1)
     ids = np.zeros(len(bits), dtype=dtype)
@@ -246,8 +210,8 @@ def cell_ids(bits: np.ndarray) -> np.ndarray:
 
 
 def cell_bits(ids: np.ndarray, n_bits: int) -> np.ndarray:
-    """(k, n_bits) uint8 bits of an integer id array; the inverse of
-    ``cell_ids`` and the array form of ``CellKey.from_id``."""
+    """(k, n_bits) uint8 bits of an integer id array, least-significant
+    first; the inverse of ``cell_ids``."""
     out = np.empty((len(ids), n_bits), dtype=np.uint8)
     for i in range(n_bits):
         out[:, i] = (ids >> i) & 1

@@ -1,10 +1,10 @@
 """Per-cell column tables and their CSV form.
 
 A table holds one read-only array per field, one entry per cell, and is
-worked on column by column.  A slice or an int array of positions picks a
-table of those cells; iterating gives plain rows, which only the benchmark
-reads.  ``write_cell_csv`` formats a table's CSV a block of rows at a time,
-into the same bytes as a row at a time.
+worked on column by column; a cell is its integer id.  A slice or an int
+array of positions picks a table of those cells; iterating gives plain rows,
+which only the benchmark reads.  ``write_cell_csv`` formats a table's CSV a
+block of rows at a time, into the same bytes as a row at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .model import CellKey, cell_bits
+from .model import cell_bits
 
 # Rows formatted per write in ``write_cell_csv``.
 _WRITE_BLOCK = 1 << 12
@@ -69,16 +69,20 @@ class CellTable:
         """One plain row per cell, whose fields are the ``_columns`` names
         holding Python values (a list for a multi-value entry); in a table
         with an ``n_observed`` width, ``cell_id`` becomes ``cell``, a
-        ``CellKey``.  Only ``benchmarks/`` reads rows, until ROADMAP item 4
-        moves it to columns."""
+        namespace of the ``id`` and of its ``bits`` as a tuple of ints,
+        least-significant first.  Only ``benchmarks/`` reads rows, until
+        ROADMAP item 4 moves it to columns."""
         names = list(self._columns)
         cols = [getattr(self, name).tolist() for name in names[1:]]
         if hasattr(self, "n_observed"):
             names[0] = "cell"
-            ids = map(CellKey, map(tuple, cell_bits(self.cell_id, self.n_observed).tolist()))
+            bits = cell_bits(self.cell_id, self.n_observed).tolist()
+            cells = (
+                SimpleNamespace(id=i, bits=tuple(b)) for i, b in zip(self.cell_id.tolist(), bits)
+            )
         else:
-            ids = self.cell_id.tolist()
-        return (SimpleNamespace(**dict(zip(names, row))) for row in zip(ids, *cols))
+            cells = self.cell_id.tolist()
+        return (SimpleNamespace(**dict(zip(names, row))) for row in zip(cells, *cols))
 
 
 def read_cell_csv(path: str | Path, header: list[str]) -> tuple[np.ndarray, np.ndarray]:

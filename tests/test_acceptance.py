@@ -31,8 +31,9 @@ from unitselect.informer import (
 )
 from unitselect.learner import (
     Hyperparams,
+    _Buffers,
+    _loss_and_grads,
     evaluate,
-    loss_and_gradients,
     predict_all,
     train,
 )
@@ -221,24 +222,23 @@ def test_criterion_7_learner_sanity():
     x = rng.integers(0, 2, size=(10, 3)).astype(float)
     t = rng.uniform(-1, 1, size=10)
     model = train(x, t, Hyperparams(hidden_width=4, epochs=1, seed=2))
-    _, grads = loss_and_gradients(model, x, t)
-    arrays = {
-        "w1": model.w1, "b1": model.b1, "w2": model.w2,
-        "b2": model.b2, "w3": model.w3, "b3": model.b3,
-    }
+    params, t = model.params, t.reshape(-1, 1)
+    buf = _Buffers(len(x), params, backward=True)
+    _loss_and_grads(params, x, t, buf)
+    grads = [g.copy() for g in buf.grads]  # later calls overwrite buf.grads
     h = 1e-5
     worst_grad = 0.0
-    for name, arr in arrays.items():
+    for arr, g in zip(params, grads):
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + h
-            up = loss_and_gradients(model, x, t)[0]
+            up = _loss_and_grads(params, x, t, buf)
             arr[idx] = orig - h
-            down = loss_and_gradients(model, x, t)[0]
+            down = _loss_and_grads(params, x, t, buf)
             arr[idx] = orig
             fd = (up - down) / (2 * h)
-            scale = max(abs(fd), abs(grads[name][idx]), 1e-8)
-            worst_grad = max(worst_grad, abs(fd - grads[name][idx]) / scale)
+            scale = max(abs(fd), abs(g[idx]), 1e-8)
+            worst_grad = max(worst_grad, abs(fd - g[idx]) / scale)
     assert worst_grad <= 1e-4
 
     # constant-target fit; default hyperparameters plateau short of 0.01 on

@@ -14,6 +14,7 @@ from unitselect.bounds import (
     ResponseProfile,
     benefit_bounds,
     benefit_bounds_array,
+    clamp_to_range,
     exact_benefit,
     pns_bounds,
     sigma,
@@ -126,6 +127,19 @@ def test_value_range():
     assert value_range(V) == (-2.0, 1.0)
     assert value_range(BenefitVector(1, 1, 1, 1)) == (1.0, 1.0)
     assert value_range(BenefitVector(0, 0, 0, 0)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "v", [V, BenefitVector(-0.0, -1.0, 0.0, -1.0), BenefitVector(0.0, 1.0, -0.0, 1.0)]
+)
+def test_clamp_to_range_is_pythons_min_of_max(v):
+    # bit for bit, so a zero tied with a signed-zero end keeps its own sign
+    lo, hi = value_range(v)
+    a = np.array([-3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.5])
+    got = clamp_to_range(a, v)
+    want = [min(max(x, lo), hi) for x in a.tolist()]
+    assert [struct.pack("<d", x) for x in got.tolist()] == [struct.pack("<d", x) for x in want]
+    assert np.array_equal(clamp_to_range(np.stack([a, a[::-1]]), v), [want, want[::-1]])
 
 
 def test_monotone_payoff_response():

@@ -34,17 +34,18 @@ from unitselect.cells import (
 )
 from unitselect.datagen import REGIMES, iter_blocks
 from unitselect.informer import informer_table
-from unitselect.model import CellKey, CellSpaceTooLarge
+from unitselect.model import CellSpaceTooLarge
 
 
-def _cell(bits):
-    return CellKey(tuple(bits))
+def _cell_id(bits):
+    """The id of a cell's bits, the first the least significant."""
+    return sum(int(b) << i for i, b in enumerate(bits))
 
 
 def _table(cls, rows, n_observed):
     """The column table of ``rows``: tuples of a cell's bits, then its other
     columns in table order."""
-    ids = [_cell(r[0]).id for r in rows]
+    ids = [_cell_id(r[0]) for r in rows]
     cols = ([r[i] for r in rows] for i in range(1, len(cls._columns)))
     return cls(ids, n_observed, *cols)
 
@@ -59,7 +60,7 @@ def _tally_rows(arr):
     n_obs = arr.shape[1] - 2
     out = {}
     for row in arr.tolist():
-        counts = out.setdefault(_cell(row[:n_obs]).id, [0, 0, 0, 0])
+        counts = out.setdefault(_cell_id(row[:n_obs]), [0, 0, 0, 0])
         x, y = row[n_obs], row[n_obs + 1]
         if x and y:
             counts[3] += 1
@@ -102,7 +103,7 @@ def test_aggregate_empty():
 def test_aggregate_three_identical_treated():
     counts = aggregate(_rows(*[(1, 0, 1, 1, 1)] * 3), "experimental")
     # three treated rows with y = 1, all in column x*2 + y = 3
-    assert _as_lists(counts) == {_cell((1, 0, 1)).id: [0, 0, 0, 3]}
+    assert _as_lists(counts) == {_cell_id((1, 0, 1)): [0, 0, 0, 3]}
     assert counts[5].base.shape == (8, 4)
 
 
@@ -537,7 +538,7 @@ def test_labels_match_exact_truth_with_exact_proportions(desk4):
 
 
 def _fake_labels(n):
-    rows = [(CellKey.from_id(i, 9).bits, -0.5, 0.5, 2000, 2000) for i in range(n)]
+    rows = [(tuple((i >> j) & 1 for j in range(9)), -0.5, 0.5, 2000, 2000) for i in range(n)]
     return _table(LabelTable, rows, 9)
 
 
@@ -652,7 +653,7 @@ def test_label_and_drop_writers_match_csv_writer(tmp_path):
     for rows in (labels, []):
         write_labels_csv(_table(LabelTable, rows, 60), path)
         expect = [
-            [_cell(bits).id, *bits, format(lower, ".12g"), format(upper, ".12g"), n_exp, n_obs]
+            [_cell_id(bits), *bits, format(lower, ".12g"), format(upper, ".12g"), n_exp, n_obs]
             for bits, lower, upper, n_exp, n_obs in rows
         ]
         assert path.read_bytes() == _csv_writer_bytes(header, expect)
@@ -661,7 +662,7 @@ def test_label_and_drop_writers_match_csv_writer(tmp_path):
     assert path.read_bytes().endswith(b"n_obs\r\n")
     for rows in (drops, []):
         write_drops_csv(_table(DropTable, rows, 60), path)
-        expect = [[_cell(bits).id, *rest] for bits, *rest in rows]
+        expect = [[_cell_id(bits), *rest] for bits, *rest in rows]
         header = ["cell_id", "reason", "n_exp", "n_obs"]
         assert path.read_bytes() == _csv_writer_bytes(header, expect)
 

@@ -153,13 +153,28 @@ def test_label_no_eligible_cells(ws, tmp_path, capsys):
 @pytest.mark.parametrize("threshold", [-5, -1])
 def test_label_refuses_a_negative_threshold(ws, tmp_path, capsys, threshold):
     out_dir = tmp_path / "labels"
-    assert run("label", "--exp", ws["exp"], "--obs", ws["obs"],
-               "--config", ws["config"], "--threshold", threshold,
-               "--seed", 7, "--out-dir", out_dir) == 2
-    assert capsys.readouterr().err == (
-        f"error: threshold must be a nonnegative integer, got {threshold}\n"
+    with pytest.raises(SystemExit) as exc:
+        run("label", "--exp", ws["exp"], "--obs", ws["obs"], "--config", ws["config"],
+            "--threshold", threshold, "--seed", 7, "--out-dir", out_dir)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        f"argument --threshold: threshold must be a nonnegative integer, got {threshold}\n"
     )
     assert not out_dir.exists()
+
+
+def test_label_refuses_a_bad_threshold_before_reading(tmp_path, capsys):
+    # the datasets and config are missing: reading them would exit 3
+    missing = tmp_path / "nope.bin"
+    with pytest.raises(SystemExit) as exc:
+        run("label", "--exp", missing, "--obs", missing, "--config", missing,
+            "--threshold", -5, "--seed", 7, "--out-dir", tmp_path / "labels")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "argument --threshold: threshold must be a nonnegative integer, got -5\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_label_empty_datasets_keep_the_config_width(ws, tmp_path):
@@ -977,9 +992,9 @@ def test_every_export_resolves():
         owner = next(m for m in library if name in m.__all__)
         assert getattr(unitselect, name) is getattr(owner, name), name
     # The names the package listed by hand before, all still exported but
-    # true_benefit_profile and ExogenousAssignment, deleted for having no
-    # caller outside the tests.
-    deleted = {"true_benefit_profile", "ExogenousAssignment"}
+    # true_benefit_profile, ExogenousAssignment and CellKey, deleted for
+    # having no caller outside the tests and the benchmark's rows.
+    deleted = {"true_benefit_profile", "ExogenousAssignment", "CellKey"}
     for name in _HAND_LISTED_EXPORTS:
         assert (name in unitselect.__all__) == (name not in deleted), name
     assert len(_HAND_LISTED_EXPORTS) == 50
@@ -1035,26 +1050,14 @@ def test_console_script_on_path(ws, tmp_path):
 def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
     """Counting, table building, CSV I/O, evaluation and the
     train/select/evaluate/report commands work on columns: they iterate no
-    table and construct no key object."""
+    table."""
     from unitselect import cells, informer, learner
     from unitselect.datagen import iter_blocks
-    from unitselect.model import CellKey
     from unitselect.tables import CellTable
 
     (exp_rows,) = iter_blocks(desk8, "experimental", 60_000, 5)
     (obs_rows,) = iter_blocks(desk8, "observational", 60_000, 6)
     built = {}
-
-    def counting(cls):
-        init = cls.__init__
-
-        def wrapped(self, *args, **kwargs):
-            built[cls.__name__] = built.get(cls.__name__, 0) + 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", wrapped)
-
-    counting(CellKey)
     iterate = CellTable.__iter__
 
     def counting_rows(table):
@@ -1092,9 +1095,8 @@ def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
     assert run("evaluate", *files) == 0
     assert run("report", *files, "--out", tmp_path / "r.csv") == 0
     assert built == {}
-    # the counters do count: each row asked for is built once, with a key in
-    # the three tables that have a width
+    # the counter does count: each row asked for is built once
     tables = (truth, preds, labels, drops)
     for table in tables:
         next(iter(table))
-    assert built == {type(t).__name__: 1 for t in tables} | {"CellKey": 3}
+    assert built == {type(t).__name__: 1 for t in tables}

@@ -26,7 +26,6 @@ from unitselect.informer import (
     write_informer_csv,
 )
 from unitselect.model import (
-    CellKey,
     CellSpaceTooLarge,
     ConfigError,
     FullProfile,
@@ -160,13 +159,13 @@ def test_cell_truth_mixture_linearity(desk8):
     table = informer_table(desk8, v)
     w = completion_weights(desk8)
     for cid in (0, 100, 255):
-        cell = CellKey.from_id(cid, 8)
+        bits = tuple((cid >> i) & 1 for i in range(8))
         mixed = 0.0
         for j in range(len(w)):
             latent = tuple((j >> i) & 1 for i in range(desk8.n_unobserved))
-            profile = FullProfile(cell.bits + latent)
+            profile = FullProfile(bits + latent)
             mixed += w[j] * exact_benefit(v, response_profile(profile, desk8))
-        assert abs(mixed - table.true_f[cell.id]) < 1e-12
+        assert abs(mixed - table.true_f[cid]) < 1e-12
 
 
 def test_cell_truth_mixes_distributions_not_bounds(desk4):
@@ -179,11 +178,11 @@ def test_cell_truth_mixes_distributions_not_bounds(desk4):
     table = informer_table(desk4, V)
     w = completion_weights(desk4)
     for cid in range(16):
-        cell = CellKey.from_id(cid, 4)
+        bits = tuple((cid >> i) & 1 for i in range(4))
         mixed_lower = 0.0
         for j in range(len(w)):
             latent = tuple((j >> i) & 1 for i in range(desk4.n_unobserved))
-            profile = FullProfile(cell.bits + latent)
+            profile = FullProfile(bits + latent)
             b = benefit_bounds(
                 V,
                 exact_experimental(profile, desk4),

@@ -12,7 +12,7 @@ import pytest
 from oracles import reference_forward, reference_train
 
 from unitselect import learner
-from unitselect.bounds import DEFAULT_BENEFIT_VECTOR, value_range
+from unitselect.bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector, value_range
 from unitselect.informer import informer_table
 from unitselect.learner import (
     Hyperparams,
@@ -20,7 +20,6 @@ from unitselect.learner import (
     PredictionTable,
     evaluate,
     load_model,
-    loss_and_gradients,
     predict_all,
     read_predictions_csv,
     sample_cell_ids,
@@ -122,21 +121,19 @@ def test_gradients_match_finite_differences():
     x = rng.integers(0, 2, size=(12, 3)).astype(float)
     t = rng.uniform(-1, 1, size=12)
     model = train(x, t, Hyperparams(hidden_width=4, epochs=1, seed=3))
-    _, grads = loss_and_gradients(model, x, t)
-    arrays = {
-        "w1": model.w1, "b1": model.b1, "w2": model.w2,
-        "b2": model.b2, "w3": model.w3, "b3": model.b3,
-    }
+    params, t = model.params, t.reshape(-1, 1)
+    buf = learner._Buffers(len(x), params, backward=True)
+    learner._loss_and_grads(params, x, t, buf)
+    grads = [g.copy() for g in buf.grads]  # later calls overwrite buf.grads
     h = 1e-5
     worst = 0.0
-    for name, arr in arrays.items():
-        g = grads[name]
+    for arr, g in zip(params, grads):
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + h
-            up = loss_and_gradients(model, x, t)[0]
+            up = learner._loss_and_grads(params, x, t, buf)
             arr[idx] = orig - h
-            down = loss_and_gradients(model, x, t)[0]
+            down = learner._loss_and_grads(params, x, t, buf)
             arr[idx] = orig
             fd = (up - down) / (2 * h)
             scale = max(abs(fd), abs(g[idx]), 1e-8)
@@ -236,20 +233,6 @@ def test_train_matches_the_out_of_place_reference(n_cells, n_bits, hidden, epoch
     assert history[-1] != history[0]
 
 
-def test_loss_and_gradients_returns_fresh_arrays():
-    rng = np.random.default_rng(2)
-    x = rng.integers(0, 2, size=(20, 4)).astype(np.float64)
-    model = _random_model(4, 8, 3)
-    loss_a, grads_a = loss_and_gradients(model, x, rng.uniform(size=20))
-    kept = {name: g.copy() for name, g in grads_a.items()}
-    loss_b, grads_b = loss_and_gradients(model, x, rng.uniform(size=20))
-    assert loss_a != loss_b
-    for name, g in grads_a.items():
-        assert not np.shares_memory(g, grads_b[name]), name
-        assert np.array_equal(g, kept[name]), name
-        assert not np.array_equal(g, grads_b[name]), name
-
-
 def test_full_batch_train_makes_one_pass_per_epoch(monkeypatch):
     calls = []
     real = learner._loss_and_grads
@@ -286,6 +269,15 @@ def test_predict_clamps_to_value_range():
         assert (rows.pred_lower == expected).all() and (rows.pred_upper == expected).all()
     with pytest.raises(ValueError):
         predict_all(_const_model(6, 0.0), _const_model(6, 0.0), 4, v)
+    # a tie keeps the prediction, as min(max(0.0, lo), hi) and the labels'
+    # clamp keep it: here the upper end is -0.0 and the prediction +0.0
+    v = BenefitVector(-0.0, -1.0, 0.0, -1.0)
+    assert value_range(v) == (-1.0, 0.0) and np.signbit(value_range(v)[1])
+    model = _const_model(4, +0.0)
+    table = predict_all(model, model, 4, v)
+    for col in (table.pred_lower, table.pred_upper):
+        assert (col == 0.0).all() and not np.signbit(col).any()
+    assert not table.repaired.any()
 
 
 def test_predict_all_covers_and_repairs():

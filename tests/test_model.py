@@ -11,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unitselect.model import (
-    CellKey,
     ConfigError,
     FullProfile,
     ScmConfig,
@@ -177,45 +176,33 @@ def test_load_rejects_bad_json(tmp_path):
         ScmConfig.load(path)
 
 
-def test_cell_key_encoding():
+def test_cell_id_encoding():
     # z1 is the least-significant bit
-    assert CellKey((1, 0, 0)).id == 1
-    assert CellKey((0, 1, 0)).id == 2
-    assert CellKey((1, 1, 0)).id == 3
-    assert CellKey((0, 0, 1)).id == 4
-    for cid in range(256):
-        key = CellKey.from_id(cid, 8)
-        assert key.id == cid
-        assert len(key.bits) == 8
-    # the array helpers use the same encoding
+    bits = np.array([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)], dtype=np.uint8)
+    assert cell_ids(bits).tolist() == [1, 2, 3, 4]
+    assert cell_bits(np.array([1, 2, 3, 4]), 3).tolist() == bits.tolist()
     ids = np.arange(256)
     bits = cell_bits(ids, 8)
     assert bits.dtype == np.uint8
-    assert [tuple(row) for row in bits.tolist()] == [CellKey.from_id(c, 8).bits for c in range(256)]
+    assert [tuple(row) for row in bits.tolist()] == [
+        tuple((c >> i) & 1 for i in range(8)) for c in range(256)
+    ]
     assert np.array_equal(cell_ids(bits), ids)
+    assert cell_ids(bits).dtype == np.int64
     assert cell_ids(cell_bits(np.array([1 << 60]), 61)).tolist() == [1 << 60]
-
-
-def test_cell_key_rejects_bad_input():
-    with pytest.raises(ConfigError):
-        CellKey((0, 2, 0))
-    with pytest.raises(ConfigError):
-        CellKey.from_id(256, 8)
-    with pytest.raises(ConfigError):
-        CellKey.from_id(-1, 8)
 
 
 @pytest.mark.parametrize("bits", [(0, 2), (1, -1), (3,)])
 def test_check_bits_rejects_non_binary(bits):
     with pytest.raises(ConfigError, match=rf"only 0/1, got {re.escape(str(bits))}$"):
-        CellKey(bits)
+        FullProfile(bits)
 
 
 def test_check_bits_accepts_bool_and_numpy_ints():
-    key = CellKey((True, np.uint8(1), np.int64(0), False))
-    assert key.bits == (1, 1, 0, 0)
-    assert all(type(b) is int for b in key.bits)
-    assert key == CellKey((1, 1, 0, 0))
+    profile = FullProfile((True, np.uint8(1), np.int64(0), False))
+    assert profile.bits == (1, 1, 0, 0)
+    assert all(type(b) is int for b in profile.bits)
+    assert profile == FullProfile((1, 1, 0, 0))
     assert FullProfile((np.uint8(1), True)).bits == (1, 1)
 
 

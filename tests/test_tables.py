@@ -10,7 +10,7 @@ from unitselect.cells import DropTable, LabelTable, SplitSpec, aggregate, build_
 from unitselect.datagen import iter_blocks
 from unitselect.informer import InformerTable, informer_table
 from unitselect.learner import PredictionTable
-from unitselect.model import CellKey
+from unitselect.model import cell_bits
 from unitselect.tables import write_cell_csv
 
 
@@ -115,8 +115,11 @@ def test_rows_are_the_columns_as_python_values(desk4):
             for name, field in zip(table._columns, ROW_FIELDS[type(table)]):
                 col, value = getattr(table, name), getattr(row, field)
                 if field == "cell":
-                    assert type(value) is CellKey
-                    assert value == CellKey.from_id(int(col[i]), table.n_observed)
+                    # what the benchmark reads of a row's cell: its id and bits
+                    assert list(vars(value)) == ["id", "bits"]
+                    assert type(value.id) is int and value.id == col[i]
+                    assert value.bits == tuple(cell_bits(col[i : i + 1], table.n_observed)[0])
+                    assert type(value.bits) is tuple
                     assert all(type(b) is int for b in value.bits)
                     continue
                 entries = value if col.ndim == 2 else [value]
