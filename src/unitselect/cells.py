@@ -137,9 +137,9 @@ def aggregate(
 ) -> dict[int, np.ndarray]:
     """Count one regime's samples per cell.
 
-    ``samples`` is either a (n, n_observed+2) array of 0/1 values as produced
-    by datagen, where any other value raises ValueError, or a 1-D integer
-    array of row codes ``cell_id*4 + x*2 + y`` as ``datagen.iter_codes``
+    ``samples`` is either a (n, n_observed+2) bool or integer array of 0/1
+    values, where any other dtype or value raises ValueError, or a 1-D
+    integer array of row codes ``cell_id*4 + x*2 + y`` as ``datagen.iter_codes``
     yields them, whose width the keyword ``n_observed`` gives and where a
     code outside [0, 4 * 2**n_observed) raises ValueError.  More than
     ``MAX_CELLS`` cells raise CellSpaceTooLarge.  The result maps the id of
@@ -171,19 +171,17 @@ def aggregate(
     elif len(table) != n_cells:
         raise ValueError(f"into counts cells of another width than {n_observed} bits")
     # In chunks, so the temporaries stay small; all are checked before any is
-    # counted.  For integers the range decides, about 10 times faster.
+    # counted.
     chunks = [samples[start : start + SHARD_SIZE] for start in range(0, len(samples), SHARD_SIZE)]
     if samples.ndim == 1:
         if not all(chunk.min() >= 0 and chunk.max() < 4 * n_cells for chunk in chunks):
             raise ValueError(f"row codes must lie in [0, 4 * 2**{n_observed})")
         codes = (chunk.astype(np.intp, copy=False) for chunk in chunks)
     else:
-        if samples.dtype.kind in "biu":
-            binary = all(chunk.min() >= 0 and chunk.max() <= 1 for chunk in chunks)
-        else:
-            binary = all(((chunk == 0) | (chunk == 1)).all() for chunk in chunks)
-        if not binary:
-            raise ValueError("samples must hold only 0/1 values")
+        if samples.dtype.kind not in "biu" or not all(
+            chunk.min() >= 0 and chunk.max() <= 1 for chunk in chunks
+        ):
+            raise ValueError("samples must be a bool or integer array of 0/1 values")
         codes = map(row_codes, chunks)
     unseen = ~table.any(axis=1)
     for chunk in codes:
@@ -263,13 +261,15 @@ def build_labels(
 
 
 def split(labeled: LabelTable, spec: SplitSpec) -> tuple[LabelTable, LabelTable]:
-    """Seeded shuffle, then the first ceil(test_fraction * n) cells form the
-    test set.  Returns (train, test), each in shuffled order."""
+    """Seeded shuffle, then the first ceil(test_fraction * n) < n cells form
+    the test set.  Returns (train, test), each in shuffled order."""
     if not labeled:
         raise ValueError("cannot split an empty label table")
     rng = random_stream(spec.seed)
     order = rng.permutation(len(labeled))
     n_test = math.ceil(spec.test_fraction * len(labeled))
+    if n_test == len(labeled):
+        raise ValueError(f"test_fraction {spec.test_fraction} leaves no training cell")
     return labeled[order[n_test:]], labeled[order[:n_test]]
 
 

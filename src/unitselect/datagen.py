@@ -56,7 +56,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import ScmConfig, cell_bits, cell_ids, check_seed, eval_x, eval_y, random_stream
+from .model import ScmConfig, cell_bits, cell_ids, check_cell_space, check_seed
+from .model import eval_x, eval_y, random_stream
 from .tables import atomic_write
 
 __all__ = [
@@ -82,13 +83,10 @@ REGIMES = ("experimental", "observational")
 # Packed rows keep the observed bits from bit 0 of a uint32, x at bit 30 and
 # y at bit 31.
 _PACKED_X_BIT = 30
-_MAX_PACKED_OBSERVED = 30
 _SWAP_XY = np.array([0, 2, 1, 3], dtype=np.uint32)
 # The bytes "0," read as a little-endian uint16.
 _DIGIT_COMMA = np.uint16(ord("0") | ord(",") << 8)
 _NEWLINE_SHIFT = np.uint16((ord(",") - ord("\n")) << 8)  # "0\n" + this is "0,"
-# A row code, cell_id*4 + x*2 + y, must fit an int64.
-_MAX_CSV_OBSERVED = 61
 
 
 class DatasetFormatError(ValueError):
@@ -97,15 +95,15 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class DatasetMeta:
-    """Sidecar describing how a dataset file was produced.  ``format`` is
-    "csv" or "packed", or None in a sidecar written before it was recorded."""
+    """Sidecar describing how a dataset file was produced: every field is
+    required, and ``n_observed`` must pass ``check_cell_space``."""
 
     kind: str
     n: int
     seed: int
     n_observed: int
     config_fingerprint: str
-    format: str | None = None
+    format: str
 
     def __post_init__(self) -> None:
         if self.kind not in REGIMES:
@@ -115,15 +113,16 @@ class DatasetMeta:
                 raise DatasetFormatError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 0:
             raise DatasetFormatError("n must be nonnegative")
-        try:
-            check_seed(self.seed)
-        except ValueError as exc:
-            raise DatasetFormatError(str(exc)) from None
         if self.n_observed < 1:
             raise DatasetFormatError("n_observed must be at least 1")
+        try:
+            check_seed(self.seed)
+            check_cell_space(self.n_observed)
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc)) from None
         if not isinstance(self.config_fingerprint, str):
             raise DatasetFormatError("config_fingerprint must be a string")
-        if self.format not in (None, "csv", "packed"):
+        if self.format not in ("csv", "packed"):
             raise DatasetFormatError(f"format must be 'csv' or 'packed', got {self.format!r}")
 
 
@@ -246,15 +245,9 @@ def _block_to_csv_bytes(block: np.ndarray) -> np.ndarray:
 
 
 def _layout(path: Path, n_observed: int) -> tuple[str, bytes, int]:
-    """(format, header, bytes per row) of a dataset file: CSV for the suffix
-    ".csv", packed uint32 words for any other."""
-    csv = path.suffix == ".csv"
-    most = _MAX_CSV_OBSERVED if csv else _MAX_PACKED_OBSERVED
-    if n_observed > most:
-        raise DatasetFormatError(
-            f"{'CSV' if csv else 'packed'} format holds at most {most} observed bits"
-        )
-    if csv:
+    """(format, header, bytes per row) of a dataset file, whose width
+    ``DatasetMeta`` bounds: CSV for ".csv", packed uint32 words otherwise."""
+    if path.suffix == ".csv":
         cols = [f"z{i + 1}" for i in range(n_observed)] + ["x", "y"]
         return "csv", (",".join(cols) + "\n").encode("ascii"), 2 * (n_observed + 2)
     return "packed", b"", 4
@@ -323,7 +316,7 @@ def iter_codes(path: str | Path) -> Iterator[np.ndarray]:
     meta = read_meta(path)
     n_obs = meta.n_observed
     fmt, header, row_bytes = _layout(path, n_obs)
-    if meta.format not in (None, fmt):
+    if meta.format != fmt:
         raise DatasetFormatError(f"{meta_path(path)} describes a {meta.format} file, not {path}")
     # Packed words hold nothing but the id, x and y.
     stray = None if header else ~np.uint32((1 << n_obs) - 1 | 3 << _PACKED_X_BIT)

@@ -332,8 +332,6 @@ def load_model(path: str | Path) -> Model:
         h = doc["arch"]["hidden_width"]
         shapes = [(n_in, h), (h,), (h, h), (h,), (h, 1), (1,)]
         params = [np.reshape(doc["weights"][n], s) for n, s in zip(_PARAMS, shapes)]
-        # Files written while a minibatch trainer existed record its batch size.
-        doc["hyperparams"].pop("batch_size", None)
         hp = Hyperparams(**doc["hyperparams"])
         return Model(*params, hp, tuple(doc["loss_history"]))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:

@@ -142,9 +142,12 @@ class ScmConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ScmConfig":
         """Build a config from parsed JSON: one key per field, where only
-        fields with a default may be left out and unknown keys are ignored."""
+        fields with a default may be left out and no other key may appear."""
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"config has unknown key {unknown[0]!r}")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
         if missing:
             raise ConfigError(f"config is missing key {missing[0]!r}")

@@ -130,9 +130,11 @@ def test_aggregate_array_matches_row_tally(desk4):
     fast = aggregate(arr, "experimental")
     assert _as_lists(fast) == _tally_rows(arr)
     assert sum(row.sum() for row in fast.values()) == 20_000
-    # 0/1 values of any numeric dtype count the same
-    for dtype in (bool, np.int8, np.float64):
+    # 0/1 values of any bool or integer dtype count the same; floats are refused
+    for dtype in (bool, np.int8):
         assert _as_lists(aggregate(arr.astype(dtype), "experimental")) == _as_lists(fast)
+    with pytest.raises(ValueError, match="bool or integer array of 0/1 values"):
+        aggregate(arr.astype(np.float64), "experimental")
 
 
 def test_aggregate_merges_blocks(desk4):
@@ -571,6 +573,11 @@ def test_split_validation():
         SplitSpec(test_fraction=1.0)
     with pytest.raises(ValueError):
         split([], SplitSpec())
+    # the test set may not take every cell
+    for n, fraction in ((1, 0.2), (5, 0.9)):
+        with pytest.raises(ValueError, match="leaves no training cell"):
+            split(_fake_labels(n), SplitSpec(test_fraction=fraction))
+    assert [len(part) for part in split(_fake_labels(5), SplitSpec(0.8))] == [1, 4]
 
 
 def test_labels_csv_roundtrip(tmp_path):

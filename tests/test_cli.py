@@ -150,6 +150,15 @@ def test_label_no_eligible_cells(ws, tmp_path, capsys):
     assert len(_read_csv(out_dir / "drops.csv")) == 17
 
 
+def test_label_refuses_a_split_that_leaves_no_training_cell(ws, tmp_path, capsys):
+    out_dir = tmp_path / "labels"
+    assert run("label", "--exp", ws["exp"], "--obs", ws["obs"],
+               "--config", ws["config"], "--threshold", 50,
+               "--test-fraction", 0.99, "--seed", 7, "--out-dir", out_dir) == 2
+    assert "leaves no training cell" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("threshold", [-5, -1])
 def test_label_refuses_a_negative_threshold(ws, tmp_path, capsys, threshold):
     out_dir = tmp_path / "labels"
@@ -756,6 +765,10 @@ def test_malformed_config_exits_2(tmp_path, capsys, desk4):
     bad.write_text(json.dumps(weights))
     assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
     assert "weights_x must hold numbers" in capsys.readouterr().err
+    # a misspelled key would load as the default and fingerprint as it
+    bad.write_text(json.dumps(dict(dataclasses.asdict(desk4), experiment_asign_prob=0.9)))
+    assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
+    assert "unknown key 'experiment_asign_prob'" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -765,7 +778,9 @@ def test_label_refuses_a_cell_space_past_the_guard_before_reading(tmp_path, caps
     random_config(25, 0, seed=1).dump(config)
     for kind, seed in (("experimental", 1), ("observational", 2)):
         assert run("simulate", "--config", config, "--kind", kind, "--n", 100,
-                   "--seed", seed, "--out", tmp_path / f"{kind}.bin") == 0
+                   "--seed", seed, "--out", tmp_path / f"{kind}.bin") == 2
+        assert "2**25 cells exceeds the guard" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["wide.json"]
     reads = []
     monkeypatch.setattr(datagen, "read_dataset", lambda *a: reads.append(a))
     monkeypatch.setattr(datagen, "iter_codes", lambda *a: reads.append(a))

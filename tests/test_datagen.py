@@ -168,20 +168,19 @@ def test_empty_dataset(tmp_path, desk4):
     assert data.shape == (0, 6)
 
 
-def test_write_dataset_checks_before_opening(tmp_path, desk4):
-    from unitselect import random_config
-
-    wide = random_config(31, 0, seed=1)  # one bit more than a packed word holds
-    for n in (0, 10):
-        with pytest.raises(DatasetFormatError, match="at most 30 observed bits"):
-            write_dataset(tmp_path / "d.bin", wide, "experimental", n, seed=1)
-    # a 62-bit row code would not fit an int64
-    with pytest.raises(DatasetFormatError, match="at most 61 observed bits"):
-        write_dataset(tmp_path / "d.csv", random_config(62, 0, seed=1), "experimental", 10, seed=1)
+def test_write_dataset_checks_before_opening(tmp_path, desk4, monkeypatch):
+    opened = []
+    monkeypatch.setattr(datagen, "atomic_write", lambda *a, **k: opened.append(a))
+    wide = random_config(25, 0, seed=1)  # one bit past the cell-space guard
+    for name in ("d.bin", "d.csv"):
+        for n in (0, 10):
+            with pytest.raises(DatasetFormatError, match=r"2\*\*25 cells exceeds the guard"):
+                write_dataset(tmp_path / name, wide, "experimental", n, seed=1)
     with pytest.raises(ValueError):
         write_dataset(tmp_path / "d.csv", desk4, "interventional", 10, seed=1)
     with pytest.raises(ValueError):
         write_dataset(tmp_path / "d.csv", desk4, "experimental", -1, seed=1)
+    assert opened == []
     assert list(tmp_path.iterdir()) == []
 
 
@@ -238,9 +237,11 @@ def test_csv_rejects_non_binary_digits(tmp_path, desk4, digit):
 
 def test_meta_validation():
     with pytest.raises(DatasetFormatError):
-        DatasetMeta(kind="bogus", n=1, seed=0, n_observed=4, config_fingerprint="x")
+        DatasetMeta(kind="bogus", n=1, seed=0, n_observed=4, config_fingerprint="x",
+                    format="csv")
     with pytest.raises(DatasetFormatError):
-        DatasetMeta(kind="experimental", n=-1, seed=0, n_observed=4, config_fingerprint="x")
+        DatasetMeta(kind="experimental", n=-1, seed=0, n_observed=4, config_fingerprint="x",
+                    format="packed")
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -534,11 +535,25 @@ def test_sidecar_of_the_other_format_is_refused(tmp_path, desk4):
     with pytest.raises(DatasetFormatError, match="describes a packed file"):
         read_dataset(tmp_path / "exp.csv")
     assert read_dataset(tmp_path / "exp.bin")[0].shape == (1000, 6)
-    # a sidecar written before the format was recorded is read as either
+    # a sidecar that does not record its format is refused
     meta = json.loads(meta_path(tmp_path / "exp.bin").read_text())
     del meta["format"]
     meta_path(tmp_path / "exp.bin").write_text(json.dumps(meta))
-    assert read_dataset(tmp_path / "exp.bin")[1].format is None
+    with pytest.raises(DatasetFormatError, match="^bad dataset sidecar .*'format'"):
+        read_dataset(tmp_path / "exp.bin")
+
+
+def test_sidecar_past_the_cell_space_guard_is_refused_before_any_row(tmp_path, desk4,
+                                                                      monkeypatch):
+    path = tmp_path / "exp.bin"
+    write_dataset(path, desk4, "experimental", 1000, seed=1)
+    meta = json.loads(meta_path(path).read_text())
+    meta_path(path).write_text(json.dumps(dict(meta, n_observed=25)))
+    reads = []
+    monkeypatch.setattr(np, "fromfile", lambda *a, **k: reads.append(a))
+    with pytest.raises(DatasetFormatError, match=r"2\*\*25 cells exceeds the guard"):
+        next(iter_codes(path))
+    assert reads == []
 
 
 # Probabilities at the edges of the raw-word comparison: never, always, a
@@ -633,13 +648,13 @@ def test_row_codes_fold_blocks_of_any_dtype(n_obs):
 
 
 def test_wide_csv_rows_read_as_codes(tmp_path):
-    # 61 observed bits: the widest code an int64 holds
-    config = random_config(61, 0, seed=2)
+    # 24 observed bits: the widest dataset the cell-space guard lets through
+    config = random_config(24, 0, seed=2)
     path = tmp_path / "wide.csv"
     write_dataset(path, config, "observational", 50, seed=3)
     (codes,) = iter_codes(path)
     rows = _rows(config, "observational", 50, seed=3)
-    expect = [sum(int(b) << i for i, b in enumerate(r[:61])) * 4 + int(r[61]) * 2 + int(r[62])
+    expect = [sum(int(b) << i for i, b in enumerate(r[:24])) * 4 + int(r[24]) * 2 + int(r[25])
               for r in rows]
     assert codes.tolist() == expect
     assert np.array_equal(read_dataset(path)[0], rows)

@@ -13,6 +13,7 @@ from oracles import reference_forward, reference_train
 
 from unitselect import learner
 from unitselect.bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector, value_range
+from unitselect.cli import main
 from unitselect.informer import informer_table
 from unitselect.learner import (
     Hyperparams,
@@ -381,8 +382,9 @@ def test_model_save_load_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("batch_size", [None, 4])
-def test_model_file_with_a_recorded_batch_size_loads(tmp_path, batch_size):
-    # Files written while a minibatch trainer existed record a batch size.
+def test_model_file_with_a_recorded_batch_size_is_refused(tmp_path, capsys, batch_size):
+    # Files written while a minibatch trainer existed record a batch size,
+    # a hyperparameter no trainer reads any more.
     feats = _all_bits(4)
     targets = [0.3 * f[2] - 0.1 for f in feats]
     model = train(feats, targets, Hyperparams(hidden_width=8, epochs=20, seed=6))
@@ -392,12 +394,13 @@ def test_model_file_with_a_recorded_batch_size_loads(tmp_path, batch_size):
     assert "batch_size" not in doc["hyperparams"]
     doc["hyperparams"]["batch_size"] = batch_size
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    loaded = load_model(path)
-    assert loaded.hyperparams == model.hyperparams
-    v = DEFAULT_BENEFIT_VECTOR
-    want, got = predict_all(model, model, 4, v), predict_all(loaded, loaded, 4, v)
-    for name in PredictionTable._columns:
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    with pytest.raises(ValueError, match="^malformed model file .*'batch_size'"):
+        load_model(path)
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model-lower", str(path), "--model-upper", str(path),
+                 "--out", str(out)]) == 2
+    assert f"malformed model file {path}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_save_model_leaves_the_old_file_whole(tmp_path, monkeypatch):

@@ -66,6 +66,9 @@ def test_config_validation():
         ScmConfig.from_dict({k: v for k, v in base.items() if k != "bern_uy"})
     without_default = {k: v for k, v in base.items() if k != "experiment_assign_prob"}
     assert ScmConfig.from_dict(without_default).experiment_assign_prob == 0.5
+    # a misspelled key would otherwise leave its field at the default
+    with pytest.raises(ConfigError, match="^config has unknown key 'experiment_asign_prob'$"):
+        ScmConfig.from_dict(dict(without_default, experiment_asign_prob=0.9, zz_note="x"))
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,13 @@
-"""The CI workflow parses, and each of its steps does something."""
+"""The CI workflow parses, each of its steps does something, and its oldest
+leg runs the oldest Python and numpy that pyproject.toml allows."""
 
+import re
 from pathlib import Path
 
 import yaml
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_workflow_steps_each_run_or_use_an_action():
@@ -14,3 +17,14 @@ def test_workflow_steps_each_run_or_use_an_action():
     for step in steps:
         assert isinstance(step, dict), step
         assert isinstance(step.get("run") or step.get("uses"), str), step
+
+
+def test_oldest_leg_is_the_declared_floor():
+    # Read by pattern: tomllib is not in Python 3.10, the oldest leg.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    python = re.search(r'^requires-python = ">=([\d.]+)"$', text, re.M).group(1)
+    numpy = re.search(r'^dependencies = \["numpy>=([\d.]+)"\]$', text, re.M).group(1)
+    doc = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    legs = doc["jobs"]["tests"]["strategy"]["matrix"]["include"]
+    oldest = min(legs, key=lambda leg: tuple(map(int, leg["python-version"].split("."))))
+    assert oldest == {"python-version": python, "numpy": f"numpy=={numpy}.*"}
