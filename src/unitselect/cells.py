@@ -1,20 +1,25 @@
 """Per-cell counts of finite samples and bound-label construction.
 
-``aggregate`` counts one regime's samples into a dense
-``(2**n_observed, 4)`` int64 table: one row per cell id, one column per
-``x*2 + y``, so a row holds the counts of (x', y'), (x', y), (x, y') and
-(x, y).  It returns a map from the id of each cell seen to that cell's row,
-a view of the table.  Estimates are raw frequentist ratios (no smoothing),
-and a cell earns labels only when both regimes observed it at least
-``threshold`` times, both experimental arms are populated, and the estimated
-interval is consistent.  Everything else lands in a drop log with a reason
-code.
+Counts of one regime's samples live in a dense ``(2**n_observed, 4)`` int64
+table: one row per cell id, one column per ``x*2 + y``, so a row holds the
+counts of (x', y'), (x', y), (x, y') and (x, y), and a cell is seen when its
+row is nonzero.  ``label`` counts each regime into one such table, shard by
+shard, and labels straight from the two tables, so its memory follows the
+table and not the cells seen.  ``aggregate`` returns a map from the id of
+each cell seen to that cell's row, a view of the table, and
+``build_labels`` takes two such maps: both are kept for ``into=`` callers
+until the public API takes tables (ROADMAP item 13), and both run the
+counting and labelling kernels that ``label`` runs.  Estimates are raw
+frequentist ratios (no smoothing), and a cell earns labels only when both
+regimes observed it at least ``threshold`` times, both experimental arms
+are populated, and the estimated interval is consistent.  Everything else
+lands in a drop log with a reason code.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,6 +156,43 @@ def aggregate(
     two maps merged into one dict), raises ValueError; a refused call
     changes nothing.
     """
+    out = {} if into is None else into
+    table, codes = _checked_codes(samples, regime, _table_of(out), n_observed)
+    unseen = ~table.any(axis=1)
+    # Added here, not by _count, so the last chunk's codes are still held
+    # while the new row views are made: freed first, that buffer takes the
+    # views' small allocations and stays in the heap, which raised the
+    # appendix benchmark's peak memory.
+    for chunk in codes:
+        table += np.bincount(chunk, minlength=table.size).reshape(-1, 4)
+    new = np.flatnonzero(unseen & table.any(axis=1)).tolist()
+    out.update(zip(new, map(table.__getitem__, new)))
+    return out
+
+
+def _count(
+    samples: np.ndarray,
+    regime: str,
+    table: np.ndarray | None = None,
+    *,
+    n_observed: int | None = None,
+) -> np.ndarray:
+    """The counting kernel: add the counts of ``samples``, checked as
+    ``aggregate`` checks them, to ``table``, a (2**n_observed, 4) int64
+    table, or to a new one if None, and return it.  A refused call changes
+    nothing."""
+    table, codes = _checked_codes(samples, regime, table, n_observed)
+    for chunk in codes:
+        table += np.bincount(chunk, minlength=table.size).reshape(-1, 4)
+    return table
+
+
+def _checked_codes(
+    samples: np.ndarray, regime: str, table: np.ndarray | None, n_observed: int | None
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """``aggregate``'s checks of its arguments, all made before any count:
+    the table to count into (a new one if ``table`` is None) and the row
+    codes of ``samples``, chunk by chunk."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if not isinstance(samples, np.ndarray) or samples.ndim not in (1, 2):
@@ -164,31 +206,21 @@ def aggregate(
     elif samples.dtype.kind not in "iu" or type(n_observed) is not int or n_observed < 1:
         raise ValueError("row codes must be an integer array, with n_observed >= 1 given")
     n_cells = check_cell_space(n_observed)
-    out = {} if into is None else into
-    table = _table_of(out)
     if table is None:
         table = np.zeros((n_cells, 4), dtype=np.int64)
     elif len(table) != n_cells:
         raise ValueError(f"into counts cells of another width than {n_observed} bits")
-    # In chunks, so the temporaries stay small; all are checked before any is
-    # counted.
+    # In chunks, so the temporaries stay small.
     chunks = [samples[start : start + SHARD_SIZE] for start in range(0, len(samples), SHARD_SIZE)]
     if samples.ndim == 1:
         if not all(chunk.min() >= 0 and chunk.max() < 4 * n_cells for chunk in chunks):
             raise ValueError(f"row codes must lie in [0, 4 * 2**{n_observed})")
-        codes = (chunk.astype(np.intp, copy=False) for chunk in chunks)
-    else:
-        if samples.dtype.kind not in "biu" or not all(
-            chunk.min() >= 0 and chunk.max() <= 1 for chunk in chunks
-        ):
-            raise ValueError("samples must be a bool or integer array of 0/1 values")
-        codes = map(row_codes, chunks)
-    unseen = ~table.any(axis=1)
-    for chunk in codes:
-        table += np.bincount(chunk, minlength=4 * n_cells).reshape(-1, 4)
-    new = np.flatnonzero(unseen & table.any(axis=1)).tolist()
-    out.update(zip(new, map(table.__getitem__, new)))
-    return out
+        return table, (chunk.astype(np.intp, copy=False) for chunk in chunks)
+    if samples.dtype.kind not in "biu" or not all(
+        chunk.min() >= 0 and chunk.max() <= 1 for chunk in chunks
+    ):
+        raise ValueError("samples must be a bool or integer array of 0/1 values")
+    return table, map(row_codes, chunks)
 
 
 def _arms(exp: np.ndarray, obs: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -230,15 +262,32 @@ def build_labels(
     and ``benefit_bounds``, computed for all cells at once, and the labels
     are clamped by ``clamp_to_range``.
     """
-    check_threshold(threshold)
     tables = [_table_of(m) for m in (exp_map, obs_map)]
-    widths = {len(t) for t in tables if t is not None}
-    if len(widths) > 1:
-        raise ValueError("cells of different widths cannot share a label table")
-    n_observed = max(widths, default=1).bit_length() - 1
+    n_cells = max((len(t) for t in tables if t is not None), default=1)
+    exp, obs = (np.zeros((n_cells, 4), np.int64) if t is None else t for t in tables)
+    # The keys say which cells a map saw, even where a row built by hand is zero.
     ids = np.union1d(*(np.fromiter(m, np.int64, len(m)) for m in (exp_map, obs_map)))
-    exp, obs = (np.zeros((len(ids), 4), np.int64) if t is None else t[ids] for t in tables)
-    (treated, treated_y1, control, control_y1), obs = _arms(exp, obs)
+    return _label(exp, obs, v, threshold, ids)
+
+
+def _label(
+    exp_counts: np.ndarray,
+    obs_counts: np.ndarray,
+    v: BenefitVector,
+    threshold: int,
+    ids: np.ndarray | None = None,
+) -> tuple[LabelTable, DropTable]:
+    """The labelling kernel of ``build_labels``, on two count tables of one
+    shape, one per regime, as ``_count`` fills them.  It labels the cells
+    ``ids``, ascending, and by default every cell whose row is nonzero in
+    either table."""
+    check_threshold(threshold)
+    if exp_counts.shape != obs_counts.shape:
+        raise ValueError("cells of different widths cannot share a label table")
+    n_observed = len(exp_counts).bit_length() - 1
+    if ids is None:
+        ids = np.flatnonzero(exp_counts.any(axis=1) | obs_counts.any(axis=1))
+    (treated, treated_y1, control, control_y1), obs = _arms(exp_counts[ids], obs_counts[ids])
     n_exp = treated + control
     n_obs = obs.sum(axis=1)
 

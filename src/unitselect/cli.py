@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -87,21 +86,22 @@ def _cmd_informer(args: argparse.Namespace) -> int:
 
 def _cmd_label(args: argparse.Namespace) -> int:
     config = ScmConfig.load(args.config)
-    check_cell_space(config.n_observed)  # before reading either dataset
+    n_cells = check_cell_space(config.n_observed)  # before reading either dataset
     spec = cells.SplitSpec(test_fraction=args.test_fraction, seed=args.seed)
     _check_dataset(args.exp, config, "experimental")
     _check_dataset(args.obs, config, "observational")
-    maps = {"experimental": {}, "observational": {}}
+    tables = []
     for path, regime in ((args.exp, "experimental"), (args.obs, "observational")):
+        table = np.zeros((n_cells, 4), dtype=np.int64)
         for codes in datagen.iter_codes(path):  # a shard at a time
-            cells.aggregate(codes, regime, into=maps[regime], n_observed=config.n_observed)
-    labels, drops = cells.build_labels(*maps.values(), args.vector, args.threshold)
+            cells._count(codes, regime, table, n_observed=config.n_observed)
+        tables.append(table)
+    labels, drops = cells._label(*tables, args.vector, args.threshold)
     if labels:
         train_set, test_set = cells.split(labels, spec)
     else:
         print("warning: no eligible cells at this threshold", file=sys.stderr)
-        # Empty datasets leave the width to the config.
-        train_set = test_set = replace(labels, n_observed=config.n_observed)
+        train_set = test_set = labels
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

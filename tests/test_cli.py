@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import unitselect
-from unitselect import datagen
+from unitselect import cells, datagen
+from unitselect.bounds import DEFAULT_BENEFIT_VECTOR
 from unitselect.cells import SplitSpec
 from unitselect.cli import _build_parser, main
 from unitselect.informer import read_informer_csv
@@ -392,6 +393,93 @@ def test_label_memory_follows_the_shard_not_the_file(ws, shards, tmp_path, suffi
         tracemalloc.stop()
     assert rc == 0
     assert peak < 48 * datagen.SHARD_SIZE
+
+
+def _simulate_pair(config, n_exp, n_obs, root, suffix=".bin"):
+    """Both regimes of ``config``, with ``n_exp`` and ``n_obs`` rows, under
+    ``root``; returns the config file and the two dataset paths."""
+    root.mkdir()
+    path = root / "config.json"
+    config.dump(path)
+    data = []
+    for kind, n, seed in (("experimental", n_exp, 21), ("observational", n_obs, 22)):
+        data.append(root / f"{kind}{suffix}")
+        assert run("simulate", "--config", path, "--kind", kind, "--n", n,
+                   "--seed", seed, "--out", data[-1]) == 0
+    return path, *data
+
+
+def test_label_memory_follows_the_table_not_the_cells_seen(tmp_path):
+    # 20 observed bits: a count table is 32 MiB, and over 100,000 cells are
+    # seen.  Counting holds both regimes' tables and one table-sized count
+    # temporary next to one shard; a row view per cell seen would add about
+    # 200 bytes a cell.
+    config, exp, obs = _simulate_pair(
+        random_config(20, 2, seed=5), 4 * datagen.SHARD_SIZE + 5,
+        4 * datagen.SHARD_SIZE + 5, tmp_path / "data",
+    )
+    table = (1 << 20) * 4 * 8
+    tracemalloc.start()
+    try:
+        rc = run("label", "--exp", exp, "--obs", obs, "--config", config, "--threshold", 50,
+                 "--seed", 7, "--out-dir", tmp_path / "labels")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 3 * table + 48 * datagen.SHARD_SIZE
+
+
+def test_label_builds_no_count_map(ws, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("label counted through the count-map API")
+
+    monkeypatch.setattr(cells, "aggregate", refuse)
+    monkeypatch.setattr(cells, "build_labels", refuse)
+    out_dir = tmp_path / "labels"
+    assert run("label", "--exp", ws["exp"], "--obs", ws["obs"], "--config", ws["config"],
+               "--threshold", 50, "--test-fraction", 0.2, "--seed", 7,
+               "--out-dir", out_dir) == 0
+    for name in ("train_labels.csv", "test_labels.csv", "drops.csv"):
+        assert (out_dir / name).read_bytes() == (ws["labels"] / name).read_bytes()
+
+
+def _label_through_maps(config, exp, obs, threshold, seed, out_dir):
+    """``label``'s three files, built with ``aggregate`` count maps and
+    ``build_labels`` from the same shards."""
+    maps = ({}, {})
+    for path, regime, counts in zip((exp, obs), datagen.REGIMES, maps):
+        for codes in datagen.iter_codes(path):
+            cells.aggregate(codes, regime, into=counts, n_observed=config.n_observed)
+    labels, drops = cells.build_labels(*maps, DEFAULT_BENEFIT_VECTOR, threshold)
+    # The maps of two empty datasets leave the width to the config.
+    labels = dataclasses.replace(labels, n_observed=config.n_observed)
+    train_set, test_set = cells.split(labels, SplitSpec(seed=seed)) if labels else (labels,) * 2
+    out_dir.mkdir()
+    cells.write_labels_csv(train_set, out_dir / "train_labels.csv")
+    cells.write_labels_csv(test_set, out_dir / "test_labels.csv")
+    cells.write_drops_csv(drops, out_dir / "drops.csv")
+
+
+@pytest.mark.parametrize(
+    "bits, n_exp, n_obs, threshold",
+    [
+        (4, 40_000, 40_000, 50),  # desk4
+        (16, 2 * datagen.SHARD_SIZE + 3, 2 * datagen.SHARD_SIZE + 7, 20),
+        (16, datagen.SHARD_SIZE, 0, 0),  # one empty regime: every cell a ZERO_ARM drop
+        (4, 0, 1000, 0),
+        (4, 0, 0, 50),  # both empty
+    ],
+)
+def test_label_writes_what_the_count_maps_give(desk4, tmp_path, bits, n_exp, n_obs, threshold):
+    config = desk4 if bits == 4 else random_config(bits, 2, seed=16)
+    suffix = ".csv" if bits == 4 else ".bin"
+    path, exp, obs = _simulate_pair(config, n_exp, n_obs, tmp_path / "data", suffix)
+    assert run("label", "--exp", exp, "--obs", obs, "--config", path, "--threshold", threshold,
+               "--seed", 7, "--out-dir", tmp_path / "tables") == 0
+    _label_through_maps(config, exp, obs, threshold, 7, tmp_path / "maps")
+    for name in ("train_labels.csv", "test_labels.csv", "drops.csv"):
+        assert (tmp_path / "tables" / name).read_bytes() == (tmp_path / "maps" / name).read_bytes()
 
 
 def test_label_writes_the_same_labels_from_csv_and_packed_files(ws, shards, tmp_path):
