@@ -157,15 +157,10 @@ def aggregate(
     changes nothing.
     """
     out = {} if into is None else into
-    table, codes = _checked_codes(samples, regime, _table_of(out), n_observed)
-    unseen = ~table.any(axis=1)
-    # Added here, not by _count, so the last chunk's codes are still held
-    # while the new row views are made: freed first, that buffer takes the
-    # views' small allocations and stays in the heap, which raised the
-    # appendix benchmark's peak memory.
-    for chunk in codes:
-        table += np.bincount(chunk, minlength=table.size).reshape(-1, 4)
-    new = np.flatnonzero(unseen & table.any(axis=1)).tolist()
+    table = _table_of(out)
+    seen = np.False_ if table is None else table.any(axis=1)
+    table = _count(samples, regime, table, n_observed=n_observed)
+    new = np.flatnonzero(table.any(axis=1) & ~seen).tolist()
     out.update(zip(new, map(table.__getitem__, new)))
     return out
 
@@ -173,14 +168,14 @@ def aggregate(
 def _count(
     samples: np.ndarray,
     regime: str,
-    table: np.ndarray | None = None,
+    table: np.ndarray | None,
     *,
     n_observed: int | None = None,
 ) -> np.ndarray:
     """The counting kernel: add the counts of ``samples``, checked as
     ``aggregate`` checks them, to ``table``, a (2**n_observed, 4) int64
-    table, or to a new one if None, and return it.  A refused call changes
-    nothing."""
+    table, and return it; ``aggregate``'s first call passes None for a new
+    one.  A refused call changes nothing."""
     table, codes = _checked_codes(samples, regime, table, n_observed)
     for chunk in codes:
         table += np.bincount(chunk, minlength=table.size).reshape(-1, 4)
@@ -262,17 +257,15 @@ def build_labels(
     and ``benefit_bounds``, computed for all cells at once, and the labels
     are clamped by ``clamp_to_range``.
     """
-    tables = [_table_of(m) for m in (exp_map, obs_map)]
-    n_cells = max((len(t) for t in tables if t is not None), default=1)
-    exp, obs = (np.zeros((n_cells, 4), np.int64) if t is None else t for t in tables)
+    exp, obs = (_table_of(m) for m in (exp_map, obs_map))
     # The keys say which cells a map saw, even where a row built by hand is zero.
     ids = np.union1d(*(np.fromiter(m, np.int64, len(m)) for m in (exp_map, obs_map)))
     return _label(exp, obs, v, threshold, ids)
 
 
 def _label(
-    exp_counts: np.ndarray,
-    obs_counts: np.ndarray,
+    exp_counts: np.ndarray | None,
+    obs_counts: np.ndarray | None,
     v: BenefitVector,
     threshold: int,
     ids: np.ndarray | None = None,
@@ -280,14 +273,19 @@ def _label(
     """The labelling kernel of ``build_labels``, on two count tables of one
     shape, one per regime, as ``_count`` fills them.  It labels the cells
     ``ids``, ascending, and by default every cell whose row is nonzero in
-    either table."""
+    either table.  Given ``ids``, a table may be None, for a regime with no
+    counts."""
     check_threshold(threshold)
-    if exp_counts.shape != obs_counts.shape:
+    tables = [t for t in (exp_counts, obs_counts) if t is not None]
+    if len({t.shape for t in tables}) > 1:
         raise ValueError("cells of different widths cannot share a label table")
-    n_observed = len(exp_counts).bit_length() - 1
+    n_observed = len(tables[0]).bit_length() - 1 if tables else 0
     if ids is None:
         ids = np.flatnonzero(exp_counts.any(axis=1) | obs_counts.any(axis=1))
-    (treated, treated_y1, control, control_y1), obs = _arms(exp_counts[ids], obs_counts[ids])
+    exp_rows, obs_rows = (
+        np.zeros((len(ids), 4), np.int64) if t is None else t[ids] for t in (exp_counts, obs_counts)
+    )
+    (treated, treated_y1, control, control_y1), obs = _arms(exp_rows, obs_rows)
     n_exp = treated + control
     n_obs = obs.sum(axis=1)
 

@@ -434,6 +434,23 @@ def test_build_labels_missing_from_one_regime():
     assert drops == _table(DropTable, [((0,), BELOW_THRESHOLD, 80, 0)], 1)
 
 
+@pytest.mark.parametrize("empty", ["exp", "obs"])
+def test_build_labels_with_an_empty_map_allocates_no_table(empty):
+    # At 20 bits a count table takes 32 MiB; the missing regime's counts
+    # should cost the rows of the cells seen, not a table of zeros.
+    seen = _count_map({5: _exp_row(40, 20, 40, 4)}, 20)
+    maps = ({}, seen) if empty == "exp" else (seen, {})
+    tracemalloc.start()
+    try:
+        labels, drops = build_labels(*maps, DEFAULT_BENEFIT_VECTOR, threshold=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 0 and labels.n_observed == drops.n_observed == 20
+    assert list(drops.cell_id) == [5] and list(drops.reason) == [BELOW_THRESHOLD]
+    assert peak < 2**20
+
+
 def test_build_labels_within_value_range():
     v = BenefitVector(beta=1.0, gamma=-1.0, theta=-1.0, delta=-2.0)
     lo, hi = value_range(v)
