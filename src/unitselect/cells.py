@@ -1,25 +1,25 @@
 """Per-cell counts of finite samples and bound-label construction.
 
 Counts of one regime's samples live in a dense ``(2**n_observed, 4)`` int64
-table: one row per cell id, one column per ``x*2 + y``, so a row holds the
-counts of (x', y'), (x', y), (x, y') and (x, y), and a cell is seen when its
-row is nonzero.  ``label`` counts each regime into one such table, shard by
-shard, and labels straight from the two tables, so its memory follows the
-table and not the cells seen.  ``aggregate`` returns a map from the id of
-each cell seen to that cell's row, a view of the table, and
-``build_labels`` takes two such maps: both are kept for ``into=`` callers
-until the public API takes tables (ROADMAP item 13), and both run the
-counting and labelling kernels that ``label`` runs.  Estimates are raw
-frequentist ratios (no smoothing), and a cell earns labels only when both
-regimes observed it at least ``threshold`` times, both experimental arms
-are populated, and the estimated interval is consistent.  Everything else
-lands in a drop log with a reason code.
+count table: one row per cell id, one column per ``x*2 + y``, so a row holds
+the counts of (x', y'), (x', y), (x, y') and (x, y), and a cell is seen when
+its row is nonzero.  ``aggregate`` returns such a table, or adds to the one
+passed as ``into``, shard by shard, and ``build_labels`` labels from two of
+them, one per regime, so memory follows the table and not the cells seen.
+A dict passed as ``into``, or as both arguments of ``build_labels``, is the
+older count-map form, a map from the id of each cell seen to a view of its
+row; it stays only until the benchmark's appendix pipeline counts into
+tables (ROADMAP item 4).  Estimates are raw frequentist ratios (no
+smoothing), and a cell earns labels only when both regimes observed it at
+least ``threshold`` times, both experimental arms are populated, and the
+estimated interval is consistent.  Everything else lands in a drop log with
+a reason code.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,19 +116,23 @@ def check_threshold(threshold: int) -> int:
     return threshold
 
 
-def _table_of(counts: Mapping[int, np.ndarray]) -> np.ndarray | None:
-    """The (2**k, 4) int64 table whose rows a count map holds, which must be
-    the base of every row: a map merged from two maps is refused, since
-    only one table's counts would be read.  None if the map is empty."""
+def _is_table(counts: object) -> bool:
+    """Whether ``counts`` is a count table: a (2**k, 4) int64 array."""
+    return (
+        isinstance(counts, np.ndarray)
+        and counts.dtype == np.int64
+        and counts.shape == (1 << (counts.size // 4 - 1).bit_length(), 4)
+    )
+
+
+def _table_of(counts: dict[int, np.ndarray]) -> np.ndarray | None:
+    """The count table whose rows a count map holds, which must be the base
+    of every row: a map merged from two maps is refused, since only one
+    table's counts would be read.  None if the map is empty."""
     if not counts:
         return None
     table = getattr(next(iter(counts.values())), "base", None)
-    if not (
-        isinstance(table, np.ndarray)
-        and table.dtype == np.int64
-        and table.shape == (1 << (table.size // 4 - 1).bit_length(), 4)
-        and all(getattr(row, "base", None) is table for row in counts.values())
-    ):
+    if not (_is_table(table) and all(getattr(r, "base", None) is table for r in counts.values())):
         raise ValueError("a count map's rows must be views of the table aggregate made")
     return table
 
@@ -136,10 +140,10 @@ def _table_of(counts: Mapping[int, np.ndarray]) -> np.ndarray | None:
 def aggregate(
     samples: np.ndarray,
     regime: str,
-    into: dict[int, np.ndarray] | None = None,
+    into: np.ndarray | dict[int, np.ndarray] | None = None,
     *,
     n_observed: int | None = None,
-) -> dict[int, np.ndarray]:
+) -> np.ndarray | dict[int, np.ndarray]:
     """Count one regime's samples per cell.
 
     ``samples`` is either a (n, n_observed+2) bool or integer array of 0/1
@@ -147,39 +151,35 @@ def aggregate(
     integer array of row codes ``cell_id*4 + x*2 + y`` as ``datagen.iter_codes``
     yields them, whose width the keyword ``n_observed`` gives and where a
     code outside [0, 4 * 2**n_observed) raises ValueError.  More than
-    ``MAX_CELLS`` cells raise CellSpaceTooLarge.  The result maps the id of
-    each cell seen to its row of one (2**n_observed, 4) int64 table, whose
-    column ``x*2 + y`` counts the rows with that x and y.  Pass a returned
-    map as ``into`` to merge across shards: its table is added to, and a key
-    is inserted only for a cell seen for the first time.  An ``into`` of
-    another width, or whose rows are not all views of one such table (say,
-    two maps merged into one dict), raises ValueError; a refused call
-    changes nothing.
+    ``MAX_CELLS`` cells raise CellSpaceTooLarge.  The result is a
+    (2**n_observed, 4) int64 count table whose row ``cell_id``, column
+    ``x*2 + y``, counts the rows of that cell with that x and y: a new one,
+    or ``into`` itself with these counts added, to merge across shards.  An
+    ``into`` that is not a writable count table, or of another width, raises
+    ValueError; a refused call changes nothing.
+
+    A dict ``into`` is the count-map form (see the module docstring): its
+    table is added to, a key is inserted for each cell seen for the first
+    time, and the map is returned.  A map whose rows are not all views of
+    one table (say, two maps merged into one dict) raises ValueError.
     """
-    out = {} if into is None else into
-    table = _table_of(out)
-    seen = np.False_ if table is None else table.any(axis=1)
-    table = _count(samples, regime, table, n_observed=n_observed)
-    new = np.flatnonzero(table.any(axis=1) & ~seen).tolist()
-    out.update(zip(new, map(table.__getitem__, new)))
-    return out
-
-
-def _count(
-    samples: np.ndarray,
-    regime: str,
-    table: np.ndarray | None,
-    *,
-    n_observed: int | None = None,
-) -> np.ndarray:
-    """The counting kernel: add the counts of ``samples``, checked as
-    ``aggregate`` checks them, to ``table``, a (2**n_observed, 4) int64
-    table, and return it; ``aggregate``'s first call passes None for a new
-    one.  A refused call changes nothing."""
+    if isinstance(into, dict):
+        table = _table_of(into)
+        seen = np.False_ if table is None else table.any(axis=1)
+    elif into is None or (_is_table(into) and into.flags.writeable):
+        table = into
+    else:
+        raise ValueError("into must be a writable (2**n_observed, 4) int64 count table")
     table, codes = _checked_codes(samples, regime, table, n_observed)
     for chunk in codes:
         table += np.bincount(chunk, minlength=table.size).reshape(-1, 4)
-    return table
+    if not isinstance(into, dict):
+        return table
+    # Made while the last chunk is still referenced: a view's small
+    # allocation would otherwise land in that freed buffer and pin it.
+    new = np.flatnonzero(table.any(axis=1) & ~seen).tolist()
+    into.update(zip(new, map(table.__getitem__, new)))
+    return into
 
 
 def _checked_codes(
@@ -241,40 +241,33 @@ def estimate(
 
 
 def build_labels(
-    exp_map: Mapping[int, np.ndarray],
-    obs_map: Mapping[int, np.ndarray],
+    exp_counts: np.ndarray | dict[int, np.ndarray],
+    obs_counts: np.ndarray | dict[int, np.ndarray],
     v: BenefitVector,
     threshold: int = DEFAULT_THRESHOLD,
 ) -> tuple[LabelTable, DropTable]:
     """Bound labels for every eligible cell, plus the drop log.
 
-    The maps are ``aggregate``'s, one per regime, each with its rows in one
-    table, else ValueError; the width is that of their tables, which must
-    agree.  A cell is eligible when it was seen at least ``threshold`` times
-    in each regime; ``check_threshold`` must accept ``threshold``.  Cells
-    seen in neither map appear in neither table, and both tables are in
+    The counts are ``aggregate``'s count tables, one per regime, of one
+    width, else ValueError; a cell is seen when its row is nonzero in
+    either.  Two count maps are taken too, where a cell is seen when either
+    map holds its key; a table paired with a map raises ValueError.  A cell
+    is eligible when it was seen at least ``threshold`` times in each
+    regime; ``check_threshold`` must accept ``threshold``.  Cells seen in
+    neither regime appear in neither table, and both tables are in
     ascending id order.  The estimates and bounds are those of ``estimate``
     and ``benefit_bounds``, computed for all cells at once, and the labels
     are clamped by ``clamp_to_range``.
     """
-    exp, obs = (_table_of(m) for m in (exp_map, obs_map))
-    # The keys say which cells a map saw, even where a row built by hand is zero.
-    ids = np.union1d(*(np.fromiter(m, np.int64, len(m)) for m in (exp_map, obs_map)))
-    return _label(exp, obs, v, threshold, ids)
-
-
-def _label(
-    exp_counts: np.ndarray | None,
-    obs_counts: np.ndarray | None,
-    v: BenefitVector,
-    threshold: int,
-    ids: np.ndarray | None = None,
-) -> tuple[LabelTable, DropTable]:
-    """The labelling kernel of ``build_labels``, on two count tables of one
-    shape, one per regime, as ``_count`` fills them.  It labels the cells
-    ``ids``, ascending, and by default every cell whose row is nonzero in
-    either table.  Given ``ids``, a table may be None, for a regime with no
-    counts."""
+    ids = None
+    if isinstance(exp_counts, dict) and isinstance(obs_counts, dict):
+        # The keys say which cells a map saw, even where a row built by hand
+        # is zero; an empty map has no table, and its rows are gathered as
+        # zeros.
+        ids = np.union1d(*(np.fromiter(m, np.int64, len(m)) for m in (exp_counts, obs_counts)))
+        exp_counts, obs_counts = _table_of(exp_counts), _table_of(obs_counts)
+    elif not (_is_table(exp_counts) and _is_table(obs_counts)):
+        raise ValueError("counts must be two (2**n_observed, 4) int64 tables, or two count maps")
     check_threshold(threshold)
     tables = [t for t in (exp_counts, obs_counts) if t is not None]
     if len({t.shape for t in tables}) > 1:

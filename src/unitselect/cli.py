@@ -94,9 +94,9 @@ def _cmd_label(args: argparse.Namespace) -> int:
     for path, regime in ((args.exp, "experimental"), (args.obs, "observational")):
         table = np.zeros((n_cells, 4), dtype=np.int64)
         for codes in datagen.iter_codes(path):  # a shard at a time
-            cells._count(codes, regime, table, n_observed=config.n_observed)
+            cells.aggregate(codes, regime, table, n_observed=config.n_observed)
         tables.append(table)
-    labels, drops = cells._label(*tables, args.vector, args.threshold)
+    labels, drops = cells.build_labels(*tables, args.vector, args.threshold)
     if labels:
         train_set, test_set = cells.split(labels, spec)
     else:

@@ -204,6 +204,8 @@ def iter_blocks(
     the shards in flight; a worker's error is raised here."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
+    if type(n_samples) is not int:  # refuses 1.5, True and "5"
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 0:
         raise ValueError("n_samples must be nonnegative")
     check_seed(seed)

@@ -73,8 +73,12 @@ def _tally_rows(arr):
     return out
 
 
-def _as_lists(count_map):
-    return {cid: row.tolist() for cid, row in count_map.items()}
+def _as_lists(counts):
+    """Each seen cell's counts by id: a count table's nonzero rows, or a
+    count map's rows."""
+    if isinstance(counts, dict):
+        return {cid: row.tolist() for cid, row in counts.items()}
+    return {cid: counts[cid].tolist() for cid in np.flatnonzero(counts.any(axis=1)).tolist()}
 
 
 def _exp_row(n_treated, n_t_y1, n_control, n_c_y1):
@@ -96,15 +100,17 @@ def _count_map(rows, n_observed=1):
 
 
 def test_aggregate_empty():
-    assert aggregate(np.empty((0, 5), dtype=np.uint8), "experimental") == {}
-    assert aggregate(np.empty((0, 6), dtype=np.uint8), "observational") == {}
+    counts = aggregate(np.empty((0, 5), dtype=np.uint8), "experimental")
+    assert _as_lists(counts) == {} and counts.shape == (8, 4) and counts.dtype == np.int64
+    counts = aggregate(np.empty((0, 6), dtype=np.uint8), "observational")
+    assert _as_lists(counts) == {} and counts.shape == (16, 4)
 
 
 def test_aggregate_three_identical_treated():
     counts = aggregate(_rows(*[(1, 0, 1, 1, 1)] * 3), "experimental")
     # three treated rows with y = 1, all in column x*2 + y = 3
     assert _as_lists(counts) == {_cell_id((1, 0, 1)): [0, 0, 0, 3]}
-    assert counts[5].base.shape == (8, 4)
+    assert counts.shape == (8, 4)
 
 
 def test_aggregate_observational_quadrants():
@@ -124,12 +130,12 @@ def test_aggregate_array_matches_row_tally(desk4):
     fast = aggregate(arr, "observational")
     assert _as_lists(fast) == _tally_rows(arr)
     # conservation: tallies account for every sample
-    assert sum(row.sum() for row in fast.values()) == 20_000
+    assert fast.sum() == 20_000
 
     (arr,) = iter_blocks(desk4, "experimental", 20_000, seed=32)
     fast = aggregate(arr, "experimental")
     assert _as_lists(fast) == _tally_rows(arr)
-    assert sum(row.sum() for row in fast.values()) == 20_000
+    assert fast.sum() == 20_000
     # 0/1 values of any bool or integer dtype count the same; floats are refused
     for dtype in (bool, np.int8):
         assert _as_lists(aggregate(arr.astype(dtype), "experimental")) == _as_lists(fast)
@@ -141,6 +147,16 @@ def test_aggregate_merges_blocks(desk4):
     (arr,) = iter_blocks(desk4, "experimental", 5000, seed=33)
     whole = aggregate(arr, "experimental")
     merged = aggregate(arr[:2000], "experimental")
+    assert aggregate(arr[2000:], "experimental", into=merged) is merged
+    assert _as_lists(merged) == _as_lists(whole)
+    # shards counted into two tables and added give the one table: a merge
+    # of tables loses no counts
+    a, b = aggregate(arr[:1000], "experimental"), aggregate(arr[1000:3000], "experimental")
+    aggregate(arr[3000:], "experimental", into=a)
+    a += b
+    assert np.array_equal(a, whole)
+    # the count-map form merges too
+    merged = aggregate(arr[:2000], "experimental", into={})
     merged = aggregate(arr[2000:], "experimental", into=merged)
     assert _as_lists(merged) == _as_lists(whole)
 
@@ -158,6 +174,15 @@ def test_aggregate_shards_into_one_map():
         whole = [aggregate(arr, regime) for regime in REGIMES]
         expect = build_labels(*whole, v, threshold=5)
         del whole
+        tables = []
+        for regime in REGIMES:
+            table = np.zeros((1 << n_observed, 4), dtype=np.int64)
+            for lo, hi in zip(cuts, cuts[1:]):
+                assert aggregate(arr[lo:hi], regime, into=table) is table
+            assert _as_lists(table) == _tally_rows(arr)
+            tables.append(table)
+        assert build_labels(*tables, v, threshold=5) == expect
+        del tables
         maps = []
         for regime in REGIMES:
             merged, first = {}, None
@@ -178,18 +203,19 @@ def test_aggregate_shards_into_one_map():
 
 def test_aggregate_into_map_of_another_width(desk4):
     # 3- and 4-bit cells share ids (4-bit cell 5 and 3-bit cell 5) but are
-    # different cells: counting one width into the other's map is refused,
+    # different cells: counting one width into the other's counts is refused,
     # and the refused call counts nothing.
     narrow = (np.random.default_rng(3).random((400, 5)) < 0.5).astype(np.uint8)
     (wide,) = iter_blocks(desk4, "experimental", 3000, seed=36)
-    narrow_map = aggregate(narrow, "experimental")
-    before = _as_lists(narrow_map)
-    with pytest.raises(ValueError, match="another width"):
-        aggregate(wide, "experimental", into=narrow_map)
-    assert _as_lists(narrow_map) == before
-    wide_map = aggregate(wide, "experimental")
-    with pytest.raises(ValueError, match="different widths"):
-        build_labels(wide_map, narrow_map, DEFAULT_BENEFIT_VECTOR, 10)
+    for form in (lambda: None, dict):  # a count table, then a count map
+        narrow_counts = aggregate(narrow, "experimental", into=form())
+        before = _as_lists(narrow_counts)
+        with pytest.raises(ValueError, match="another width"):
+            aggregate(wide, "experimental", into=narrow_counts)
+        assert _as_lists(narrow_counts) == before
+        wide_counts = aggregate(wide, "experimental", into=form())
+        with pytest.raises(ValueError, match="different widths"):
+            build_labels(wide_counts, narrow_counts, DEFAULT_BENEFIT_VECTOR, 10)
 
 
 @pytest.mark.parametrize(
@@ -208,8 +234,37 @@ def test_aggregate_refuses_a_map_built_by_hand(by_hand):
         aggregate(arr, "experimental", into=by_hand)
     with pytest.raises(ValueError, match="views of the table"):
         build_labels(by_hand, {}, DEFAULT_BENEFIT_VECTOR, 1)
-    made = aggregate(arr, "experimental")
+    made = aggregate(arr, "experimental", into={})
     assert aggregate(arr, "experimental", into=made)[10].tolist() == [0, 0, 2, 0]
+
+
+def _read_only(table):
+    table.flags.writeable = False
+    return table
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.zeros((16, 4)),  # float counts
+        np.zeros((16, 8), dtype=np.int64),  # eight columns
+        np.zeros((12, 4), dtype=np.int64),  # not a whole cell space
+        _read_only(np.zeros((16, 4), dtype=np.int64)),
+        [[0, 0, 0, 0]] * 16,  # not an array
+    ],
+)
+def test_aggregate_refuses_a_table_it_cannot_count_into(bad):
+    arr = _rows((0, 1, 0, 1, 1, 0))
+    before = np.array(bad, copy=True)
+    # (a table of another width: test_aggregate_into_map_of_another_width)
+    with pytest.raises(ValueError, match="writable .* count table"):
+        aggregate(arr, "experimental", into=bad)
+    assert np.array_equal(np.asarray(bad), before)
+    # nor is a table paired with a map
+    table = aggregate(arr, "experimental")
+    for pair in ((table, {}), ({}, table)):
+        with pytest.raises(ValueError, match="two .* tables, or two count maps"):
+            build_labels(*pair, DEFAULT_BENEFIT_VECTOR, 1)
 
 
 def test_a_map_with_rows_of_two_tables_is_refused(desk8):
@@ -219,9 +274,9 @@ def test_a_map_with_rows_of_two_tables_is_refused(desk8):
     # changes nothing.
     (exp_rows,) = iter_blocks(desk8, "experimental", 2000, seed=41)
     (obs_rows,) = iter_blocks(desk8, "observational", 2000, seed=42)
-    a = aggregate(exp_rows[:1000], "experimental")
-    b = aggregate(exp_rows[1000:], "experimental")
-    obs = aggregate(obs_rows, "observational")
+    a = aggregate(exp_rows[:1000], "experimental", into={})
+    b = aggregate(exp_rows[1000:], "experimental", into={})
+    obs = aggregate(obs_rows, "observational", into={})
     assert a.keys() - b.keys() and b.keys() - a.keys()  # else a merge is one map
     key = next(iter(a))
     other_table = np.zeros_like(a[key].base)
@@ -292,7 +347,7 @@ def test_aggregate_counts_codes_as_it_counts_bit_blocks(desk4, regime):
     blocks = aggregate(arr, regime)
     codes = aggregate(_codes(arr), regime, n_observed=4)
     assert _as_lists(codes) == _as_lists(blocks) == _tally_rows(arr)
-    assert codes[next(iter(codes))].base.shape == (16, 4)
+    assert codes.shape == (16, 4)
     # the two forms merge into one map, and any integer dtype counts the same
     mixed = aggregate(arr[:7000], regime)
     mixed = aggregate(_codes(arr[7000:]).astype(np.uint16), regime, mixed, n_observed=4)
@@ -341,7 +396,7 @@ def test_aggregate_memory_stays_per_chunk():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(row.sum() for row in counts.values()) == 4_000_000
+    assert counts.sum() == 4_000_000
     assert peak < 16 * 2**20
 
 

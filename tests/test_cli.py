@@ -431,15 +431,33 @@ def test_label_memory_follows_the_table_not_the_cells_seen(tmp_path):
 
 
 def test_label_builds_no_count_map(ws, tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("label counted through the count-map API")
+    # label counts each shard into its regime's count table through
+    # cells.aggregate and labels the two tables with cells.build_labels; no
+    # dict reaches either.  Shards of 10,000 rows: four a regime.
+    monkeypatch.setattr(datagen, "SHARD_SIZE", 10_000)
+    calls = []
+    for name in ("aggregate", "build_labels"):
+        fn = getattr(cells, name)
 
-    monkeypatch.setattr(cells, "aggregate", refuse)
-    monkeypatch.setattr(cells, "build_labels", refuse)
+        def spy(*args, _name=name, _fn=fn, **kwargs):
+            calls.append((_name, inspect.signature(_fn).bind(*args, **kwargs).arguments))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cells, name, spy)
     out_dir = tmp_path / "labels"
     assert run("label", "--exp", ws["exp"], "--obs", ws["obs"], "--config", ws["config"],
                "--threshold", 50, "--test-fraction", 0.2, "--seed", 7,
                "--out-dir", out_dir) == 0
+    assert [name for name, _ in calls] == ["aggregate"] * 8 + ["build_labels"]
+    counted = [bound for _, bound in calls[:8]]
+    assert [len(bound["samples"]) for bound in counted] == [10_000] * 8
+    assert [bound["regime"] for bound in counted] == ["experimental"] * 4 + ["observational"] * 4
+    tables = [bound["into"] for bound in counted]
+    assert all(type(t) is np.ndarray and t.shape == (16, 4) for t in tables)
+    assert all(t is tables[0] for t in tables[:4]) and all(t is tables[4] for t in tables[4:])
+    labelled = calls[8][1]
+    assert labelled["exp_counts"] is tables[0] and labelled["obs_counts"] is tables[4]
+    assert not any(isinstance(a, dict) for _, bound in calls for a in bound.values())
     for name in ("train_labels.csv", "test_labels.csv", "drops.csv"):
         assert (out_dir / name).read_bytes() == (ws["labels"] / name).read_bytes()
 
@@ -926,15 +944,15 @@ def test_readme_python_runs(tmp_path, monkeypatch, appendix):
 
     assert ScmConfig.load("desk.json") == random_config(4, 2, seed=370)
     assert ScmConfig.load("appendix.json") == appendix
-    truth, labels, drops, exp = ns["truth"], ns["labels"], ns["drops"], ns["exp"]
+    truth, labels, drops, counts = ns["truth"], ns["labels"], ns["drops"], ns["counts"]
     assert truth.true_lower.dtype == np.float64 and len(truth.true_lower) == 32768
     assert truth.exp.shape == (32768, 2)
     assert type(truth[70:80]) is type(truth)
     assert truth[70:80].cell_id.tolist() == list(range(70, 80))
     assert labels.lower_label.dtype == np.float64 and len(labels) > 0
     assert set(drops.reason) <= {"BELOW_THRESHOLD", "ZERO_ARM", "INCONSISTENT"}
-    table = exp[7].base
-    assert table.shape == (32768, 4) and all(row.base is table for row in exp.values())
+    for table in counts:
+        assert table.shape == (32768, 4) and table.dtype == np.int64 and table.sum() == 10**6
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -256,6 +256,13 @@ def test_unknown_regime_rejected(desk4):
         list(iter_blocks(desk4, "interventional", 5, seed=1))
     with pytest.raises(ValueError):
         _rows(desk4, "experimental", -1, seed=1)
+    # True would count one row, and 1.5 fail in range() with a bare TypeError
+    baseline = threading.active_count()
+    for n in (True, 1.5, "5"):
+        message = f"n_samples must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(iter_blocks(desk4, "experimental", n, seed=1))
+        assert threading.active_count() == baseline
 
 
 def test_read_meta_reports_bad_sidecar(tmp_path, desk4):

@@ -1,5 +1,6 @@
-"""The CI workflow parses, each of its steps does something, and its oldest
-leg runs the oldest Python and numpy that pyproject.toml allows."""
+"""The CI workflow parses, each of its steps does something, its inline
+Python compiles, and its oldest leg runs the oldest Python and numpy that
+pyproject.toml allows."""
 
 import re
 from pathlib import Path
@@ -17,6 +18,21 @@ def test_workflow_steps_each_run_or_use_an_action():
     for step in steps:
         assert isinstance(step, dict), step
         assert isinstance(step.get("run") or step.get("uses"), str), step
+
+
+def test_inline_python_heredocs_compile():
+    # Each step that pipes a heredoc into python; a syntax slip in one would
+    # otherwise show only when the workflow runs.
+    text = WORKFLOW.read_text(encoding="utf-8")
+    steps = yaml.safe_load(text)["jobs"]["tests"]["steps"]
+    compiled = []
+    for step in steps:
+        for body in re.findall(r"<<'EOF'\n(.*?)\nEOF$", step.get("run", ""), re.S | re.M):
+            compile(body, f"<{step.get('name')}>", "exec")
+            compiled.append(step.get("name"))
+    assert len(compiled) == text.count("<<'EOF'")
+    assert {"Slow acceptance test", "20-bit label peak memory",
+            "Traced benchmark smoke counts"} <= set(compiled)
 
 
 def test_oldest_leg_is_the_declared_floor():
