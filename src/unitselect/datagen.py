@@ -22,25 +22,27 @@ Treatment (when not assigned) and outcome are ``model.eval_x`` and
 Rows expose only what a study would record: the observed characteristics,
 treatment and outcome.  Latent characteristics and noise are drawn but never
 written.  ``iter_blocks`` is the one generator: it yields a dataset shard by
-shard as (m, n_observed+2) uint8 blocks of 0/1 columns ``z1..zn, x, y``.
-``write_dataset`` stores them as CSV or as packed uint32 words: fixed-width
+shard as (m, n_observed+2) uint8 blocks of 0/1 columns ``z1..zn, x, y``, or,
+with ``packed=True``, as (m,) little-endian uint32 words of the packed
+format.  ``write_dataset`` stores a dataset as CSV or packed: fixed-width
 records after a header (CSV) or none (packed), with a JSON sidecar naming the
-format.  ``iter_codes`` is the one reader: it yields a stored dataset shard
-by shard, checked, as int64 row codes ``cell_id*4 + x*2 + y``, the form
-``cells.aggregate`` counts, so a reader holds one shard at a time;
-``read_dataset`` unpacks those codes into one whole block.  ``row_codes``
-folds a block into the same codes, so this module alone knows the row
-layouts.
+format.  It formats the digits of a CSV file from blocks and writes the
+words of a packed file as the workers made them.  ``iter_codes`` is the one
+reader: it yields a stored dataset shard by shard, checked, as int64 row
+codes ``cell_id*4 + x*2 + y``, the form ``cells.aggregate`` counts, so a
+reader holds one shard at a time; ``read_dataset`` unpacks those codes into
+one whole block.  ``row_codes`` folds a block into the same codes, so this
+module alone knows the row layouts.
 
 Because each shard has its own stream, shards can be made in any order and
 on any thread.  ``iter_blocks`` generates shards ahead of its consumer on
 one worker thread per CPU it may run on, one thread on one CPU (numpy
 releases the interpreter lock while it fills and compares arrays), and
 yields them in shard order; the bytes do not depend on the number of CPUs.
-The consumer allocates each shard's block and a worker fills it, drawing
-at most ``_CHUNK_WORDS`` raw words at a time, so a worker's memory stays
-near two of those budgets whatever the width, and a block is freed where
-it was allocated.
+The consumer allocates each shard's block or words and a worker fills
+them, drawing at most ``_CHUNK_WORDS`` raw words at a time, so a worker's
+memory stays near two of those budgets whatever the width, and a shard is
+freed where it was allocated.
 """
 
 from __future__ import annotations
@@ -154,8 +156,9 @@ def _bit_rule(probs: Sequence[float]) -> Callable[[np.ndarray], np.ndarray]:
 def _gen_shard(
     config: ScmConfig, regime: str, shard: int, seed: int, out: np.ndarray
 ) -> np.ndarray:
-    """Fill ``out``, a (m, n_observed+2) uint8 array, with rows
-    [shard*SHARD_SIZE, shard*SHARD_SIZE + m) and return it.
+    """Fill ``out`` with rows [shard*SHARD_SIZE, shard*SHARD_SIZE + m) and
+    return it: a (m, n_observed+2) uint8 array gets 0/1 columns, an (m,)
+    "<u4" array the words of the packed format.
 
     The shard is drawn a chunk of rows at a time from its one bit generator,
     which continues its stream across calls, so the rows do not depend on
@@ -172,15 +175,23 @@ def _gen_shard(
     chunk = 1 << max(2, (_CHUNK_WORDS // len(probs)).bit_length() - 1)
     weights_x = np.asarray(config.weights_x)
     weights_y = np.asarray(config.weights_y)
+    id_weights = 2.0 ** np.arange(n_obs)
     stream = _shard_rng(seed, shard).bit_generator
     for start in range(0, len(out), chunk):
         rows = out[start : start + chunk]
         bits = to_bits(stream.random_raw((len(rows), len(probs))))
         zf = bits[:, :n].astype(np.float64)
         x = bits[:, n + 2] if experimental else eval_x(zf @ weights_x, bits[:, n])
-        rows[:, :n_obs] = bits[:, :n_obs]
-        rows[:, n_obs] = x
-        rows[:, n_obs + 1] = eval_y(x, zf @ weights_y, bits[:, n + 1], config.constant_c)
+        y = eval_y(x, zf @ weights_y, bits[:, n + 1], config.constant_c)
+        if out.ndim == 1:
+            # Exact in any summation order: the guard keeps ids below 2**24.
+            rows[:] = zf[:, :n_obs] @ id_weights
+            rows |= x.astype(np.uint32) << _PACKED_X_BIT
+            rows |= y.astype(np.uint32) << _PACKED_X_BIT + 1
+        else:
+            rows[:, :n_obs] = bits[:, :n_obs]
+            rows[:, n_obs] = x
+            rows[:, n_obs + 1] = y
     return out
 
 
@@ -192,16 +203,21 @@ def _n_cpus() -> int:
 
 
 def iter_blocks(
-    config: ScmConfig, regime: str, n_samples: int, seed: int
+    config: ScmConfig, regime: str, n_samples: int, seed: int, *, packed: bool = False
 ) -> Iterator[np.ndarray]:
     """Yield the dataset shard by shard; concatenation order is sample order.
 
+    Each shard is an (m, n_observed+2) uint8 block of 0/1 columns ``z1..zn,
+    x, y``, or with ``packed`` the (m,) "<u4" words of the packed format: the
+    cell id from bit 0, x at bit 30 and y at bit 31.
+
     Worker threads, one per CPU but no more than there are shards, generate
     up to one shard per worker ahead of the consumer; an empty dataset starts
-    no thread.  Each block is allocated here, on the consuming thread, and
-    filled by a worker: a block a worker allocated would be freed into that
-    worker's malloc arena, which keeps it.  Closing the iterator waits for
-    the shards in flight; a worker's error is raised here."""
+    no thread.  Each shard's array is allocated here, on the consuming
+    thread, and filled by a worker: an array a worker allocated would be
+    freed into that worker's malloc arena, which keeps it.  Closing the
+    iterator waits for the shards in flight; a worker's error is raised
+    here."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
     if type(n_samples) is not int:  # refuses 1.5, True and "5"
@@ -221,9 +237,10 @@ def iter_blocks(
     pool = ThreadPoolExecutor(workers, thread_name_prefix="unitselect-datagen")
     try:
         ahead = deque()
+        row, dtype = ((), "<u4") if packed else ((config.n_observed + 2,), np.uint8)
         for shard, m in enumerate(sizes):
-            block = np.empty((m, config.n_observed + 2), dtype=np.uint8)
-            ahead.append(pool.submit(_gen_shard, config, regime, shard, seed, block))
+            out = np.empty((m, *row), dtype)
+            ahead.append(pool.submit(_gen_shard, config, regime, shard, seed, out))
             if len(ahead) > workers:
                 yield ahead.popleft().result()
         while ahead:
@@ -240,7 +257,7 @@ def _block_to_csv_bytes(block: np.ndarray) -> np.ndarray:
     # Byte template: digit, separator, digit, separator, ..., digit, newline.
     m, n_cols = block.shape
     out = np.empty((m, 2 * n_cols), dtype=np.uint8)
-    out[:, 0::2] = block + ord("0")
+    np.add(block, ord("0"), out=out[:, 0::2])
     out[:, 1::2] = ord(",")
     out[:, -1] = ord("\n")
     return out
@@ -261,10 +278,12 @@ def write_dataset(
     """Generate a dataset and stream it to ``path``; returns the sidecar meta.
 
     The format follows the suffix, as in ``iter_codes``: CSV for ".csv",
-    packed for anything else.  A JSON sidecar is written next to the file.
-    Arguments are checked before anything is written, and both files are
-    written through ``tables.atomic_write``, so a failed run leaves an old
-    dataset and its sidecar whole.
+    packed for anything else.  A CSV file's digits are formatted from the
+    blocks of ``iter_blocks``; a packed file asks it for ``packed`` words
+    and writes them as they come.  A JSON sidecar is written next to the
+    file.  Arguments are checked before anything is written, and both files
+    are written through ``tables.atomic_write``, so a failed run leaves an
+    old dataset and its sidecar whole.
     """
     path = Path(path)
     fmt, header, _ = _layout(path, config.n_observed)
@@ -277,15 +296,10 @@ def write_dataset(
         format=fmt,
     )
 
-    n = config.n_observed
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        for block in iter_blocks(config, regime, n_samples, seed):
-            if header:
-                _block_to_csv_bytes(block).tofile(fh)
-            else:
-                words = cell_ids(block[:, :n]) | cell_ids(block[:, n:]) << _PACKED_X_BIT
-                words.astype("<u4").tofile(fh)
+        for shard in iter_blocks(config, regime, n_samples, seed, packed=fmt == "packed"):
+            (_block_to_csv_bytes(shard) if header else shard).tofile(fh)
     with atomic_write(meta_path(path), "w", encoding="ascii") as fh:
         json.dump(dataclasses.asdict(meta), fh, indent=2, sort_keys=True)
         fh.write("\n")

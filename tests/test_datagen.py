@@ -4,6 +4,7 @@ import math
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from unitselect.datagen import (
     write_dataset,
     _shard_rng,
 )
-from unitselect.model import FullProfile, cell_ids, eval_x, eval_y, m_value
+from unitselect.model import FullProfile, ScmConfig, cell_ids, eval_x, eval_y, m_value
 
 
 def _rows(config, regime, n, seed):
@@ -630,6 +631,42 @@ def test_csv_and_packed_copies_give_the_same_codes(tmp_path, desk4):
     a, b = list(iter_codes(tmp_path / "a.csv")), list(iter_codes(tmp_path / "b.bin"))
     assert len(a) == len(b) == 3
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("name", ["desk4", "wide"])
+def test_packed_words_are_the_fold_of_the_blocks(tmp_path, request, name, regime):
+    # The workers make the words a packed file stores; they are the fold of
+    # the 0/1 blocks the default layout yields, over a partial last shard.
+    # At 24+12 bits the top id bit tests that the workers' ids are exact.
+    config = WIDE if name == "wide" else request.getfixturevalue(name)
+    n, k = 2 * SHARD_SIZE + 77, config.n_observed
+    path = tmp_path / "d.bin"
+    write_dataset(path, config, regime, n, seed=6)
+    blocks = list(iter_blocks(config, regime, n, seed=6))
+    fold = np.concatenate([cell_ids(b[:, :k]) | cell_ids(b[:, k:]) << 30 for b in blocks])
+    assert (fold >> (k - 1) & 1).any()  # some row has the top id bit
+    assert np.array_equal(np.fromfile(path, "<u4"), fold)
+    words = list(iter_blocks(config, regime, n, seed=6, packed=True))
+    assert [w.shape for w in words] == [(SHARD_SIZE,), (SHARD_SIZE,), (77,)]
+    assert all(w.dtype == np.dtype("<u4") for w in words)
+
+
+def test_packed_write_memory_follows_the_words(monkeypatch, tmp_path):
+    # A packed shard is 4 bytes a row, made by the workers, and written as
+    # it comes: with two workers, the shards in flight and the workers' chunk
+    # temporaries.  Building each shard as an 18-byte uint8 block and folding
+    # it into words on this thread traced 24.1 MiB.
+    _use_cpus(monkeypatch, 2)
+    configs = Path(__file__).resolve().parents[1] / "benchmarks" / "configs"
+    config = ScmConfig.load(configs / "wide-cells.json")
+    tracemalloc.start()
+    try:
+        write_dataset(tmp_path / "d.bin", config, "observational", 4 * SHARD_SIZE, seed=41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
 
 
 def test_read_dataset_unpacks_iter_codes(tmp_path, monkeypatch, desk4):
