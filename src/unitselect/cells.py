@@ -3,23 +3,24 @@
 Counts of one regime's samples live in a dense ``(2**n_observed, 4)`` int64
 count table: one row per cell id, one column per ``x*2 + y``, so a row holds
 the counts of (x', y'), (x', y), (x, y') and (x, y), and a cell is seen when
-its row is nonzero.  ``aggregate`` returns such a table, or adds to the one
-passed as ``into``, shard by shard, and ``build_labels`` labels from two of
-them, one per regime, so memory follows the table and not the cells seen.
-A dict passed as ``into``, or as both arguments of ``build_labels``, is the
-older count-map form, a map from the id of each cell seen to a view of its
-row; it stays only until the benchmark's appendix pipeline counts into
-tables (ROADMAP item 4).  Estimates are raw frequentist ratios (no
-smoothing), and a cell earns labels only when both regimes observed it at
-least ``threshold`` times, both experimental arms are populated, and the
-estimated interval is consistent.  Everything else lands in a drop log with
-a reason code.
+its row is nonzero.  ``aggregate(samples, regime, into=None)`` returns such
+a table, or adds to the one passed as ``into``, shard by shard: a block of
+0/1 columns gives its width by its columns, and row codes count into a
+table, whose rows give theirs.  ``build_labels`` labels from two tables,
+one per regime, so memory follows the table and not the cells seen.  A
+dict passed as ``into`` with a block, or as both arguments of
+``build_labels``, is the older count-map form, a map from the id of each
+cell seen to a view of its row; it stays only until the benchmark's
+appendix pipeline counts into tables (ROADMAP item 4).  Estimates are raw
+frequentist ratios (no smoothing), and a cell earns labels only when both
+regimes observed it at least ``threshold`` times, both experimental arms are
+populated, and the estimated interval is consistent.  Everything else lands
+in a drop log with a reason code.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,10 +118,12 @@ def check_threshold(threshold: int) -> int:
 
 
 def _is_table(counts: object) -> bool:
-    """Whether ``counts`` is a count table: a (2**k, 4) int64 array."""
+    """Whether ``counts`` is a count table: a (2**k, 4) int64 array with
+    k >= 1, as a model has at least one observed bit."""
     return (
         isinstance(counts, np.ndarray)
         and counts.dtype == np.int64
+        and counts.size >= 8
         and counts.shape == (1 << (counts.size // 4 - 1).bit_length(), 4)
     )
 
@@ -141,28 +144,30 @@ def aggregate(
     samples: np.ndarray,
     regime: str,
     into: np.ndarray | dict[int, np.ndarray] | None = None,
-    *,
-    n_observed: int | None = None,
 ) -> np.ndarray | dict[int, np.ndarray]:
     """Count one regime's samples per cell.
 
     ``samples`` is either a (n, n_observed+2) bool or integer array of 0/1
-    values, where any other dtype or value raises ValueError, or a 1-D
-    integer array of row codes ``cell_id*4 + x*2 + y`` as ``datagen.iter_codes``
-    yields them, whose width the keyword ``n_observed`` gives and where a
-    code outside [0, 4 * 2**n_observed) raises ValueError.  More than
-    ``MAX_CELLS`` cells raise CellSpaceTooLarge.  The result is a
-    (2**n_observed, 4) int64 count table whose row ``cell_id``, column
+    values, whose columns give its width and where any other dtype or value
+    raises ValueError, or a 1-D integer array of row codes ``cell_id*4 +
+    x*2 + y`` as ``datagen.iter_codes`` yields them, counted into the count
+    table ``into``, whose rows give their width, and where a code outside
+    [0, 4 * len(into)) raises ValueError, as do codes with no table to count
+    into.  More than ``MAX_CELLS`` cells raise CellSpaceTooLarge.  The result
+    is a (2**n_observed, 4) int64 count table whose row ``cell_id``, column
     ``x*2 + y``, counts the rows of that cell with that x and y: a new one,
     or ``into`` itself with these counts added, to merge across shards.  An
-    ``into`` that is not a writable count table, or of another width, raises
-    ValueError; a refused call changes nothing.
+    ``into`` that is not a writable count table of at least one bit, or of
+    another width, raises ValueError; a refused call changes nothing.
 
-    A dict ``into`` is the count-map form (see the module docstring): its
-    table is added to, a key is inserted for each cell seen for the first
-    time, and the map is returned.  A map whose rows are not all views of
-    one table (say, two maps merged into one dict) raises ValueError.
+    A dict ``into`` is the count-map form (see the module docstring), for
+    blocks only: its table is added to, a key is inserted for each cell
+    seen for the first time, and the map is returned.  A map whose rows are
+    not all views of one table (say, two maps merged into one dict) raises
+    ValueError.
     """
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
     if isinstance(into, dict):
         table = _table_of(into)
         seen = np.False_ if table is None else table.any(axis=1)
@@ -170,36 +175,16 @@ def aggregate(
         table = into
     else:
         raise ValueError("into must be a writable (2**n_observed, 4) int64 count table")
-    table, codes = _checked_codes(samples, regime, table, n_observed)
-    for chunk in codes:
-        table += np.bincount(chunk, minlength=table.size).reshape(-1, 4)
-    if not isinstance(into, dict):
-        return table
-    # Made while the last chunk is still referenced: a view's small
-    # allocation would otherwise land in that freed buffer and pin it.
-    new = np.flatnonzero(table.any(axis=1) & ~seen).tolist()
-    into.update(zip(new, map(table.__getitem__, new)))
-    return into
-
-
-def _checked_codes(
-    samples: np.ndarray, regime: str, table: np.ndarray | None, n_observed: int | None
-) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """``aggregate``'s checks of its arguments, all made before any count:
-    the table to count into (a new one if ``table`` is None) and the row
-    codes of ``samples``, chunk by chunk."""
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
     if not isinstance(samples, np.ndarray) or samples.ndim not in (1, 2):
         raise ValueError("samples must be a (n, n_observed+2) array or a 1-D array of codes")
     if samples.ndim == 2:
         if samples.shape[1] < 3:
             raise ValueError("samples must be a (n, n_observed+2) array")
-        if n_observed not in (None, samples.shape[1] - 2):
-            raise ValueError(f"samples hold {samples.shape[1] - 2} observed bits, not {n_observed}")
         n_observed = samples.shape[1] - 2
-    elif samples.dtype.kind not in "iu" or type(n_observed) is not int or n_observed < 1:
-        raise ValueError("row codes must be an integer array, with n_observed >= 1 given")
+    elif samples.dtype.kind in "iu" and isinstance(into, np.ndarray):
+        n_observed = len(into).bit_length() - 1
+    else:
+        raise ValueError("row codes must be an integer array, counted into a count table")
     n_cells = check_cell_space(n_observed)
     if table is None:
         table = np.zeros((n_cells, 4), dtype=np.int64)
@@ -210,12 +195,22 @@ def _checked_codes(
     if samples.ndim == 1:
         if not all(chunk.min() >= 0 and chunk.max() < 4 * n_cells for chunk in chunks):
             raise ValueError(f"row codes must lie in [0, 4 * 2**{n_observed})")
-        return table, (chunk.astype(np.intp, copy=False) for chunk in chunks)
-    if samples.dtype.kind not in "biu" or not all(
+        codes = (chunk.astype(np.intp, copy=False) for chunk in chunks)
+    elif samples.dtype.kind in "biu" and all(
         chunk.min() >= 0 and chunk.max() <= 1 for chunk in chunks
     ):
+        codes = map(row_codes, chunks)
+    else:
         raise ValueError("samples must be a bool or integer array of 0/1 values")
-    return table, map(row_codes, chunks)
+    for chunk in codes:
+        table += np.bincount(chunk, minlength=table.size).reshape(-1, 4)
+    if not isinstance(into, dict):
+        return table
+    # Made while the last chunk is still referenced: a view's small
+    # allocation would otherwise land in that freed buffer and pin it.
+    new = np.flatnonzero(table.any(axis=1) & ~seen).tolist()
+    into.update(zip(new, map(table.__getitem__, new)))
+    return into
 
 
 def _arms(exp: np.ndarray, obs: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -251,7 +246,8 @@ def build_labels(
     The counts are ``aggregate``'s count tables, one per regime, of one
     width, else ValueError; a cell is seen when its row is nonzero in
     either.  Two count maps are taken too, where a cell is seen when either
-    map holds its key; a table paired with a map raises ValueError.  A cell
+    map holds its key; a table paired with a map, or two empty maps, which
+    have no width, raise ValueError.  A cell
     is eligible when it was seen at least ``threshold`` times in each
     regime; ``check_threshold`` must accept ``threshold``.  Cells seen in
     neither regime appear in neither table, and both tables are in
@@ -270,9 +266,11 @@ def build_labels(
         raise ValueError("counts must be two (2**n_observed, 4) int64 tables, or two count maps")
     check_threshold(threshold)
     tables = [t for t in (exp_counts, obs_counts) if t is not None]
+    if not tables:
+        raise ValueError("two empty count maps give no width to label cells of")
     if len({t.shape for t in tables}) > 1:
         raise ValueError("cells of different widths cannot share a label table")
-    n_observed = len(tables[0]).bit_length() - 1 if tables else 0
+    n_observed = len(tables[0]).bit_length() - 1
     if ids is None:
         ids = np.flatnonzero(exp_counts.any(axis=1) | obs_counts.any(axis=1))
     exp_rows, obs_rows = (

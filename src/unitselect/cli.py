@@ -94,7 +94,7 @@ def _cmd_label(args: argparse.Namespace) -> int:
     for path, regime in ((args.exp, "experimental"), (args.obs, "observational")):
         table = np.zeros((n_cells, 4), dtype=np.int64)
         for codes in datagen.iter_codes(path):  # a shard at a time
-            cells.aggregate(codes, regime, table, n_observed=config.n_observed)
+            cells.aggregate(codes, regime, table)
         tables.append(table)
     labels, drops = cells.build_labels(*tables, args.vector, args.threshold)
     if labels:

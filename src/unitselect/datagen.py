@@ -31,8 +31,9 @@ words of a packed file as the workers made them.  ``iter_codes`` is the one
 reader: it yields a stored dataset shard by shard, checked, as int64 row
 codes ``cell_id*4 + x*2 + y``, the form ``cells.aggregate`` counts, so a
 reader holds one shard at a time; ``read_dataset`` unpacks those codes into
-one whole block.  ``row_codes`` folds a block into the same codes, so this
-module alone knows the row layouts.
+one whole block.  ``row_codes`` is the one fold of 0/1 columns into those
+codes: ``iter_codes`` folds a CSV shard's checked digits with it, and
+``cells.aggregate`` a block, so this module alone knows the row layouts.
 
 Because each shard has its own stream, shards can be made in any order and
 on any thread.  ``iter_blocks`` generates shards ahead of its consumer on
@@ -350,17 +351,21 @@ def iter_codes(path: str | Path) -> Iterator[np.ndarray]:
         for start in range(0, meta.n, SHARD_SIZE):
             m = min(SHARD_SIZE, meta.n - start)
             if header:
-                yield _codes(_csv_words(fh, m, n_obs, path), n_obs)
-            else:
-                words = np.fromfile(fh, "<u4", m)
-                if (words & stray).any():
-                    raise DatasetFormatError(f"stray bits in packed file {path}")
-                yield _codes(words, _PACKED_X_BIT)
+                yield row_codes(_csv_digits(fh, m, n_obs, path))
+                continue
+            words = np.fromfile(fh, "<u4", m)
+            if (words & stray).any():
+                raise DatasetFormatError(f"stray bits in packed file {path}")
+            swapped = _SWAP_XY[words >> _PACKED_X_BIT]  # x + 2y becomes 2x + y
+            words &= (1 << _PACKED_X_BIT) - 1
+            words <<= 2
+            words |= swapped
+            yield words.astype(np.int64)
 
 
-def _csv_words(fh, m: int, n_obs: int, path: Path) -> np.ndarray:
-    """The next ``m`` rows of a CSV body, checked, as int64 words: the cell
-    id from bit 0, x at bit ``n_obs`` and y above it."""
+def _csv_digits(fh, m: int, n_obs: int, path: Path) -> np.ndarray:
+    """The next ``m`` rows of a CSV body, checked, as a (m, n_obs+2) uint16
+    block of 0/1 columns ``z1..zn, x, y``."""
     # A row is n_obs + 2 (digit, separator) byte pairs, read as uint16s:
     # "0," and "1," become 0 and 1, and so do "0\n" and "1\n" at its end.
     pairs = np.fromfile(fh, "<u2", m * (n_obs + 2)).reshape(m, n_obs + 2)
@@ -373,18 +378,7 @@ def _csv_words(fh, m: int, n_obs: int, path: Path) -> np.ndarray:
         if (seps[:, :-1] != ord(",")).any() or (seps[:, -1] != ord("\n")).any():
             raise DatasetFormatError(f"malformed CSV rows in {path}")
         raise DatasetFormatError(f"non-binary values in {path}")
-    return cell_ids(pairs)
-
-
-def _codes(words: np.ndarray, x_bit: int) -> np.ndarray:
-    """Int64 row codes ``cell_id*4 + x*2 + y`` of integer words that hold the
-    cell id below bit ``x_bit``, x at that bit and y above it.  The codes
-    are made in ``words``, which is overwritten."""
-    swapped = _SWAP_XY[words >> x_bit]  # x + 2y becomes 2x + y
-    words &= (1 << x_bit) - 1
-    words <<= 2
-    words |= swapped
-    return words.astype(np.int64, copy=False)
+    return pairs
 
 
 def row_codes(block: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Independent oracles used by the test suite.
 
 The benefit-interval oracle below never touches the closed-form bound
-formulas under test.  It enumerates response-type joints directly from
-accounting identities and brute-forces the benefit extremes over the
-feasible set.
+formulas under test.  It parametrizes response-type joints directly by
+accounting identities and takes the benefit extremes over the feasible
+set at its corners.
 """
 
 import numpy as np
@@ -22,44 +22,26 @@ import numpy as np
 #
 # Choosing t1 = q(always,1) and t0 = q(always,0) determines every other
 # entry.  Each entry involves only one of t1, t0, so the feasible set is a
-# product of two intervals and candidate values can be screened per axis.
+# product of two intervals, one per axis.
 
 
-def feasible_benefit_range(v, e, o, step=1e-3):
+def feasible_benefit_range(v, e, o, tol=1e-9):
     """(min, max) of the benefit over all response-type joints consistent
     with exact distributions (e, o).
 
-    Grids t1 and t0 over [0, 1] at ``step``; the exact zero-crossings of
-    each q entry are added as extra candidates so interval endpoints are hit
-    exactly rather than rounded to the grid.  Returns None when no joint is
-    feasible.
+    The feasible (t1, t0) set is a box: t1 and t0 are nonnegative, and each
+    q entry bounds one of them from one side.  The benefit is linear in
+    (t1, t0), so its extremes lie at the box's four corners.  Returns None
+    when no joint is feasible, that is when a side of the box is shorter
+    than ``-tol``, which absorbs rounding in the given distributions.
     """
     pdx, pdxp = e.p_y_do_x, e.p_y_do_xp
     pxy, pxyp, pxpy, pxpyp = o.p_xy, o.p_xyp, o.p_xpy, o.p_xpyp
-    tol = 1e-9
-    base = np.arange(0.0, 1.0 + step, step)
-
-    cand1 = np.unique(
-        np.clip(
-            np.concatenate([base, [pxy, pdxp - pxpy, pdxp - pxpy - pxyp]]), 0.0, 1.0
-        )
-    )
-    q_c1 = pxy - cand1
-    q_d1 = pdxp - pxpy - cand1
-    q_n1 = pxyp - pdxp + pxpy + cand1
-    t1 = cand1[(q_c1 >= -tol) & (q_d1 >= -tol) & (q_n1 >= -tol)]
-
-    cand0 = np.unique(
-        np.clip(
-            np.concatenate([base, [pxpy, pdx - pxy, pdx - pxy - pxpyp]]), 0.0, 1.0
-        )
-    )
-    q_d0 = pxpy - cand0
-    q_c0 = pdx - pxy - cand0
-    q_n0 = pxpyp - pdx + pxy + cand0
-    t0 = cand0[(q_d0 >= -tol) & (q_c0 >= -tol) & (q_n0 >= -tol)]
-
-    if len(t1) == 0 or len(t0) == 0:
+    # q(never,1) >= 0 bounds t1 below; q(complier,1), q(defier,1) >= 0 above
+    t1 = np.array([max(0.0, pdxp - pxpy - pxyp), min(pxy, pdxp - pxpy)])
+    # q(never,0) >= 0 bounds t0 below; q(defier,0), q(complier,0) >= 0 above
+    t0 = np.array([max(0.0, pdx - pxy - pxpyp), min(pxpy, pdx - pxy)])
+    if t1[0] > t1[1] + tol or t0[0] > t0[1] + tol:
         return None
 
     T1 = t1[:, None]
@@ -96,6 +78,17 @@ def random_latent_joint(rng):
 # The network of ``unitselect.learner`` written out of place, one new array
 # per step.  The learner runs the same float operations in the same order
 # into reused buffers, so its weights and losses must match these bit for bit.
+
+
+def reference_init(rng, n_in, hidden):
+    """Initial parameters: Glorot-uniform weights, each drawn from ``rng`` as
+    a (fan_in, fan_out) array within +-sqrt(6 / (fan_in + fan_out)), layer
+    by layer, and zero biases."""
+    params = []
+    for fan_in, fan_out in ((n_in, hidden), (hidden, hidden), (hidden, 1)):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        params += [rng.uniform(-limit, limit, size=(fan_in, fan_out)), np.zeros(fan_out)]
+    return params
 
 
 def reference_forward(params, x):

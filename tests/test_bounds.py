@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import random_latent_joint
+from oracles import feasible_benefit_range, random_latent_joint
 from unitselect.bounds import (
     DEFAULT_BENEFIT_VECTOR,
     BenefitVector,
@@ -174,6 +174,20 @@ def test_soundness_on_random_latent_joints(v, seed):
     )
     assert b.consistent
     assert b.lower - 1e-9 <= f <= b.upper + 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(v=_vectors, seed=st.integers(0, 2**32 - 1))
+def test_bounds_are_the_extremes_over_consistent_joints(v, seed):
+    """The interval is tight: its ends are the least and greatest benefit
+    of any response-type joint that induces the same distributions."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    _, (pdx, pdxp), (pxy, pxyp, pxpy, pxpyp) = random_latent_joint(rng)
+    e = ExperimentalDistribution(min(pdx, 1.0), min(pdxp, 1.0))
+    o = ObservationalJoint(pxy, pxyp, pxpy, pxpyp)
+    b = benefit_bounds(v, e, o)
+    lo, hi = feasible_benefit_range(v, e, o)
+    assert abs(b.lower - lo) <= 1e-12 and abs(b.upper - hi) <= 1e-12
 
 
 @settings(max_examples=300, deadline=None)

@@ -345,45 +345,82 @@ def _codes(arr):
 def test_aggregate_counts_codes_as_it_counts_bit_blocks(desk4, regime):
     (arr,) = iter_blocks(desk4, regime, 20_000, seed=37)
     blocks = aggregate(arr, regime)
-    codes = aggregate(_codes(arr), regime, n_observed=4)
+    table = np.zeros((16, 4), dtype=np.int64)
+    codes = aggregate(_codes(arr), regime, table)
+    assert codes is table
     assert _as_lists(codes) == _as_lists(blocks) == _tally_rows(arr)
-    assert codes.shape == (16, 4)
-    # the two forms merge into one map, and any integer dtype counts the same
+    # the two forms merge into one table, and any integer dtype counts the same
     mixed = aggregate(arr[:7000], regime)
-    mixed = aggregate(_codes(arr[7000:]).astype(np.uint16), regime, mixed, n_observed=4)
+    mixed = aggregate(_codes(arr[7000:]).astype(np.uint16), regime, mixed)
     assert _as_lists(mixed) == _as_lists(blocks)
 
 
 @pytest.mark.parametrize(
-    "codes, n_observed, problem",
+    "codes, bits, problem",
     [
         (np.array([0, 64]), 4, r"\[0, 4 \* 2\*\*4\)"),  # past the last cell
         (np.array([3, -1]), 4, r"\[0, 4 \* 2\*\*4\)"),
         (np.array([0.0, 1.0]), 4, "integer array"),
-        (np.array([0, 1]), None, "n_observed >= 1"),
-        (np.array([0, 1]), 4.0, "n_observed >= 1"),
-        (np.array([0, 1]), 0, "n_observed >= 1"),
+        (np.array([0, 1]), None, "counted into a count table"),  # no table
+        (np.array([0, 1]), "map", "counted into a count table"),  # the count-map form
+        (np.array([0, 1]), 0, "writable .* count table"),  # a table of no observed bit
     ],
 )
-def test_aggregate_refuses_bad_codes_and_changes_nothing(desk4, codes, n_observed, problem):
+def test_aggregate_refuses_bad_codes_and_changes_nothing(desk4, codes, bits, problem):
+    # ``bits`` is the width of the table counted into: codes have no width
+    # of their own
+    (arr,) = iter_blocks(desk4, "experimental", 100, seed=1)
+    into = {
+        4: aggregate(arr, "experimental"),
+        None: None,
+        "map": aggregate(arr, "experimental", into={}),
+        0: np.zeros((1, 4), dtype=np.int64),
+    }[bits]
+    before = None if into is None else _as_lists(into)
+    with pytest.raises(ValueError, match=problem):
+        aggregate(codes, "experimental", into=into)
+    assert (None if into is None else _as_lists(into)) == before
+
+
+def test_aggregate_codes_of_another_width(desk4, monkeypatch):
+    # Codes take their width from the table they count into: codes of a
+    # wider cell space fall past its last cell and are refused, and a table
+    # past the cell-space guard is refused before anything is counted.
     (arr,) = iter_blocks(desk4, "experimental", 100, seed=1)
     made = aggregate(arr, "experimental")
     before = _as_lists(made)
-    with pytest.raises(ValueError, match=problem):
-        aggregate(codes, "experimental", into=made, n_observed=n_observed)
+    wide = _codes(np.insert(arr, 4, 1, axis=1))  # a fifth observed bit, set in every row
+    with pytest.raises(ValueError, match=r"\[0, 4 \* 2\*\*4\)"):
+        aggregate(wide, "experimental", into=made)
+    assert _as_lists(made) == before
+    monkeypatch.setattr(model, "MAX_CELLS", 1 << 3)
+    with pytest.raises(CellSpaceTooLarge):
+        aggregate(_codes(arr), "experimental", into=made)
     assert _as_lists(made) == before
 
 
-def test_aggregate_codes_of_another_width(desk4):
-    (arr,) = iter_blocks(desk4, "experimental", 100, seed=1)
-    made = aggregate(arr, "experimental")
-    with pytest.raises(ValueError, match="another width"):
-        aggregate(_codes(arr), "experimental", into=made, n_observed=5)
-    with pytest.raises(ValueError, match="hold 4 observed bits, not 5"):
-        aggregate(arr, "experimental", n_observed=5)
-    assert _as_lists(aggregate(arr, "experimental", n_observed=4)) == _as_lists(made)
-    with pytest.raises(CellSpaceTooLarge):
-        aggregate(_codes(arr), "experimental", n_observed=25)
+def test_a_count_table_of_no_observed_bit_is_refused():
+    # A (1, 4) table is a whole cell space, of 0 bits, but no model has
+    # one: labels of it would have no bit columns, a file read_labels_csv
+    # refuses.  Both entry points refuse it, and the refused call counts
+    # nothing.
+    zero = np.zeros((1, 4), dtype=np.int64)
+    zero[0] = _exp_row(650, 325, 650, 65)
+    with pytest.raises(ValueError, match="writable .* count table"):
+        aggregate(np.array([0, 3]), "experimental", into=zero)
+    with pytest.raises(ValueError, match="writable .* count table"):
+        aggregate(_rows((1, 1, 1)), "experimental", into=zero)
+    assert zero[0].tolist() == list(_exp_row(650, 325, 650, 65))
+    with pytest.raises(ValueError, match="two .* tables, or two count maps"):
+        build_labels(zero, zero.copy(), DEFAULT_BENEFIT_VECTOR, 1)
+    # nor do two empty count maps, which have no table to take a width from
+    with pytest.raises(ValueError, match="no width"):
+        build_labels({}, {}, DEFAULT_BENEFIT_VECTOR, 1)
+    # the smallest cell space a model has, one bit, is a table
+    one = np.zeros((2, 4), dtype=np.int64)
+    one[1] = zero[0]
+    labels, drops = build_labels(one, one.copy(), DEFAULT_BENEFIT_VECTOR, 1)
+    assert labels.n_observed == 1 and labels.cell_id.tolist() == [1] and len(drops) == 0
 
 
 def test_aggregate_memory_stays_per_chunk():
@@ -636,6 +673,16 @@ def test_split_deterministic_disjoint_exhaustive():
     # a different seed shuffles differently
     train3, _ = split(labels, SplitSpec(test_fraction=0.25, seed=12))
     assert train3 != train1
+
+
+def test_split_test_set_heads_the_seeded_permutation():
+    # the test set is the first ceil(0.25 * 97) = 25 rows of the seed's
+    # permutation, in its order, and the training set the rest
+    labels = _fake_labels(97)
+    order = model.random_stream(11).permutation(97)
+    train, test = split(labels, SplitSpec(test_fraction=0.25, seed=11))
+    assert test.cell_id.tolist() == labels.cell_id[order[:25]].tolist()
+    assert train.cell_id.tolist() == labels.cell_id[order[25:]].tolist()
 
 
 def test_split_validation():

@@ -462,16 +462,15 @@ def test_label_builds_no_count_map(ws, tmp_path, monkeypatch):
         assert (out_dir / name).read_bytes() == (ws["labels"] / name).read_bytes()
 
 
-def _label_through_maps(config, exp, obs, threshold, seed, out_dir):
-    """``label``'s three files, built with ``aggregate`` count maps and
-    ``build_labels`` from the same shards."""
-    maps = ({}, {})
-    for path, regime, counts in zip((exp, obs), datagen.REGIMES, maps):
+def _label_through_tables(config, exp, obs, threshold, seed, out_dir):
+    """``label``'s three files, built with README's idiom from the same
+    shards: ``aggregate`` into a count table per regime, then
+    ``build_labels``."""
+    tables = [np.zeros((1 << config.n_observed, 4), dtype=np.int64) for _ in datagen.REGIMES]
+    for path, regime, table in zip((exp, obs), datagen.REGIMES, tables):
         for codes in datagen.iter_codes(path):
-            cells.aggregate(codes, regime, into=counts, n_observed=config.n_observed)
-    labels, drops = cells.build_labels(*maps, DEFAULT_BENEFIT_VECTOR, threshold)
-    # The maps of two empty datasets leave the width to the config.
-    labels = dataclasses.replace(labels, n_observed=config.n_observed)
+            cells.aggregate(codes, regime, into=table)
+    labels, drops = cells.build_labels(*tables, DEFAULT_BENEFIT_VECTOR, threshold)
     train_set, test_set = cells.split(labels, SplitSpec(seed=seed)) if labels else (labels,) * 2
     out_dir.mkdir()
     cells.write_labels_csv(train_set, out_dir / "train_labels.csv")
@@ -495,9 +494,9 @@ def test_label_writes_what_the_count_maps_give(desk4, tmp_path, bits, n_exp, n_o
     path, exp, obs = _simulate_pair(config, n_exp, n_obs, tmp_path / "data", suffix)
     assert run("label", "--exp", exp, "--obs", obs, "--config", path, "--threshold", threshold,
                "--seed", 7, "--out-dir", tmp_path / "tables") == 0
-    _label_through_maps(config, exp, obs, threshold, 7, tmp_path / "maps")
+    _label_through_tables(config, exp, obs, threshold, 7, tmp_path / "api")
     for name in ("train_labels.csv", "test_labels.csv", "drops.csv"):
-        assert (tmp_path / "tables" / name).read_bytes() == (tmp_path / "maps" / name).read_bytes()
+        assert (tmp_path / "tables" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
 
 
 def test_label_writes_the_same_labels_from_csv_and_packed_files(ws, shards, tmp_path):
@@ -652,6 +651,24 @@ def test_select_lower_positive(ws, tmp_path):
     assert set(chosen) == {cid for cid, lo in preds.items() if lo > 0.0}
     lowers = [float(r[1]) for r in rows[1:]]
     assert lowers == sorted(lowers, reverse=True)
+
+
+def test_select_lower_positive_leaves_out_a_lower_bound_of_zero(tmp_path):
+    # "positive": a lower bound of exactly 0, of either sign, promises no
+    # benefit, and the least positive one does
+    preds = tmp_path / "p.csv"
+    write_predictions_csv(
+        PredictionTable(
+            cell_id=[0, 1, 2, 3],
+            pred_lower=[0.0, 1e-300, -0.0, 0.25],
+            pred_upper=[0.5, 0.5, 0.5, 0.5],
+            repaired=[False] * 4,
+        ),
+        preds,
+    )
+    out = tmp_path / "sel.csv"
+    assert run("select", "--predictions", preds, "--mode", "lower_positive", "--out", out) == 0
+    assert [int(r[0]) for r in _read_csv(out)[1:]] == [3, 1]
 
 
 def test_select_top_k(tmp_path):
@@ -1052,13 +1069,12 @@ from unitselect.model import cell_bits
 
 config = random_config(8, 3, seed=8)
 digest = hashlib.sha256()
-maps = {}
+counts = {}
 for regime, seed in (("experimental", 1), ("observational", 2)):
-    maps[regime] = {}
     for block in datagen.iter_blocks(config, regime, 60_000, seed):
         digest.update(block.tobytes())
-        cells.aggregate(block, regime, into=maps[regime])
-labels, _ = cells.build_labels(*maps.values(), DEFAULT_BENEFIT_VECTOR, threshold=200)
+        counts[regime] = cells.aggregate(block, regime, into=counts.get(regime))
+labels, _ = cells.build_labels(*counts.values(), DEFAULT_BENEFIT_VECTOR, threshold=200)
 train_set, _ = cells.split(labels, cells.SplitSpec(seed=7))
 features = cell_bits(train_set.cell_id, 8)
 for targets in (train_set.lower_label, train_set.upper_label):
@@ -1189,9 +1205,9 @@ def test_bulk_paths_build_no_row_objects(tmp_path, desk8, monkeypatch):
     monkeypatch.setattr(CellTable, "__iter__", counting_rows)
 
     v = unitselect.DEFAULT_BENEFIT_VECTOR
-    exp_map = cells.aggregate(exp_rows, "experimental")
-    obs_map = cells.aggregate(obs_rows, "observational")
-    labels, drops = cells.build_labels(exp_map, obs_map, v, threshold=200)
+    exp_counts = cells.aggregate(exp_rows, "experimental")
+    obs_counts = cells.aggregate(obs_rows, "observational")
+    labels, drops = cells.build_labels(exp_counts, obs_counts, v, threshold=200)
     assert len(labels) >= 10 and len(drops) >= 10
     train_set, test_set = cells.split(labels, cells.SplitSpec(0.2, seed=1))
     cells.write_labels_csv(train_set, tmp_path / "train_labels.csv")

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import reference_forward, reference_train
+from oracles import reference_forward, reference_init, reference_train
 
 from unitselect import learner
 from unitselect.bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector, value_range
@@ -28,7 +28,7 @@ from unitselect.learner import (
     train,
     write_predictions_csv,
 )
-from unitselect.model import cell_bits
+from unitselect.model import cell_bits, random_stream
 
 
 def _all_bits(n):
@@ -234,6 +234,16 @@ def test_train_matches_the_out_of_place_reference(n_cells, n_bits, hidden, epoch
     assert history[-1] != history[0]
 
 
+def test_initial_weights_are_a_glorot_draw_from_the_seed():
+    # (3, 5), (5, 5) and (5, 1) weights: a draw of any other shape, or
+    # within any other limit, gives other bits
+    hp = Hyperparams(hidden_width=5, epochs=1, seed=9)
+    got = learner._init_params(3, hp)
+    want = reference_init(random_stream(9), 3, 5)
+    for name, param, ref in zip(("w1", "b1", "w2", "b2", "w3", "b3"), got, want):
+        assert param.shape == ref.shape and param.tobytes() == ref.tobytes(), name
+
+
 def test_full_batch_train_makes_one_pass_per_epoch(monkeypatch):
     calls = []
     real = learner._loss_and_grads
@@ -364,6 +374,20 @@ def test_evaluate_against_truth(desk4):
         evaluate(exact, truth, sample_n=17, seed=0)
     with pytest.raises(ValueError):
         evaluate(exact[:-1], truth, sample_n=4, seed=0)
+
+
+def test_evaluate_is_the_mean_error_not_the_median(desk4):
+    # every cell is sampled; one cell's lower bound is off by 1.6 and
+    # another's upper bound by 0.8, so the mean errors are 0.1 and 0.05
+    # while the median errors are 0
+    truth = informer_table(desk4, DEFAULT_BENEFIT_VECTOR)
+    lower, upper = truth.true_lower.copy(), truth.true_upper.copy()
+    lower[3] -= 1.6
+    upper[11] += 0.8
+    preds = PredictionTable(truth.cell_id, lower, upper, np.zeros(len(truth), bool))
+    metrics = evaluate(preds, truth, sample_n=16, seed=0)
+    assert metrics["mae_lower"] == pytest.approx(0.1, abs=1e-15)
+    assert metrics["mae_upper"] == pytest.approx(0.05, abs=1e-15)
 
 
 def test_model_save_load_roundtrip(tmp_path):

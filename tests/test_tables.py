@@ -98,11 +98,11 @@ ROW_FIELDS = {
 
 def test_rows_are_the_columns_as_python_values(desk4):
     v = DEFAULT_BENEFIT_VECTOR
-    exp_map, obs_map = {}, {}
-    for counts, regime, seed in ((exp_map, "experimental", 1), (obs_map, "observational", 2)):
+    tables = [np.zeros((16, 4), dtype=np.int64) for _ in range(2)]
+    for table, regime, seed in zip(tables, ("experimental", "observational"), (1, 2)):
         for block in iter_blocks(desk4, regime, 20_000, seed):
-            aggregate(block, regime, into=counts)
-    labels, drops = build_labels(exp_map, obs_map, v, threshold=1300)
+            aggregate(block, regime, into=table)
+    labels, drops = build_labels(*tables, v, threshold=1300)
     train_set, _ = split(labels, SplitSpec(0.2, seed=3))  # not in id order
     truth = informer_table(desk4, v)
     preds = PredictionTable(truth.cell_id, truth.true_lower, truth.true_upper, truth.true_f > 0)
