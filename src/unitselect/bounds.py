@@ -12,9 +12,11 @@ directly into bounds on the benefit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .model import check_number
 
 __all__ = [
     "BenefitVector",
@@ -39,11 +41,15 @@ PROB_TOL = 1e-9
 CONSISTENCY_TOL = 1e-12
 
 
-def _check_prob(value: float, name: str) -> float:
-    p = float(value)
-    if not -PROB_TOL <= p <= 1.0 + PROB_TOL:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return p
+def _check_probs(dist: object) -> float:
+    """Store each field of ``dist`` as a float through ``check_number``,
+    refusing one outside [0, 1] by more than PROB_TOL; returns their sum."""
+    for f in fields(dist):
+        p = check_number(getattr(dist, f.name), f.name)
+        if not -PROB_TOL <= p <= 1.0 + PROB_TOL:
+            raise ValueError(f"{f.name} must lie in [0, 1], got {p!r}")
+        object.__setattr__(dist, f.name, p)
+    return sum(getattr(dist, f.name) for f in fields(dist))
 
 
 @dataclass(frozen=True)
@@ -57,11 +63,8 @@ class BenefitVector:
     delta: float
 
     def __post_init__(self) -> None:
-        for name in ("beta", "gamma", "theta", "delta"):
-            v = float(getattr(self, name))
-            if not np.isfinite(v):
-                raise ValueError(f"benefit payoff {name} must be finite")
-            object.__setattr__(self, name, v)
+        for f in fields(self):
+            object.__setattr__(self, f.name, check_number(getattr(self, f.name), f.name))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.beta, self.gamma, self.theta, self.delta)
@@ -78,8 +81,7 @@ class ExperimentalDistribution:
     p_y_do_xp: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p_y_do_x", _check_prob(self.p_y_do_x, "p_y_do_x"))
-        object.__setattr__(self, "p_y_do_xp", _check_prob(self.p_y_do_xp, "p_y_do_xp"))
+        _check_probs(self)
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,7 @@ class ObservationalJoint:
     p_xpyp: float
 
     def __post_init__(self) -> None:
-        for name in ("p_xy", "p_xyp", "p_xpy", "p_xpyp"):
-            object.__setattr__(self, name, _check_prob(getattr(self, name), name))
-        total = self.p_xy + self.p_xyp + self.p_xpy + self.p_xpyp
+        total = _check_probs(self)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"observational joint sums to {total!r}, expected 1")
 
@@ -122,9 +122,7 @@ class ResponseProfile:
     p_defier: float
 
     def __post_init__(self) -> None:
-        for name in ("p_complier", "p_always", "p_never", "p_defier"):
-            object.__setattr__(self, name, _check_prob(getattr(self, name), name))
-        total = self.p_complier + self.p_always + self.p_never + self.p_defier
+        total = _check_probs(self)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"response profile sums to {total!r}, expected 1")
 

@@ -34,7 +34,8 @@ from .bounds import (
     clamp_to_range,
 )
 from .datagen import REGIMES, SHARD_SIZE, row_codes
-from .model import cell_bits, cell_ids, check_cell_space, check_seed, random_stream
+from .model import cell_bits, cell_ids, check_cell_space, check_integer, check_number, check_seed
+from .model import random_stream
 from .tables import CellTable, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -104,17 +105,15 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must lie in (0, 1)")
+        if not 0.0 < check_number(self.test_fraction, "test_fraction") < 1.0:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction!r}")
         check_seed(self.seed)
 
 
 def check_threshold(threshold: int) -> int:
     """``threshold`` itself, if it can bound a cell's sample counts: an int
     with threshold >= 0."""
-    if type(threshold) is not int or threshold < 0:  # refuses -5, 1.5 and True
-        raise ValueError(f"threshold must be a nonnegative integer, got {threshold!r}")
-    return threshold
+    return check_integer(threshold, "threshold", 0)
 
 
 def _is_table(counts: object) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cells, datagen, informer, learner
 from .bounds import DEFAULT_BENEFIT_VECTOR, BenefitVector
-from .model import ScmConfig, cell_bits, check_cell_space, check_seed
+from .model import ScmConfig, cell_bits, check_cell_space, check_integer, check_seed
 from .tables import atomic_write, write_cell_csv
 
 __all__ = ["main"]
@@ -156,9 +156,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
         if args.k is not None:
             raise ValueError("mode lower_positive keeps every positive cell and takes no --k")
     elif args.k is None:
-        raise ValueError(f"mode {args.mode} needs --k >= 1")
-    elif args.k < 1:
-        raise ValueError(f"--k must be >= 1, got {args.k}")
+        raise ValueError(f"mode {args.mode} needs a --k of at least 1")
+    else:
+        check_integer(args.k, "--k", 1)
     table = learner.read_predictions_csv(args.predictions)
     ids, lower, upper = table.cell_id, table.pred_lower, table.pred_upper
     if args.mode == "lower_positive":

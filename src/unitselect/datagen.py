@@ -59,7 +59,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import ScmConfig, cell_bits, cell_ids, check_cell_space, check_seed
+from .model import ScmConfig, cell_bits, cell_ids, check_cell_space, check_integer, check_seed
 from .model import eval_x, eval_y, random_stream
 from .tables import atomic_write
 
@@ -111,14 +111,9 @@ class DatasetMeta:
     def __post_init__(self) -> None:
         if self.kind not in REGIMES:
             raise DatasetFormatError(f"unknown regime {self.kind!r}")
-        for name in ("n", "n_observed"):
-            if type(getattr(self, name)) is not int:  # refuses 4.0, true and "4"
-                raise DatasetFormatError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.n < 0:
-            raise DatasetFormatError("n must be nonnegative")
-        if self.n_observed < 1:
-            raise DatasetFormatError("n_observed must be at least 1")
         try:
+            check_integer(self.n, "n", 0)
+            check_integer(self.n_observed, "n_observed", 1)
             check_seed(self.seed)
             check_cell_space(self.n_observed)
         except ValueError as exc:
@@ -221,10 +216,7 @@ def iter_blocks(
     here."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    if type(n_samples) is not int:  # refuses 1.5, True and "5"
-        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 0:
-        raise ValueError("n_samples must be nonnegative")
+    check_integer(n_samples, "n_samples", 0)
     check_seed(seed)
     n_shards = (n_samples + SHARD_SIZE - 1) // SHARD_SIZE
     sizes = [min(SHARD_SIZE, n_samples - shard * SHARD_SIZE) for shard in range(n_shards)]

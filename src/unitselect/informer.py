@@ -192,13 +192,14 @@ def _cell_block(
         full[:, n_obs:] = np.tile(cell_bits(np.arange(n_comp), n_u), (k, 1))
     m_x = full @ np.asarray(config.weights_x)
     m_y = full @ np.asarray(config.weights_y)
+    del full
     c = config.constant_c
     r = (1.0 - config.bern_ux, config.bern_ux)
     q = (1.0 - config.bern_uy, config.bern_uy)
 
     # Per profile, in ObservationalJoint and in ResponseProfile field order.
-    joint = np.zeros((4, len(full)))
-    types = np.zeros((4, len(full)))
+    joint = np.zeros((4, len(m_x)))
+    types = np.zeros((4, len(m_x)))
     for u_x in (0, 1):
         x = eval_x(m_x, u_x)
         for u_y in (0, 1):
@@ -228,8 +229,12 @@ def informer_table(config: ScmConfig, v: BenefitVector) -> InformerTable:
     weights = completion_weights(config)
     ids = np.arange(check_cell_space(config.n_observed))
     step = max(4, _BLOCK_PROFILES >> config.n_unobserved)
-    blocks = [_cell_block(ids[i : i + step], config, v, weights) for i in range(0, len(ids), step)]
-    return InformerTable(ids, config.n_observed, *map(np.concatenate, zip(*blocks)))
+    # The columns after cell_id, allocated once and filled a block at a time.
+    cols = [np.empty(len(ids), spec) for spec in list(InformerTable._columns.values())[1:]]
+    for i in range(0, len(ids), step):
+        for col, block in zip(cols, _cell_block(ids[i : i + step], config, v, weights)):
+            col[i : i + step] = block
+    return InformerTable(ids, config.n_observed, *cols)
 
 
 def write_informer_csv(table: InformerTable, path: str | Path) -> None:

@@ -23,7 +23,8 @@ import numpy as np
 
 from .bounds import BenefitVector, clamp_to_range
 from .informer import InformerTable
-from .model import cell_bits, check_cell_space, check_seed, random_stream
+from .model import cell_bits, check_cell_space, check_integer, check_number, check_seed
+from .model import random_stream
 from .tables import CellTable, atomic_write, read_cell_csv, write_cell_csv
 
 __all__ = [
@@ -59,17 +60,11 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("hidden_width", "epochs"):
-            if type(getattr(self, name)) is not int:  # refuses 2.5, true and "4"
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.hidden_width < 1 or self.epochs < 1:
-            raise ValueError("hidden_width and epochs must be positive")
+        check_integer(self.hidden_width, "hidden_width", 1)
+        check_integer(self.epochs, "epochs", 1)
         check_seed(self.seed)
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):  # refuses true, "0.1"
-            raise ValueError(f"learning_rate must be a number, got {rate!r}")
-        if not 0.0 < rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
+        if check_number(self.learning_rate, "learning_rate") <= 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +264,7 @@ def predict_all(
 
 def sample_cell_ids(n_cells: int, sample_n: int, seed: int) -> np.ndarray:
     """The seeded evaluation sample: sample_n distinct cell ids."""
-    if not 1 <= sample_n <= n_cells:
+    if check_integer(sample_n, "sample_n", 1) > n_cells:
         raise ValueError(f"cannot sample {sample_n} of {n_cells} cells")
     rng = random_stream(seed)
     return np.sort(rng.choice(n_cells, size=sample_n, replace=False))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
 from importlib import resources
@@ -34,6 +35,8 @@ __all__ = [
     "FullProfile",
     "cell_ids",
     "cell_bits",
+    "check_integer",
+    "check_number",
     "check_seed",
     "random_stream",
     "default_config",
@@ -65,13 +68,6 @@ def check_cell_space(n_observed: int) -> int:
     return n_cells
 
 
-def _as_prob(value: float, name: str) -> float:
-    p = float(value)
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
-    return p
-
-
 @dataclass(frozen=True)
 class ScmConfig:
     """Full parameterization of the data-generating model.
@@ -81,8 +77,9 @@ class ScmConfig:
     ``weights_y`` are the linear score columns for the treatment and outcome
     mechanisms, ``bern_z`` holds one Bernoulli parameter per characteristic,
     and ``experiment_assign_prob`` is the treatment assignment rate under
-    randomized experiments.  Widths are ints, and every other field a number
-    or a list of numbers: never a bool, a string or None.
+    randomized experiments.  The widths pass ``check_integer`` and every
+    other value ``check_number``, a list entry by entry, and probabilities
+    lie in [0, 1]; ConfigError carries the message.
     """
 
     n_observed: int
@@ -96,44 +93,29 @@ class ScmConfig:
     experiment_assign_prob: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("n_observed", "n_unobserved"):
-            if type(getattr(self, name)) is not int:  # refuses 15.7, True and "15"
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for f in fields(self)[2:]:
-            value = getattr(self, f.name)
-            items = value if f.name in ("weights_x", "weights_y", "bern_z") else [value]
-            # float() would take True as 1.0 and "0.5" as 0.5.
-            if not isinstance(items, (list, tuple)) or any(
-                isinstance(x, bool) or not isinstance(x, (int, float)) for x in items
-            ):
-                raise ConfigError(f"{f.name} must hold numbers, got {value!r}")
-        if self.n_observed < 1:
-            raise ConfigError(f"n_observed must be >= 1, got {self.n_observed}")
-        if self.n_unobserved < 0:
-            raise ConfigError(f"n_unobserved must be >= 0, got {self.n_unobserved}")
-        n = self.n_observed + self.n_unobserved
-        for name in ("weights_x", "weights_y", "bern_z"):
-            vec = tuple(float(v) for v in getattr(self, name))
-            object.__setattr__(self, name, vec)
-            if len(vec) != n:
-                raise ConfigError(
-                    f"{name} must have length n_observed + n_unobserved = {n}, "
-                    f"got {len(vec)}"
-                )
-            if not all(np.isfinite(vec)):
-                raise ConfigError(f"{name} contains non-finite entries")
-        for p in self.bern_z:
-            _as_prob(p, "bern_z entry")
-        object.__setattr__(self, "bern_ux", _as_prob(self.bern_ux, "bern_ux"))
-        object.__setattr__(self, "bern_uy", _as_prob(self.bern_uy, "bern_uy"))
-        object.__setattr__(
-            self,
-            "experiment_assign_prob",
-            _as_prob(self.experiment_assign_prob, "experiment_assign_prob"),
-        )
-        if not np.isfinite(self.constant_c):
-            raise ConfigError("constant_c must be finite")
-        object.__setattr__(self, "constant_c", float(self.constant_c))
+        try:
+            n = check_integer(self.n_observed, "n_observed", 1)
+            n += check_integer(self.n_unobserved, "n_unobserved", 0)
+            for f in fields(self)[2:]:
+                value = getattr(self, f.name)
+                if f.name in ("weights_x", "weights_y", "bern_z"):
+                    if not isinstance(value, (list, tuple)) or len(value) != n:
+                        raise ValueError(
+                            f"{f.name} must be a list of n_observed + n_unobserved = {n} "
+                            f"numbers, got {value!r}"
+                        )
+                    value = tuple(check_number(x, f"{f.name}[{i}]") for i, x in enumerate(value))
+                else:
+                    value = check_number(value, f.name)
+                object.__setattr__(self, f.name, value)
+            probs = {f"bern_z[{i}]": p for i, p in enumerate(self.bern_z)}
+            for name in ("bern_ux", "bern_uy", "experiment_assign_prob"):
+                probs[name] = getattr(self, name)
+            for name, p in probs.items():
+                if not 0.0 <= p <= 1.0:
+                    raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def n_total(self) -> int:
@@ -221,11 +203,31 @@ def cell_bits(ids: np.ndarray, n_bits: int) -> np.ndarray:
     return out
 
 
+def check_integer(value: int, name: str, low: int | None = None) -> int:
+    """``value`` itself, if it is an ``int``, never a bool, a float or a
+    str, and at least ``low`` when a low is given; ValueError otherwise."""
+    if type(value) is not int:  # refuses 1.5, True and "1"
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def check_number(value: float, name: str) -> float:
+    """``value`` as a float, if it is a finite ``int`` or ``float``, never a
+    bool or a str; ValueError otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def check_seed(seed: int) -> int:
     """``seed`` itself, if it can key a stream: an int with 0 <= seed < 2**64."""
-    if type(seed) is not int:  # refuses 1.5, True and "1"
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= seed < 1 << 64:
+    if not 0 <= check_integer(seed, "seed") < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return seed
 

@@ -34,6 +34,11 @@ def test_vector_requires_finite_payoffs():
         BenefitVector(1.0, float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError):
         BenefitVector(float("inf"), 0.0, 0.0, 0.0)
+    # float() would take True and "1" as 1.0
+    with pytest.raises(ValueError, match="^beta must be a finite number, got True$"):
+        BenefitVector(True, -1, -1, -2)
+    with pytest.raises(ValueError, match="^gamma must be a finite number, got '1'$"):
+        BenefitVector(1, "1", -1, -2)
 
 
 def test_sigma():
@@ -58,6 +63,11 @@ def test_w_term():
 def test_distribution_validation():
     with pytest.raises(ValueError):
         ExperimentalDistribution(1.2, 0.0)
+    # float() would take "0.5" as 0.5 and True as 1.0
+    with pytest.raises(ValueError, match="^p_y_do_x must be a finite number, got '0.5'$"):
+        ExperimentalDistribution("0.5", 0.5)
+    with pytest.raises(ValueError, match="^p_y_do_xp must be a finite number, got True$"):
+        ExperimentalDistribution(0.5, True)
     with pytest.raises(ValueError):
         ObservationalJoint(0.5, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):

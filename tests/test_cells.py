@@ -90,12 +90,18 @@ def _obs_row(xy, xyp, xpy, xpyp):
     return (xpyp, xpy, xyp, xy)
 
 
-def _count_map(rows, n_observed=1):
-    """A map as ``aggregate`` returns it: each id's row is a view of one
-    table of ``n_observed`` bits."""
+def _count_table(rows, n_observed=1):
+    """A count table of ``n_observed`` bits holding each id's row."""
     table = np.zeros((1 << n_observed, 4), dtype=np.int64)
     for cid, row in rows.items():
         table[cid] = row
+    return table
+
+
+def _count_map(rows, n_observed=1):
+    """A map as ``aggregate`` returns it: each id's row is a view of one
+    table of ``n_observed`` bits."""
+    table = _count_table(rows, n_observed)
     return {cid: table[cid] for cid in rows}
 
 
@@ -459,10 +465,11 @@ def _counts(n_treated, n_t_y1, n_control, n_c_y1, obs):
     return _exp_row(n_treated, n_t_y1, n_control, n_c_y1), _obs_row(*obs)
 
 
-def _maps(cells_by_id, n_observed=1):
-    """Experimental and observational maps of cells given as ``_counts``."""
-    exp = _count_map({cid: c[0] for cid, c in cells_by_id.items()}, n_observed)
-    obs = _count_map({cid: c[1] for cid, c in cells_by_id.items()}, n_observed)
+def _tables(cells_by_id, n_observed=1):
+    """Experimental and observational count tables of cells given as
+    ``_counts``."""
+    exp = _count_table({cid: c[0] for cid, c in cells_by_id.items()}, n_observed)
+    obs = _count_table({cid: c[1] for cid, c in cells_by_id.items()}, n_observed)
     return exp, obs
 
 
@@ -470,13 +477,13 @@ def test_build_labels_threshold_boundary():
     v = DEFAULT_BENEFIT_VECTOR
     ok = _counts(650, 325, 650, 65, (325, 325, 325, 325))
     thin = _counts(650, 325, 649, 65, (325, 325, 325, 325))  # n_exp = 1299
-    exp_map = _count_map({0: ok[0], 1: thin[0]})
-    obs_map = _count_map({0: ok[1], 1: ok[1]})
-    labels, drops = build_labels(exp_map, obs_map, v, threshold=1300)
+    exp = _count_table({0: ok[0], 1: thin[0]})
+    obs = _count_table({0: ok[1], 1: ok[1]})
+    labels, drops = build_labels(exp, obs, v, threshold=1300)
     assert labels.cell_id.tolist() == [0]
     assert drops == _table(DropTable, [((1,), BELOW_THRESHOLD, 1299, 1300)], 1)
     # at exactly the threshold the cell qualifies
-    labels, drops = build_labels(exp_map, obs_map, v, threshold=1299)
+    labels, drops = build_labels(exp, obs, v, threshold=1299)
     assert labels.cell_id.tolist() == [0, 1]
     assert len(drops) == 0
 
@@ -484,20 +491,23 @@ def test_build_labels_threshold_boundary():
 @pytest.mark.parametrize("threshold", [-5, -1, 1.5, 50.0, True, None, "50"])
 def test_build_labels_refuses_a_threshold_that_is_not_a_count(threshold):
     # -5 would label as 0 does: every count is at least 0
-    maps = _maps({0: _counts(650, 325, 650, 65, (325, 325, 325, 325))})
-    message = f"threshold must be a nonnegative integer, got {threshold!r}"
+    tables = _tables({0: _counts(650, 325, 650, 65, (325, 325, 325, 325))})
+    if type(threshold) is int:
+        message = f"threshold must be at least 0, got {threshold}"
+    else:
+        message = f"threshold must be an integer, got {threshold!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build_labels(*maps, DEFAULT_BENEFIT_VECTOR, threshold=threshold)
-    assert len(build_labels(*maps, DEFAULT_BENEFIT_VECTOR, threshold=0)[0]) == 1
+        build_labels(*tables, DEFAULT_BENEFIT_VECTOR, threshold=threshold)
+    assert len(build_labels(*tables, DEFAULT_BENEFIT_VECTOR, threshold=0)[0]) == 1
 
 
 def test_build_labels_separate_regime_maps():
-    # experimental tallies come from one map, observational from the other;
-    # each map's rows are read as its own regime's
+    # experimental tallies come from one table, observational from the other;
+    # each table's rows are read as its own regime's
     v = DEFAULT_BENEFIT_VECTOR
-    exp_map = _count_map({0: _exp_row(40, 20, 40, 4)})
-    obs_map = _count_map({0: _obs_row(20, 20, 20, 20)})
-    labels, drops = build_labels(exp_map, obs_map, v, threshold=50)
+    exp = _count_table({0: _exp_row(40, 20, 40, 4)})
+    obs = _count_table({0: _obs_row(20, 20, 20, 20)})
+    labels, drops = build_labels(exp, obs, v, threshold=50)
     assert len(drops) == 0
     assert len(labels) == 1
     assert labels.n_exp[0] == 80
@@ -510,7 +520,7 @@ def test_build_labels_zero_arm_and_inconsistent():
     # e = (0.9, 0.0) with o = (0, 0.5, 0, 0.5) forces the lower PNS bound
     # (0.9) above the upper one (0.5)
     clash = _counts(10, 9, 10, 0, (0, 5, 0, 5))
-    labels, drops = build_labels(*_maps({0: zero_arm, 1: clash}), v, threshold=10)
+    labels, drops = build_labels(*_tables({0: zero_arm, 1: clash}), v, threshold=10)
     assert len(labels) == 0
     assert drops == _table(DropTable, [
         ((0,), ZERO_ARM, 20, 20),
@@ -520,8 +530,8 @@ def test_build_labels_zero_arm_and_inconsistent():
 
 def test_build_labels_missing_from_one_regime():
     v = DEFAULT_BENEFIT_VECTOR
-    exp_map = _count_map({0: _exp_row(40, 20, 40, 4)})
-    labels, drops = build_labels(exp_map, {}, v, threshold=10)
+    exp = _count_table({0: _exp_row(40, 20, 40, 4)})
+    labels, drops = build_labels(exp, _count_table({}), v, threshold=10)
     assert len(labels) == 0
     assert drops == _table(DropTable, [((0,), BELOW_THRESHOLD, 80, 0)], 1)
 
@@ -547,7 +557,7 @@ def test_build_labels_within_value_range():
     v = BenefitVector(beta=1.0, gamma=-1.0, theta=-1.0, delta=-2.0)
     lo, hi = value_range(v)
     ok = _counts(100, 100, 100, 0, (50, 0, 0, 50))
-    labels, _ = build_labels(*_maps({0: ok}), v, threshold=10)
+    labels, _ = build_labels(*_tables({0: ok}), v, threshold=10)
     assert len(labels) == 1
     assert lo <= labels.lower_label[0] <= labels.upper_label[0] <= hi
 
@@ -557,13 +567,15 @@ def _f64(x) -> bytes:
     return struct.pack("<d", x)
 
 
-def _scalar_labels(exp_map, obs_map, v, threshold):
-    """The per-cell chain estimate -> benefit_bounds -> clamp, cell by cell."""
+def _scalar_labels(exp_counts, obs_counts, v, threshold):
+    """The per-cell chain estimate -> benefit_bounds -> clamp, cell by cell,
+    for each cell seen: its row is nonzero in either count table."""
     lo, hi = value_range(v)
     out = {}
-    for cid in set(exp_map) | set(obs_map):
-        e = exp_map.get(cid, np.zeros(4, dtype=np.int64))
-        o = obs_map.get(cid, np.zeros(4, dtype=np.int64))
+    for cid in range(len(exp_counts)):
+        e, o = exp_counts[cid], obs_counts[cid]
+        if not (e.any() or o.any()):
+            continue
         if e.sum() < threshold or o.sum() < threshold:
             out[cid] = BELOW_THRESHOLD
             continue
@@ -600,9 +612,9 @@ def test_build_labels_matches_scalar_chain(v):
             exp_rows[cid] = _exp_row(treated, y1[0], control, y1[1])
         if rng.random() < 0.95:
             obs_rows[cid] = _obs_row(*rng.integers(0, 12, 4).tolist())
-    exp_map, obs_map = _count_map(exp_rows, 9), _count_map(obs_rows, 9)
-    labels, drops = build_labels(exp_map, obs_map, v, threshold=20)
-    expect = _scalar_labels(exp_map, obs_map, v, threshold=20)
+    exp, obs = _count_table(exp_rows, 9), _count_table(obs_rows, 9)
+    labels, drops = build_labels(exp, obs, v, threshold=20)
+    expect = _scalar_labels(exp, obs, v, threshold=20)
     assert sorted([*labels.cell_id.tolist(), *drops.cell_id.tolist()]) == sorted(expect)
     assert set(drops.reason) == {BELOW_THRESHOLD, ZERO_ARM, INCONSISTENT}
     assert len(labels) > 20
@@ -618,7 +630,7 @@ def test_build_labels_rejects_impossible_counts():
     v = DEFAULT_BENEFIT_VECTOR
     bad = _counts(10, 11, 10, 0, (5, 5, 5, 5))  # 11 of 10 treated had y = 1
     with pytest.raises(ValueError):
-        build_labels(*_maps({0: bad}), v, threshold=1)
+        build_labels(*_tables({0: bad}), v, threshold=1)
     with pytest.raises(ValueError):
         estimate(*bad)
 
@@ -640,7 +652,7 @@ def test_labels_match_exact_truth_with_exact_proportions(desk4):
         exp_row = (half - control_y1, control_y1, half - treated_y1, treated_y1)
         obs_row = [round(p * d) for p in (obs.p_xpyp, obs.p_xpy, obs.p_xyp, obs.p_xy)]
         cells_by_id[cid] = (exp_row, obs_row)
-    labels, drops = build_labels(*_maps(cells_by_id, 4), v, threshold=1)
+    labels, drops = build_labels(*_tables(cells_by_id, 4), v, threshold=1)
     assert len(drops) == 0
     assert len(labels) == 16
     assert (labels.cell_id == table.cell_id).all() and labels.n_observed == table.n_observed
@@ -690,6 +702,9 @@ def test_split_validation():
         SplitSpec(test_fraction=0.0)
     with pytest.raises(ValueError):
         SplitSpec(test_fraction=1.0)
+    # a string fraction would fail in a comparison with a bare TypeError
+    with pytest.raises(ValueError, match="^test_fraction must be a finite number, got '0.2'$"):
+        SplitSpec("0.2")
     with pytest.raises(ValueError):
         split([], SplitSpec())
     # the test set may not take every cell
@@ -826,5 +841,5 @@ def test_labels_csv_keeps_split_order(tmp_path):
 def test_build_labels_refuses_mixed_widths():
     ok = _counts(40, 20, 40, 4, (10, 10, 10, 10))
     with pytest.raises(ValueError, match="different widths"):
-        build_labels(_count_map({0: ok[0]}, 1), _count_map({0: ok[1]}, 2),
+        build_labels(_count_table({0: ok[0]}, 1), _count_table({0: ok[1]}, 2),
                      DEFAULT_BENEFIT_VECTOR, 10)

@@ -169,7 +169,7 @@ def test_label_refuses_a_negative_threshold(ws, tmp_path, capsys, threshold):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith(
-        f"argument --threshold: threshold must be a nonnegative integer, got {threshold}\n"
+        f"argument --threshold: threshold must be at least 0, got {threshold}\n"
     )
     assert not out_dir.exists()
 
@@ -182,7 +182,7 @@ def test_label_refuses_a_bad_threshold_before_reading(tmp_path, capsys):
             "--threshold", -5, "--seed", 7, "--out-dir", tmp_path / "labels")
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(
-        "argument --threshold: threshold must be a nonnegative integer, got -5\n"
+        "argument --threshold: threshold must be at least 0, got -5\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -357,6 +357,50 @@ def test_appendix_simulate_bytes_are_pinned(tmp_path, kind):
     seed = 61 if kind == "experimental" else 62
     digest = _simulate_sha256(config, kind, seed, tmp_path / "d.bin")
     assert digest == PINNED_APPENDIX_SIMULATE[kind]
+
+
+# sha256 of every file the ws chain writes, sidecars included, and of what
+# select, evaluate and report write from it: the bytes no change may alter
+# unnoticed.  The model files' bytes rest on the BLAS's sums; these were
+# checked with numpy 2.4.6 (OpenBLAS 0.3.31) at one and two BLAS threads and
+# on one CPU.
+PINNED_CHAIN = {
+    "desk4.json": "6279b8841b745c011c749269abbaa1e76d2d389ab34e1867da96ce676c569790",
+    "exp.csv": "f9ac7942c2eceb7bcbe27631af8be9045bf100ba0eb77f766a28510de7795951",
+    "exp.meta.json": "c00cfaeaff45cc507ab4160dc5f67e6bd45959c8db4a236d60e2d85b201abe8b",
+    "labels/drops.csv": "e1751db8856e4233d791058230c09c8f4649d73aee4a826502d4de5e931dfacc",
+    "labels/test_labels.csv": "3f473c11bf374e92a01fcb2e519f148039fb55639c0b57094e809867b9db294a",
+    "labels/train_labels.csv": "c1237fbba27faa50ba3c22524446d9b11c8e1b875b73e131cd59b8cb3d0b62bb",
+    "models/model_lower.json": "23f0396433b4f390fc63f88b88a78848a7215fad4bce2f6558b84b6fcb7affd3",
+    "models/model_upper.json": "98b28b46b8a826b16f88022f8ceef0c34b3ce9411a0cc5b736c13e2bef06c377",
+    "obs.csv": "f625af9fa8e0f9feb57e28e35588aa9ba8e4139291775cc296adb44ec0111bf5",
+    "obs.meta.json": "12ca379f8ea6fc3f1cdb584237b3ca2d7e3f10b4ac481025b7878c0cd5fbe2a8",
+    "preds.csv": "6976a8c4dd2f5b39402fd6984add4e6ec21233f40087a79cc3bb02b5ab0800ef",
+    "truth.csv": "6b1060530a9f9eb921246b055a1e309997b971efe9790e9c1d603236e02c16d5",
+    "lower_positive.csv": "d6dd468f16c0c54d313b1ba994bbbef739642483016dcb0853a32163db67aa79",
+    "metrics.json": "309ef9355a581a2333a714760439fb5514f5d9e975386b468d9d0b913a379acb",
+    "report.csv": "8e26934bf5f80023b72ac31ceb54947521f78854b855d209824687cf263f4e03",
+    "top_k_lower.csv": "381844834f08e048f0db99e54fe983c771b817e20d06be90603ac6c4cfba8295",
+    "top_k_midpoint.csv": "381844834f08e048f0db99e54fe983c771b817e20d06be90603ac6c4cfba8295",
+}
+
+
+def test_chain_bytes_are_pinned(ws, tmp_path):
+    for mode, k in (("lower_positive", []), ("top_k_lower", ["--k", 5]),
+                    ("top_k_midpoint", ["--k", 5])):
+        assert run("select", "--predictions", ws["preds"], "--mode", mode, *k,
+                   "--out", tmp_path / f"{mode}.csv") == 0
+    assert run("evaluate", "--predictions", ws["preds"], "--informer", ws["truth"],
+               "--sample-n", 10, "--seed", 4, "--out", tmp_path / "metrics.json") == 0
+    assert run("report", "--predictions", ws["preds"], "--informer", ws["truth"],
+               "--sample-n", 10, "--seed", 4, "--out", tmp_path / "report.csv") == 0
+    digests = {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for root in (ws["root"], tmp_path)
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+    assert digests == PINNED_CHAIN
 
 
 @pytest.fixture(scope="module")
@@ -877,17 +921,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, desk4):
     # float() would load this as a noise probability of 1.0
     bad.write_text(json.dumps(dict(dataclasses.asdict(desk4), bern_ux=True)))
     assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
-    assert "bern_ux must hold numbers, got True" in capsys.readouterr().err
+    assert "bern_ux must be a finite number, got True" in capsys.readouterr().err
     # float() would load these strings as 0.5 and 1.0
     bern_ux = dict(dataclasses.asdict(desk4), bern_ux="0.5")
     bad.write_text(json.dumps(bern_ux))
     assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
-    assert "bern_ux must hold numbers, got '0.5'" in capsys.readouterr().err
+    assert "bern_ux must be a finite number, got '0.5'" in capsys.readouterr().err
     weights = dict(dataclasses.asdict(desk4))
     weights["weights_x"] = ["1e0", *weights["weights_x"][1:]]
     bad.write_text(json.dumps(weights))
     assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2
-    assert "weights_x must hold numbers" in capsys.readouterr().err
+    assert "weights_x[0] must be a finite number" in capsys.readouterr().err
     # a misspelled key would load as the default and fingerprint as it
     bad.write_text(json.dumps(dict(dataclasses.asdict(desk4), experiment_asign_prob=0.9)))
     assert run("informer", "--config", bad, "--out", tmp_path / "x.csv") == 2

@@ -260,6 +260,25 @@ def test_informer_memory_follows_the_budget_not_the_latent_count(config, bound_m
     assert peak < bound_mib << 20
 
 
+def test_informer_table_holds_its_columns_and_one_block():
+    # The wide-cells model: 65,536 cells in 2,048-cell blocks.  Joining a
+    # list of blocks at the end held every column twice (10.1 MiB traced
+    # against 5.0 MiB of columns).
+    config = random_config(16, 3, seed=17)
+    step = max(4, informer._BLOCK_PROFILES >> config.n_unobserved)
+    tracemalloc.start()
+    try:
+        informer._cell_block(np.arange(step), config, V, completion_weights(config))
+        block = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table = informer_table(config, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(table, name).nbytes for name in table._columns)
+    assert peak < columns + block + (64 << 10)
+
+
 def test_informer_table_size_guard():
     cfg = random_config(25, 0, seed=1)
     with pytest.raises(CellSpaceTooLarge):

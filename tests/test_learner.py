@@ -355,6 +355,14 @@ def test_sample_cell_ids():
     assert not np.array_equal(ids, sample_cell_ids(300, 200, seed=1))
     with pytest.raises(ValueError):
         sample_cell_ids(100, 101, seed=0)
+    # True would sample one cell; 2.5 and "3" would fail in the draw with a
+    # bare TypeError
+    for sample_n in (2.5, True, "3"):
+        message = f"sample_n must be an integer, got {sample_n!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_cell_ids(16, sample_n, 0)
+    with pytest.raises(ValueError, match="^sample_n must be at least 1, got 0$"):
+        sample_cell_ids(16, 0, 0)
 
 
 def test_evaluate_against_truth(desk4):

@@ -75,7 +75,8 @@ def test_config_validation():
     "change, message",
     [
         (lambda d: [], "config must be a JSON object, got list"),
-        (lambda d: dict(d, weights_x=5), "weights_x must hold numbers, got 5"),
+        (lambda d: dict(d, weights_x=5),
+         "weights_x must be a list of n_observed + n_unobserved = 20 numbers, got 5"),
         (lambda d: dict(d, n_observed=None), "n_observed must be an integer, got None"),
         # int() would load a 15-bit model
         (lambda d: dict(d, n_observed=15.7), "n_observed must be an integer, got 15.7"),
@@ -83,31 +84,39 @@ def test_config_validation():
         (lambda d: dict(d, n_observed=True, n_unobserved=19),
          "n_observed must be an integer, got True"),
         # float() would load true as 1.0
-        (lambda d: dict(d, bern_ux=True), "bern_ux must hold numbers, got True"),
-        (lambda d: dict(d, constant_c=False), "constant_c must hold numbers, got False"),
+        (lambda d: dict(d, bern_ux=True), "bern_ux must be a finite number, got True"),
+        (lambda d: dict(d, constant_c=False), "constant_c must be a finite number, got False"),
         (lambda d: dict(d, experiment_assign_prob=True),
-         "experiment_assign_prob must hold numbers, got True"),
-        (lambda d: dict(d, bern_z=[True] + [0.5] * 19), "bern_z must hold numbers, got [True, "),
+         "experiment_assign_prob must be a finite number, got True"),
+        (lambda d: dict(d, bern_z=[True] + [0.5] * 19),
+         "bern_z[0] must be a finite number, got True"),
         (lambda d: dict(d, weights_y=[0.0] * 19 + [False]),
-         "weights_y must hold numbers, got [0.0, "),
+         "weights_y[19] must be a finite number, got False"),
         # float() would load a numeric string as its number
-        (lambda d: dict(d, bern_ux="0.5"), "bern_ux must hold numbers, got '0.5'"),
-        (lambda d: dict(d, constant_c="-1"), "constant_c must hold numbers, got '-1'"),
+        (lambda d: dict(d, bern_ux="0.5"), "bern_ux must be a finite number, got '0.5'"),
+        (lambda d: dict(d, constant_c="-1"), "constant_c must be a finite number, got '-1'"),
         (lambda d: dict(d, weights_x=["1e0"] + [0.5] * 19),
-         "weights_x must hold numbers, got ['1e0', "),
-        (lambda d: dict(d, bern_z=[0.5] * 19 + [[0.5]]), "bern_z must hold numbers, got [0.5, "),
-        (lambda d: dict(d, bern_uy=None), "bern_uy must hold numbers, got None"),
+         "weights_x[0] must be a finite number, got '1e0'"),
+        (lambda d: dict(d, bern_z=[0.5] * 19 + [[0.5]]),
+         "bern_z[19] must be a finite number, got [0.5]"),
+        (lambda d: dict(d, bern_uy=None), "bern_uy must be a finite number, got None"),
         # a whole float is still not an int, and a fractional latent count
         # must not reach the length arithmetic
         (lambda d: dict(d, n_observed=15.0), "n_observed must be an integer, got 15.0"),
         (lambda d: dict(d, n_unobserved=1.5), "n_unobserved must be an integer, got 1.5"),
-        (lambda d: dict(d, bern_uy=[0.5]), "bern_uy must hold numbers, got [0.5]"),
+        (lambda d: dict(d, bern_uy=[0.5]), "bern_uy must be a finite number, got [0.5]"),
+        (lambda d: dict(d, weights_y=[0.0] * 19 + [math.nan]),
+         "weights_y[19] must be a finite number, got nan"),
+        (lambda d: dict(d, constant_c=-math.inf), "constant_c must be a finite number, got -inf"),
+        # past the float range: float() would raise OverflowError, not ConfigError
+        (lambda d: dict(d, constant_c=10**400), "constant_c must be a finite number, got 1000"),
     ],
     ids=["not-an-object", "scalar-weights", "null-width", "fractional-width", "boolean-width",
          "boolean-probability", "boolean-constant", "boolean-assign-rate",
          "boolean-bern-z-entry", "boolean-weight", "string-probability", "string-constant",
          "string-weight", "nested-list-entry", "null-probability", "whole-float-width",
-         "fractional-latent-width", "listed-probability"],
+         "fractional-latent-width", "listed-probability", "nan-weight", "infinite-constant",
+         "huge-integer-constant"],
 )
 def test_config_of_the_wrong_type_is_a_config_error(change, message):
     # The constructor checks the types, so a config built in Python, by

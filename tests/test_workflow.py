@@ -31,7 +31,7 @@ def test_inline_python_heredocs_compile():
             compile(body, f"<{step.get('name')}>", "exec")
             compiled.append(step.get("name"))
     assert len(compiled) == text.count("<<'EOF'")
-    assert {"Slow acceptance test", "20-bit label peak memory",
+    assert {"Slow acceptance test", "20-bit chain peak memory",
             "Traced benchmark smoke counts"} <= set(compiled)
 
 
